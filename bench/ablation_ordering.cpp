@@ -28,13 +28,13 @@ Sample measure(const Network& net, OrderingKind kind, std::uint64_t seed) {
   Sample sample;
   try {
     const auto order = compute_order(net, kind, seed);
-    auto bdds = build_bdds(net, order, /*node_limit=*/1u << 21);
+    auto bdds = build_bdds(net, order);
     std::vector<Bdd> roots;
     for (const auto& po : net.pos()) roots.push_back(bdds.node_funcs[po.driver]);
     sample.nodes = bdds.mgr->dag_size_shared(roots);
   } catch (const BddLimitExceeded&) {
     sample.nodes = 0;  // rendered as "blowup" — itself a result: the bad
-                       // ordering exceeded the node budget
+                       // ordering exhausted the work budget
   }
   sample.ms = watch.milliseconds();
   return sample;

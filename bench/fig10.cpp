@@ -18,11 +18,11 @@ namespace {
 
 using namespace dominosyn;
 
-/// Shared BDD size, or 0 if the ordering blows the node budget.
+/// Shared BDD size, or 0 if the ordering exhausts the BDD work budget.
 std::size_t shared_size(const Network& net, const VariableOrder& order,
                         const std::vector<NodeId>& roots) {
   try {
-    auto bdds = build_bdds(net, order, /*node_limit=*/1u << 21);
+    auto bdds = build_bdds(net, order);
     std::vector<Bdd> funcs;
     for (const NodeId id : roots) funcs.push_back(bdds.node_funcs[id]);
     return bdds.mgr->dag_size_shared(funcs);
@@ -107,8 +107,8 @@ int main() {
                size_cell(rnd), winner});
   }
   sweep.print(std::cout);
-  std::cout << "\nShape check: random orderings are far worse (often blowing "
-               "the node budget);\nthe paper's heuristic and the first-visit "
+  std::cout << "\nShape check: random orderings are far worse (often exhausting "
+               "the work budget);\nthe paper's heuristic and the first-visit "
                "orders trade wins depending on how\nthe output cones nest — "
                "reverse-topo dominates on nested-cone circuits like\nx1/x3, "
                "matching the structure the paper's Fig. 10 argument assumes.\n";

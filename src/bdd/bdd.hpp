@@ -12,6 +12,10 @@
 ///    everything unreachable from live handles (indices remain stable).
 ///  * Variable indices are BDD *levels*: variable 0 is tested at the top.
 ///    Ordering heuristics (order.hpp) map network sources to levels.
+///  * Every manager runs under a deterministic work budget: one unit per ITE
+///    step (see BddManager::steps()), and the same number caps allocated
+///    nodes.  An intractable build throws BddLimitExceeded after bounded
+///    time and memory, whatever the machine.
 
 #pragma once
 
@@ -67,18 +71,27 @@ class Bdd {
   BddIndex index_ = kBddFalse;
 };
 
-/// Thrown when the node limit is exceeded; callers (the power estimator)
-/// catch this and fall back to approximate probability propagation.
+/// Thrown when a manager exhausts its work budget; callers (the power
+/// estimator) catch this and fall back to approximate probability
+/// propagation.
 class BddLimitExceeded : public std::runtime_error {
  public:
-  BddLimitExceeded() : std::runtime_error("BDD node limit exceeded") {}
+  BddLimitExceeded() : std::runtime_error("BDD work budget exceeded") {}
 };
+
+/// Default work budget: 2^22 ITE steps, and at most as many allocated nodes
+/// (20 bytes each plus tables).  Every circuit the flow builds exactly fits
+/// (the largest, a 24-PI 12000-gate generator circuit, takes ~3.5 M steps);
+/// the paper circuits that do not fit give up in well under a second.
+inline constexpr std::uint64_t kBddWorkBudget = std::uint64_t{1} << 22;
 
 class BddManager {
  public:
-  /// \param num_vars   number of variables (levels).
-  /// \param node_limit hard cap on allocated nodes (terminals included).
-  explicit BddManager(std::uint32_t num_vars, std::size_t node_limit = 1u << 23);
+  /// \param num_vars number of variables (levels).
+  /// \param budget   work budget: the ITE steps the manager may run before
+  ///                 it throws BddLimitExceeded, and its cap on allocated
+  ///                 nodes (terminals included).
+  explicit BddManager(std::uint32_t num_vars, std::uint64_t budget = kBddWorkBudget);
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
@@ -124,6 +137,10 @@ class BddManager {
 
   /// Currently allocated node records (terminals + live + garbage).
   [[nodiscard]] std::size_t allocated_nodes() const noexcept { return var_.size(); }
+  /// Work charged so far: one step per ITE call that is not a terminal
+  /// case, operation-cache hits included.  A pure function of the
+  /// operation sequence, so identical builds charge identical counts.
+  [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
   /// Nodes reachable from external handles (exact, walks the DAG).
   [[nodiscard]] std::size_t live_nodes() const;
 
@@ -160,7 +177,8 @@ class BddManager {
   static constexpr std::uint32_t kTerminalVar = 0xffffffffu;
 
   std::uint32_t num_vars_;
-  std::size_t node_limit_;
+  std::uint64_t budget_;
+  std::uint64_t steps_ = 0;
 
   // struct-of-arrays node storage
   std::vector<std::uint32_t> var_;

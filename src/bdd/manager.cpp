@@ -53,8 +53,8 @@ Bdd Bdd::operator!() const { return mgr_->bdd_not(*this); }
 
 // ---- manager -----------------------------------------------------------------
 
-BddManager::BddManager(std::uint32_t num_vars, std::size_t node_limit)
-    : num_vars_(num_vars), node_limit_(node_limit) {
+BddManager::BddManager(std::uint32_t num_vars, std::uint64_t budget)
+    : num_vars_(num_vars), budget_(budget) {
   // Terminals occupy indices 0 and 1 with the pseudo-variable kTerminalVar.
   var_ = {kTerminalVar, kTerminalVar};
   low_ = {kBddFalse, kBddTrue};
@@ -79,9 +79,9 @@ void BddManager::rehash(std::size_t new_bucket_count) {
   }
   // Keep the operation cache proportional to the node population: a fixed
   // small cache thrashes on multi-million-node builds and turns shared
-  // subproblems into repeated exponential work.
-  if (ite_cache_.size() < new_bucket_count &&
-      new_bucket_count <= (node_limit_ << 1))
+  // subproblems into repeated exponential work.  The node cap bounds it, and
+  // its size never depends on the budget, so neither does the step count.
+  if (ite_cache_.size() < new_bucket_count)
     ite_cache_.assign(new_bucket_count, CacheEntry{});
 }
 
@@ -100,7 +100,7 @@ BddIndex BddManager::mk(std::uint32_t v, BddIndex lo, BddIndex hi) {
     high_[n] = hi;
     ext_refs_[n] = 0;
   } else {
-    if (var_.size() >= node_limit_) throw BddLimitExceeded{};
+    if (var_.size() >= budget_) throw BddLimitExceeded{};
     n = static_cast<BddIndex>(var_.size());
     var_.push_back(v);
     low_.push_back(lo);

@@ -4,11 +4,10 @@
 
 namespace dominosyn {
 
-NetworkBdds build_bdds(const Network& net, const VariableOrder& order,
-                       std::size_t node_limit) {
+NetworkBdds build_bdds(const Network& net, const VariableOrder& order) {
   NetworkBdds result;
   result.order = order;
-  result.mgr = std::make_unique<BddManager>(order.num_vars(), node_limit);
+  result.mgr = std::make_unique<BddManager>(order.num_vars());
   BddManager& mgr = *result.mgr;
 
   result.node_funcs.assign(net.num_nodes(), Bdd{});
@@ -128,10 +127,10 @@ std::vector<double> signal_probabilities(const Network& net,
                                          std::span<const double> pi_probs,
                                          std::span<const double> latch_probs,
                                          OrderingKind ordering,
-                                         std::size_t node_limit, bool* used_exact) {
+                                         bool* used_exact) {
   try {
     const auto order = compute_order(net, ordering);
-    const auto bdds = build_bdds(net, order, node_limit);
+    const auto bdds = build_bdds(net, order);
     if (used_exact != nullptr) *used_exact = true;
     return exact_signal_probabilities(net, bdds, pi_probs, latch_probs);
   } catch (const BddLimitExceeded&) {

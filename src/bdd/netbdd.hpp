@@ -30,9 +30,9 @@ struct NetworkBdds {
 
 /// Builds BDDs for every node reachable from the combinational roots.
 /// Latch outputs are treated as free variables (the post-partitioning view).
-/// Throws BddLimitExceeded if the network is too large for `node_limit`.
-[[nodiscard]] NetworkBdds build_bdds(const Network& net, const VariableOrder& order,
-                                     std::size_t node_limit = 1u << 23);
+/// Throws BddLimitExceeded if the build exhausts the manager's work budget
+/// (kBddWorkBudget).
+[[nodiscard]] NetworkBdds build_bdds(const Network& net, const VariableOrder& order);
 
 /// Exact per-node signal probabilities given independent source
 /// probabilities.  `pi_probs[i]` belongs to net.pis()[i] and
@@ -44,17 +44,18 @@ struct NetworkBdds {
 
 /// Correlation-ignoring propagation (the classic fast estimate): AND multiplies,
 /// OR inverts-multiplies-inverts, NOT complements, XOR folds pairwise.  Used as
-/// the fallback when BDDs exceed their node budget, and as a cross-check.
+/// the fallback when BDDs exceed their work budget, and as a cross-check.
 [[nodiscard]] std::vector<double> approx_signal_probabilities(
     const Network& net, std::span<const double> pi_probs,
     std::span<const double> latch_probs = {});
 
-/// Robust entry point: exact when the BDD build fits, approximate otherwise.
-/// `used_exact`, if non-null, reports which path was taken.
+/// Robust entry point: exact when the BDD build fits the work budget,
+/// approximate otherwise.  `used_exact`, if non-null, reports which path was
+/// taken.
 [[nodiscard]] std::vector<double> signal_probabilities(
     const Network& net, std::span<const double> pi_probs,
     std::span<const double> latch_probs = {},
     OrderingKind ordering = OrderingKind::kReverseTopological,
-    std::size_t node_limit = 1u << 22, bool* used_exact = nullptr);
+    bool* used_exact = nullptr);
 
 }  // namespace dominosyn

@@ -29,6 +29,11 @@ BddIndex BddManager::ite_rec(BddIndex f, BddIndex g, BddIndex h) {
   if (g == h) return g;
   if (g == kBddTrue && h == kBddFalse) return f;
 
+  // One unit of work per non-terminal call, cache hits included, so the
+  // count bounds every step of the recursion and an intractable build stops
+  // after bounded time.
+  if (++steps_ > budget_) throw BddLimitExceeded{};
+
   const std::size_t slot =
       static_cast<std::size_t>(hash3(f, g, h)) & (ite_cache_.size() - 1);
   {

@@ -115,6 +115,8 @@ std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::evaluator_for(
 
   // Replay FlowSession::synthesized / probabilities / evaluator exactly, so
   // the worker's engine state is bit-identical to the coordinator flow's.
+  // Sessions with other probability or model options never use the fabric
+  // (fabric_replays in flow/session.cpp), so defaults are all it needs.
   auto entry = std::make_shared<CachedEvaluator>();
   Network net = compact_copy(reconstruct_network(circuit));
   try {

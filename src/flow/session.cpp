@@ -39,8 +39,7 @@ bool same_seqprob(const SeqProbOptions& a, const SeqProbOptions& b) {
   return a.mfvs.use_symmetry == b.mfvs.use_symmetry &&
          a.mfvs.verify == b.mfvs.verify &&
          a.cut_latch_prob == b.cut_latch_prob &&
-         a.fixpoint_sweeps == b.fixpoint_sweeps && a.ordering == b.ordering &&
-         a.bdd_node_limit == b.bdd_node_limit;
+         a.fixpoint_sweeps == b.fixpoint_sweeps && a.ordering == b.ordering;
 }
 
 bool same_minarea(const MinAreaOptions& a, const MinAreaOptions& b) {
@@ -63,6 +62,21 @@ bool same_map_options(const MapOptions& a, const MapOptions& b) {
 bool same_sim(const SimPowerOptions& a, const SimPowerOptions& b) {
   return a.steps == b.steps && a.warmup == b.warmup && a.seed == b.seed &&
          same_model(a.model, b.model);
+}
+
+/// Whether the fabric's workers score units on this session's numbers.  A
+/// worker rebuilds its evaluator from the circuit spec alone
+/// (DistWorker::evaluator_for): the spec's pi_prob, default SeqProbOptions,
+/// and the default flow model with the spec's load_aware.  Other options
+/// must search locally, or the merge would mix units scored on different
+/// probabilities or models.
+bool fabric_replays(const FlowOptions& options) {
+  const dist::CircuitSpec& circuit = options.dist.circuit;
+  PowerModelConfig replayed = default_flow_power_model();
+  replayed.load_aware = circuit.load_aware;
+  return options.pi_prob == circuit.pi_prob &&
+         same_seqprob(options.seqprob, SeqProbOptions{}) &&
+         same_model(options.model, replayed);
 }
 
 bool probs_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
@@ -194,8 +208,9 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
   // Distributed fabric available?  Every dist call is wrapped so a fabric
   // failure (no workers, cancelled by shutdown, failed unit) falls back to
   // the identical-result local search instead of failing the flow.
-  const bool dist_ready =
-      options_.dist.enabled && options_.dist.coordinator != nullptr;
+  const bool dist_ready = options_.dist.enabled &&
+                          options_.dist.coordinator != nullptr &&
+                          fabric_replays(options_);
   const auto copy_search_telemetry = [&stage](const SearchResult& search) {
     stage.search_evaluations = search.evaluations;
     stage.search_nodes_expanded = search.nodes_expanded;

@@ -170,27 +170,37 @@ std::string render_double(double v) {
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
+  std::string previous_family;
   for (const auto& entry : snapshot.entries) {
-    const std::string name = sanitize(entry.name);
+    // A registered name is a metric family, optionally followed by a label
+    // set (`name{method="exact"}`) that is kept verbatim.  Labelled series of
+    // one family sort next to each other; the family's HELP/TYPE preamble
+    // precedes only the first.
+    const std::size_t brace = entry.name.find('{');
+    const std::string name = sanitize(entry.name.substr(0, brace));
+    const std::string series =
+        brace == std::string::npos ? name : name + entry.name.substr(brace);
+    const bool first_of_family = name != previous_family;
+    previous_family = name;
     switch (entry.kind) {
       case MetricsSnapshot::Entry::Kind::kCounter:
-        append_help_type(out, name, entry.help, "counter");
-        out += name;
+        if (first_of_family) append_help_type(out, name, entry.help, "counter");
+        out += series;
         out += ' ';
         out += std::to_string(entry.counter);
         out += '\n';
         break;
       case MetricsSnapshot::Entry::Kind::kGauge:
-        append_help_type(out, name, entry.help, "gauge");
-        out += name;
+        if (first_of_family) append_help_type(out, name, entry.help, "gauge");
+        out += series;
         out += ' ';
         out += std::to_string(entry.gauge);
         out += '\n';
         break;
       case MetricsSnapshot::Entry::Kind::kDoubleSum:
         // Prometheus has no double-counter distinction; expose as counter.
-        append_help_type(out, name, entry.help, "counter");
-        out += name;
+        if (first_of_family) append_help_type(out, name, entry.help, "counter");
+        out += series;
         out += ' ';
         out += render_double(entry.double_sum);
         out += '\n';

@@ -160,7 +160,9 @@ struct MetricsSnapshot {
 /// Named metric collection.  Registration is mutex-guarded and idempotent by
 /// name (same name + kind returns the same instrument; a kind clash throws
 /// std::logic_error).  Instrument addresses are stable for the registry's
-/// lifetime — hot paths hold references, never look up by name.
+/// lifetime — hot paths hold references, never look up by name.  A counter,
+/// gauge or sum name may end in a Prometheus label set, one instrument per
+/// series: `counter("dominosyn_prob_builds_total{method=\"exact\"}")`.
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -178,7 +180,8 @@ class MetricsRegistry {
 
   /// Prometheus text exposition (version 0.0.4) of snapshot():
   /// HELP/TYPE preambles, cumulative `le` buckets with _sum/_count for
-  /// histograms.  Metric names are sanitized to [a-zA-Z0-9_:].
+  /// histograms.  Metric names are sanitized to [a-zA-Z0-9_:]; a label set
+  /// is kept verbatim, and a family's series share one preamble.
   [[nodiscard]] std::string prometheus() const;
 
  private:

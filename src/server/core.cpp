@@ -28,6 +28,10 @@ FlowSession::Stats stats_delta(const FlowSession::Stats& after,
   return delta;
 }
 
+constexpr const char* kProbBuildsHelp =
+    "Signal-probability builds by method: exact BDDs within the work budget, "
+    "or the approximate fallback";
+
 ServerResponse rejection(ServerStatus status, std::string message) {
   ServerResponse response;
   response.status = status;
@@ -101,6 +105,10 @@ ServerCore::Instruments::Instruments(obs::MetricsRegistry& registry)
           registry.counter("dominosyn_responses_degraded_total",
                            "Responses served under overload brownout "
                            "(auto-exhaustive disabled)")),
+      prob_builds_exact(registry.counter(
+          "dominosyn_prob_builds_total{method=\"exact\"}", kProbBuildsHelp)),
+      prob_builds_approx(registry.counter(
+          "dominosyn_prob_builds_total{method=\"approx\"}", kProbBuildsHelp)),
       bound_tightness_sum(
           registry.double_sum("dominosyn_bound_tightness_sum",
                               "Summed bound-tightness ratios (divide by "
@@ -249,6 +257,10 @@ void ServerCore::process(const std::string& key,
             response.report.search_subtrees_pruned);
         inst_.search_batched_trials.add(response.report.search_batched_trials);
         inst_.search_batch_walks.add(response.report.search_batch_walks);
+        if (response.telemetry.rebuilt.prob_builds > 0)
+          (response.report.used_exact_bdd ? inst_.prob_builds_exact
+                                          : inst_.prob_builds_approx)
+              .add(response.telemetry.rebuilt.prob_builds);
         if (response.report.search_nodes_expanded > 0) {
           inst_.exhaustive_searches.add();
           inst_.bound_tightness_sum.add(

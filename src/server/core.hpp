@@ -308,6 +308,8 @@ class ServerCore {
     obs::Counter& retried_submits;
     obs::Counter& reattached_submits;
     obs::Counter& degraded_responses;
+    obs::Counter& prob_builds_exact;
+    obs::Counter& prob_builds_approx;
     obs::DoubleSum& bound_tightness_sum;
     obs::Gauge& queued_now;
     obs::Gauge& running_now;

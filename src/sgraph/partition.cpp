@@ -68,7 +68,7 @@ SeqProbResult sequential_signal_probabilities(const Network& net,
 
   try {
     const auto order = compute_order(net, options.ordering);
-    const auto bdds = build_bdds(net, order, options.bdd_node_limit);
+    const auto bdds = build_bdds(net, order);
     sweep_exact(net, bdds, pi_probs, latch_order, result.latch_probs);
     for (unsigned sweep = 0; sweep < options.fixpoint_sweeps; ++sweep)
       sweep_exact(net, bdds, pi_probs, full_order, result.latch_probs);

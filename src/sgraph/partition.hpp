@@ -26,7 +26,6 @@ struct SeqProbOptions {
   double cut_latch_prob = 0.5;      ///< prior for cut pseudo-PIs
   unsigned fixpoint_sweeps = 0;     ///< extra sweeps refining cut latches too
   OrderingKind ordering = OrderingKind::kReverseTopological;
-  std::size_t bdd_node_limit = 1u << 21;
 };
 
 struct SeqProbResult {
@@ -35,7 +34,9 @@ struct SeqProbResult {
   std::vector<std::uint32_t> cut_latches;///< latch indices cut by the MFVS
   std::size_t sgraph_edges = 0;
   std::size_t symmetry_merges = 0;
-  bool used_exact_bdd = true;            ///< false = approximate fallback
+  /// false = the BDD build exhausted its work budget (kBddWorkBudget) and
+  /// the probabilities come from the independence approximation.
+  bool used_exact_bdd = true;
 };
 
 /// Computes per-node signal probabilities of a (possibly sequential)

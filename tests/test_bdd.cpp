@@ -1,5 +1,5 @@
 /// Tests for the ROBDD package: canonicity, operations vs truth-table
-/// enumeration, cofactors, GC, node limits.
+/// enumeration, cofactors, GC, the work budget.
 
 #include <gtest/gtest.h>
 
@@ -215,18 +215,46 @@ TEST(Bdd, GcKeepsLiveHandlesValid) {
   EXPECT_EQ(again, keep);
 }
 
-TEST(Bdd, NodeLimitThrows) {
-  BddManager mgr(24, /*node_limit=*/64);
+/// A fixed operation sequence wide enough to need many ITE steps.
+Bdd parity_mix(BddManager& mgr) {
   Bdd acc = mgr.bdd_false();
-  EXPECT_THROW(
-      {
-        // Parity needs a wide BDD regardless of order — must hit the cap.
-        for (std::uint32_t v = 0; v < 24; ++v) {
-          acc = acc ^ mgr.var(v);
-          acc = acc | (mgr.var(v) & mgr.var((v + 7) % 24) & mgr.var((v + 3) % 24));
-        }
-      },
-      BddLimitExceeded);
+  for (std::uint32_t v = 0; v < 24; ++v) {
+    acc = acc ^ mgr.var(v);
+    acc = acc | (mgr.var(v) & mgr.var((v + 7) % 24) & mgr.var((v + 3) % 24));
+  }
+  return acc;
+}
+
+TEST(Bdd, WorkBudgetThrows) {
+  BddManager mgr(24, /*budget=*/64);
+  EXPECT_THROW((void)parity_mix(mgr), BddLimitExceeded);
+  EXPECT_EQ(mgr.steps(), 65u);  // the step that exceeds the budget throws
+}
+
+TEST(Bdd, BudgetIsExactStepThreshold) {
+  // A budget of exactly the steps a build needs lets it finish; one step
+  // less trips on the last step.
+  BddManager probe(24);
+  (void)parity_mix(probe);
+  const std::uint64_t needed = probe.steps();
+
+  BddManager exact(24, needed);
+  EXPECT_NO_THROW((void)parity_mix(exact));
+  EXPECT_EQ(exact.steps(), needed);
+
+  BddManager short_by_one(24, needed - 1);
+  EXPECT_THROW((void)parity_mix(short_by_one), BddLimitExceeded);
+}
+
+TEST(Bdd, BudgetAlsoCapsAllocatedNodes) {
+  // Terminals take two slots, so a budget of 4 leaves room for two
+  // variables; the third allocation throws although no ITE step ran.
+  BddManager mgr(8, /*budget=*/4);
+  const Bdd x0 = mgr.var(0);
+  const Bdd x1 = mgr.var(1);
+  EXPECT_THROW((void)mgr.var(2), BddLimitExceeded);
+  EXPECT_EQ(mgr.steps(), 0u);
+  EXPECT_EQ(mgr.allocated_nodes(), 4u);
 }
 
 TEST(Bdd, MixedManagerOperandsRejected) {

@@ -113,25 +113,73 @@ TEST(Prob, ProbManySharesMemoConsistently) {
   EXPECT_NEAR(many[1], 0.8019, 1e-12);
 }
 
-TEST(Prob, FallbackPathOnNodeLimit) {
-  BenchSpec spec;
-  spec.name = "fb";
-  spec.num_pis = 16;
-  spec.num_pos = 4;
-  spec.gate_target = 200;
-  spec.seed = 4;
-  const Network net = generate_benchmark(spec);
+TEST(Prob, FallbackPathOverBudget) {
+  // x3's global BDDs do not fit the default work budget (the flow has
+  // always run it on approximate probabilities).
+  const Network net = generate_benchmark(paper_spec("x3"));
   const std::vector<double> pi_probs(net.num_pis(), 0.5);
   bool used_exact = true;
   const auto probs = signal_probabilities(net, pi_probs, {},
                                           OrderingKind::kReverseTopological,
-                                          /*node_limit=*/8, &used_exact);
+                                          &used_exact);
   EXPECT_FALSE(used_exact);
-  EXPECT_EQ(probs.size(), net.num_nodes());
-  for (const double p : probs) {
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
+  EXPECT_EQ(probs, approx_signal_probabilities(net, pi_probs));
+}
+
+// ---- work budget -------------------------------------------------------------
+
+/// Per-node probabilities from the same gate folds as build_bdds, run in a
+/// manager with an explicit work budget.
+std::vector<double> probs_under_budget(const Network& net,
+                                       const VariableOrder& order,
+                                       std::uint64_t budget,
+                                       std::uint64_t* steps) {
+  BddManager mgr(order.num_vars(), budget);
+  std::vector<Bdd> funcs(net.num_nodes());
+  funcs[Network::const0()] = mgr.bdd_false();
+  funcs[Network::const1()] = mgr.bdd_true();
+  for (const NodeId src : net.pis()) funcs[src] = mgr.var(order.level_of.at(src));
+  for (const NodeId id : net.topo_order()) {
+    const auto& node = net.node(id);
+    if (!is_gate_kind(node.kind)) continue;
+    Bdd acc = node.kind == NodeKind::kAnd ? mgr.bdd_true() : mgr.bdd_false();
+    for (const NodeId f : node.fanins) {
+      switch (node.kind) {
+        case NodeKind::kAnd: acc = acc & funcs[f]; break;
+        case NodeKind::kOr: acc = acc | funcs[f]; break;
+        case NodeKind::kXor: acc = acc ^ funcs[f]; break;
+        case NodeKind::kNot: acc = !funcs[f]; break;
+        default: break;
+      }
+    }
+    funcs[id] = std::move(acc);
   }
+  *steps = mgr.steps();
+  std::vector<Bdd> valid;
+  for (const Bdd& f : funcs)
+    if (f.valid()) valid.push_back(f);
+  return mgr.prob_many(valid, std::vector<double>(order.num_vars(), 0.5));
+}
+
+TEST(Budget, IdenticalBuildsChargeIdenticalSteps) {
+  const Network net = generate_benchmark(paper_spec("apex7"));
+  const auto order = compute_order(net, OrderingKind::kReverseTopological);
+  const auto first = build_bdds(net, order);
+  const auto second = build_bdds(net, order);
+  EXPECT_GT(first.mgr->steps(), 0u);
+  EXPECT_EQ(first.mgr->steps(), second.mgr->steps());
+}
+
+TEST(Budget, BuildInsideBudgetMatchesLargerBudgetBitForBit) {
+  const Network net = generate_benchmark(paper_spec("x1"));
+  ASSERT_EQ(net.num_latches(), 0u);
+  const auto order = compute_order(net, OrderingKind::kReverseTopological);
+  std::uint64_t steps = 0;
+  const auto roomy = probs_under_budget(net, order, std::uint64_t{1} << 40, &steps);
+  std::uint64_t tight_steps = 0;
+  const auto tight = probs_under_budget(net, order, steps, &tight_steps);
+  EXPECT_EQ(tight_steps, steps);
+  EXPECT_EQ(tight, roomy);  // bit-identical, not just close
 }
 
 // ---- orderings ---------------------------------------------------------------

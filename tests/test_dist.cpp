@@ -13,7 +13,8 @@
 ///    count and shared-bounds setting,
 ///  * the fabric end to end: dominod core + TCP transport + DistWorker
 ///    processes serving submits bit-identically to a local run, a worker
-///    dying mid-lease (re-issue + identical report), and non-drain shutdown
+///    dying mid-lease (re-issue + identical report), a session whose options
+///    workers cannot replay searching locally, and non-drain shutdown
 ///    resolving a dist-waiting submit.
 
 #include <gtest/gtest.h>
@@ -37,6 +38,7 @@
 #include "dist/workunit.hpp"
 #include "flow/batch.hpp"
 #include "flow/flow.hpp"
+#include "flow/session.hpp"
 #include "network/synth.hpp"
 #include "obs/trace.hpp"
 #include "phase/assignment.hpp"
@@ -889,6 +891,48 @@ TEST(DistFabric, DeadWorkerMidLeaseIsReissuedWithIdenticalReport) {
   expect_reports_identical(response.report, reference);
   EXPECT_GE(core.stats().units_reissued, 1u);
 
+  server.stop();
+  core.shutdown();
+}
+
+TEST(DistFabric, OptionsWorkersCannotReplaySearchLocally) {
+  // Workers rebuild evaluators with default SeqProbOptions.  A session whose
+  // fixpoint sweeps change its probabilities must not merge units scored on
+  // theirs: it searches locally and serves the local report.
+  BenchSpec spec = dist_spec(46, /*pos=*/8);
+  spec.num_latches = 4;
+  const Network net = generate_benchmark(spec);
+  FlowOptions options = dist_flow_options(spec, false, 20'000);
+  options.seqprob.fixpoint_sweeps = 4;
+
+  FlowOptions local_options = options;
+  local_options.dist = {};
+  FlowSession local(net, local_options);
+  FlowOptions replayed_options = local_options;
+  replayed_options.seqprob = {};
+  FlowSession replayed(net, replayed_options);
+  ASSERT_NE(local.probabilities().node_probs,
+            replayed.probabilities().node_probs);
+  const FlowReport reference = local.report();
+
+  ServerCore core(ServerConfig{});
+  TransportConfig transport;
+  SocketServer server(core, transport);
+  WorkerConfig worker_config;
+  worker_config.port = server.port();
+  worker_config.num_threads = 1;
+  worker_config.idle_poll_ms = 5;
+  worker_config.name = "replayer";
+  DistWorker worker(worker_config);
+  worker.start();
+
+  const ServerResponse response =
+      core.submit(dist_request(net, options)).get();
+  ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+  EXPECT_EQ(core.stats().units_issued, 0u);
+  expect_reports_identical(response.report, reference);
+
+  worker.stop();
   server.stop();
   core.shutdown();
 }

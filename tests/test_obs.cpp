@@ -222,6 +222,23 @@ TEST(MetricsRegistryTest, PrometheusExposition) {
   EXPECT_EQ(text.back(), '\n');
 }
 
+TEST(MetricsRegistryTest, LabelledSeriesShareOneFamilyPreamble) {
+  MetricsRegistry registry;
+  registry.counter("dominosyn_builds_total{method=\"exact\"}", "Builds.").add(3);
+  registry.counter("dominosyn_builds_total{method=\"approx\"}", "Builds.").add(1);
+  registry.counter("dominosyn_builds_other_total", "Other.").add(2);
+
+  const std::string text = registry.prometheus();
+  EXPECT_EQ(text,
+            "# HELP dominosyn_builds_other_total Other.\n"
+            "# TYPE dominosyn_builds_other_total counter\n"
+            "dominosyn_builds_other_total 2\n"
+            "# HELP dominosyn_builds_total Builds.\n"
+            "# TYPE dominosyn_builds_total counter\n"
+            "dominosyn_builds_total{method=\"approx\"} 1\n"
+            "dominosyn_builds_total{method=\"exact\"} 3\n");
+}
+
 TEST(MetricsRegistryTest, ConcurrentRecordVsSnapshot) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("c");

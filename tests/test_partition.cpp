@@ -6,6 +6,8 @@
 #include <cmath>
 
 #include "benchgen/benchgen.hpp"
+#include "network/synth.hpp"
+#include "phase/assignment.hpp"
 #include "sgraph/partition.hpp"
 #include "sim/sim.hpp"
 
@@ -102,23 +104,56 @@ TEST(Partition, CrossCoupledLatchesCutOnce) {
     EXPECT_NEAR(result.latch_probs[other], 0.25, 1e-9);  // p(s1&a)
 }
 
-TEST(Partition, ApproxFallbackUnderTinyNodeLimit) {
-  BenchSpec spec;
-  spec.name = "seqfb";
-  spec.num_pis = 10;
-  spec.num_pos = 4;
-  spec.num_latches = 5;
-  spec.gate_target = 120;
-  spec.seed = 77;
-  const Network net = generate_benchmark(spec);
+/// A generated circuit in the flow's normal form, as FlowSession builds
+/// its probabilities on it.
+Network flow_ready(const BenchSpec& spec) {
+  Network net = compact_copy(generate_benchmark(spec));
+  try {
+    check_phase_ready(net);
+  } catch (const std::runtime_error&) {
+    standard_synthesis(net);
+  }
+  return net;
+}
+
+TEST(Partition, ApproxFallbackOverBudget) {
+  // Industry 1 (24 latches) exhausts the BDD work budget: the latch sweep
+  // and node probabilities come from the independence approximation.
+  const Network net = flow_ready(paper_spec("Industry 1"));
   const std::vector<double> pi_probs(net.num_pis(), 0.5);
-  SeqProbOptions options;
-  options.bdd_node_limit = 8;
-  const auto result = sequential_signal_probabilities(net, pi_probs, options);
+  const auto result = sequential_signal_probabilities(net, pi_probs);
   EXPECT_FALSE(result.used_exact_bdd);
-  for (const double p : result.node_probs) {
+  EXPECT_FALSE(result.cut_latches.empty());
+  EXPECT_EQ(result.node_probs,
+            approx_signal_probabilities(net, pi_probs, result.latch_probs));
+  for (const double p : result.latch_probs) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
+  }
+}
+
+TEST(Partition, DefaultBudgetDecisionBoundary) {
+  // Pins which circuits the default work budget builds exactly.  The
+  // heaviest exact one, the 24-PI 12000-gate 32-PO generator circuit of
+  // the distributed-search benches, needs ~3.5 M of the 4.2 M steps; x3 and
+  // Industry 3 need far more and fall back.
+  BenchSpec heavy;
+  heavy.name = "heavy77";
+  heavy.num_pis = 24;
+  heavy.num_pos = 32;
+  heavy.gate_target = 12000;
+  heavy.seed = 77;
+  const std::pair<BenchSpec, bool> cases[] = {
+      {paper_spec("apex7"), true}, {paper_spec("frg1"), true},
+      {paper_spec("x1"), true},    {heavy, true},
+      {paper_spec("x3"), false},   {paper_spec("Industry 3"), false},
+  };
+  for (const auto& [spec, exact] : cases) {
+    const Network net = flow_ready(spec);
+    const std::vector<double> pi_probs(net.num_pis(), 0.5);
+    EXPECT_EQ(sequential_signal_probabilities(net, pi_probs).used_exact_bdd,
+              exact)
+        << spec.name;
   }
 }
 

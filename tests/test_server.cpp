@@ -704,6 +704,31 @@ TEST(Protocol, StatsLineCarriesLatencyHistograms) {
   EXPECT_EQ(stats.service_us.count, 1u);
 }
 
+TEST(ServerCore, ProbBuildsCountedByMethod) {
+  // apex7's BDDs fit the work budget, x3's do not: metrics alone tells
+  // whether an answer used approximate probabilities.  Only requests that
+  // rebuild the probability stage count.
+  ServerCore core(ServerConfig{});
+  const FlowOptions options = fast_options(PhaseMode::kAllPositive);
+  const Network apex7 = generate_benchmark(paper_spec("apex7"));
+  const Network x3 = generate_benchmark(paper_spec("x3"));
+  for (const Network* net : {&apex7, &apex7, &x3}) {
+    const ServerResponse response = core.submit(make_request(*net, options)).get();
+    ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+    EXPECT_EQ(response.report.used_exact_bdd, net == &apex7);
+  }
+
+  const std::string text = core.prometheus_text();
+  EXPECT_NE(text.find("# TYPE dominosyn_prob_builds_total counter\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("dominosyn_prob_builds_total{method=\"exact\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dominosyn_prob_builds_total{method=\"approx\"} 1\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST(Transport, MetricsVerbServesPrometheusText) {
   ServerCore core(ServerConfig{});
   TransportConfig transport;
