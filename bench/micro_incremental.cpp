@@ -22,13 +22,6 @@
 /// unpruned, wall time, bound tightness, and the largest P solved exactly
 /// within a wall-clock budget.
 ///
-/// The batched_eval section measures the structure-of-arrays batched
-/// evaluator (docs/eval_batch.md): per-candidate trial-scoring throughput
-/// scalar vs W-lane windows (with a lane-width sweep), and end-to-end §4.1 /
-/// branch-and-bound runs with the lanes forced off vs on — every batched
-/// number is checked bit-identical against its scalar twin before it is
-/// reported.
-///
 /// The distributed_search section measures the coordinator/worker fabric
 /// (docs/distributed.md) over a TCP loopback: a calibrated branch-and-bound
 /// job served by one vs two single-threaded DistWorker fleets, with every
@@ -54,9 +47,7 @@
 ///                (default 20; the nightly long-run raises this)
 /// or flag form (any argument starting with "--" selects it):
 ///   micro_incremental [--threads N] [--gates N] [--pos N] [--steps N]
-///                     [--bb-budget S] [--lanes W]
-///   --lanes      batched-evaluator lane width: 0 = auto (default), 1 =
-///                scalar engines, up to kMaxEvalBatchLanes
+///                     [--bb-budget S]
 
 #include <unistd.h>
 
@@ -66,9 +57,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <numeric>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -83,7 +72,6 @@
 #include "obs/trace.hpp"
 #include "phase/assignment.hpp"
 #include "phase/eval.hpp"
-#include "phase/eval_batch.hpp"
 #include "phase/search.hpp"
 #include "server/core.hpp"
 #include "server/transport.hpp"
@@ -234,17 +222,16 @@ Network make_circuit(const std::string& name, std::size_t gates,
 
 int main(int argc, char** argv) {
   // Hybrid argv: the historical positional form stays CI-compatible; any
-  // "--" argument switches to named flags (the only way to set --lanes).
+  // "--" argument switches to named flags.
   bool flag_form = false;
   for (int i = 1; i < argc; ++i)
     if (std::string_view(argv[i]).rfind("--", 0) == 0) flag_form = true;
 
   std::optional<long> threads_arg, gates_arg, pos_arg, steps_arg,
-      bb_budget_arg, lanes_arg;
+      bb_budget_arg;
   if (flag_form) {
     const auto flags = cli::FlagSet::parse(argc, argv);
-    if (flags && flags->only({"threads", "gates", "pos", "steps", "bb-budget",
-                              "lanes"})) {
+    if (flags && flags->only({"threads", "gates", "pos", "steps", "bb-budget"})) {
       threads_arg = flags->get_long("threads", 0, 0, 1024);
       gates_arg = flags->get_long("gates", 2000, 1,
                                   std::numeric_limits<long>::max());
@@ -252,8 +239,6 @@ int main(int argc, char** argv) {
                                 std::numeric_limits<long>::max());
       steps_arg = flags->get_long("steps", 256, 1, 1 << 24);
       bb_budget_arg = flags->get_long("bb-budget", 20, 1, 3600);
-      lanes_arg = flags->get_long(
-          "lanes", 0, 0, static_cast<long>(kMaxEvalBatchLanes));
     }
   } else {
     threads_arg = cli::parse_long_arg(argc, argv, 1, 0, 0, 1024);
@@ -261,15 +246,13 @@ int main(int argc, char** argv) {
     pos_arg = cli::parse_long_arg(argc, argv, 3, 48, 1);
     steps_arg = cli::parse_long_arg(argc, argv, 4, 256, 1, 1 << 24);
     bb_budget_arg = cli::parse_long_arg(argc, argv, 5, 20, 1, 3600);
-    lanes_arg = 0;
   }
-  if (!threads_arg || !gates_arg || !pos_arg || !steps_arg || !bb_budget_arg ||
-      !lanes_arg) {
+  if (!threads_arg || !gates_arg || !pos_arg || !steps_arg || !bb_budget_arg) {
     std::cerr << "usage: micro_incremental [num_threads 0..1024] "
                  "[gate_target>=1] [num_pos>=1] [sweep_steps>=1] "
                  "[bb_budget_seconds 1..3600]\n"
                  "   or: micro_incremental [--threads N] [--gates N] "
-                 "[--pos N] [--steps N] [--bb-budget S] [--lanes 0..64]\n";
+                 "[--pos N] [--steps N] [--bb-budget S]\n";
     return 2;
   }
   const unsigned num_threads = static_cast<unsigned>(*threads_arg);
@@ -277,10 +260,6 @@ int main(int argc, char** argv) {
   const std::size_t num_pos = static_cast<std::size_t>(*pos_arg);
   const std::size_t sweep_steps = static_cast<std::size_t>(*steps_arg);
   const double bb_budget_seconds = static_cast<double>(*bb_budget_arg);
-  /// 0 = auto stays 0 in the engine options (engines resolve themselves);
-  /// lane_width is the resolved width the batched_eval section reports.
-  const std::size_t requested_lanes = static_cast<std::size_t>(*lanes_arg);
-  const std::size_t lane_width = resolve_eval_batch_lanes(requested_lanes);
 
   const Network net = make_circuit("inc", gate_target, num_pos);
   const std::vector<double> pi_probs(net.num_pis(), 0.5);
@@ -324,7 +303,6 @@ int main(int argc, char** argv) {
 
   MinPowerOptions sequential;
   sequential.num_threads = 1;
-  sequential.batch_lanes = requested_lanes;
   stopwatch.restart();
   const MinPowerResult incremental =
       min_power_assignment(evaluator, overlap, sequential);
@@ -332,7 +310,6 @@ int main(int argc, char** argv) {
 
   MinPowerOptions threaded;
   threaded.num_threads = num_threads;
-  threaded.batch_lanes = requested_lanes;
   stopwatch.restart();
   const MinPowerResult parallel =
       min_power_assignment(evaluator, overlap, threaded);
@@ -443,14 +420,12 @@ int main(int argc, char** argv) {
 
   ExhaustiveOptions exh_seq;
   exh_seq.num_threads = 1;
-  exh_seq.batch_lanes = requested_lanes;
   stopwatch.restart();
   const SearchResult exh_inc = exhaustive_min_power(small_eval, exh_seq);
   const double exhaustive_incremental_seconds = stopwatch.seconds();
 
   ExhaustiveOptions exh_par;
   exh_par.num_threads = num_threads;
-  exh_par.batch_lanes = requested_lanes;
   stopwatch.restart();
   const SearchResult exh_shard = exhaustive_min_power(small_eval, exh_par);
   const double exhaustive_parallel_seconds = stopwatch.seconds();
@@ -489,7 +464,6 @@ int main(int argc, char** argv) {
     ExhaustiveOptions bb_options;
     bb_options.max_outputs = 28;
     bb_options.num_threads = num_threads;
-    bb_options.batch_lanes = requested_lanes;
     // Wall budget alone cannot stop a level mid-run, so cap each level's
     // work in nodes too (~16x the default auto-select budget): a
     // loose-bound circuit ends the climb instead of hanging the bench.
@@ -517,141 +491,6 @@ int main(int argc, char** argv) {
     bb_runs.push_back(std::move(run));
   }
   const double bb_elapsed_seconds = bb_total.seconds();
-
-  // -- batched multi-candidate scoring (docs/eval_batch.md) -------------------
-  // Per-candidate throughput of the same trial stream scored one candidate
-  // per cone walk (apply_flip / power_total / undo) vs W candidates per
-  // shared EvalBatch window.  Trials are whole shuffled permutations of the
-  // outputs so no window ever holds a duplicate flip target — exactly the
-  // §4.1 trial-window shape — and every width's sum is checked bit-identical
-  // against the scalar walk before it is reported.
-  const std::size_t be_perms = 42;
-  std::vector<std::uint32_t> be_trials;
-  be_trials.reserve(be_perms * num_pos);
-  {
-    Rng be_rng(11);
-    std::vector<std::uint32_t> perm(num_pos);
-    std::iota(perm.begin(), perm.end(), 0u);
-    for (std::size_t p = 0; p < be_perms; ++p) {
-      for (std::size_t i = num_pos; i > 1; --i)
-        std::swap(perm[i - 1], perm[be_rng.below(i)]);
-      be_trials.insert(be_trials.end(), perm.begin(), perm.end());
-    }
-  }
-
-  // Both arms take the best of a few repetitions: the walks are
-  // deterministic, so the minimum is the run least disturbed by the host,
-  // and both sides are measured the same way.
-  constexpr int kBeReps = 5;
-  EvalState be_state(evaluator.context(), all_positive(net));
-  double be_scalar_sum = 0.0;
-  double be_scalar_seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kBeReps; ++rep) {
-    stopwatch.restart();
-    double sum = 0.0;
-    for (const std::uint32_t f : be_trials) {
-      be_state.apply_flip(f);
-      sum += be_state.power_total();
-      be_state.undo();
-    }
-    be_scalar_seconds = std::min(be_scalar_seconds, stopwatch.seconds());
-    be_scalar_sum = sum;
-  }
-
-  EvalBatch be_batch(evaluator.context(), kMaxEvalBatchLanes);
-  const auto run_batched_walk = [&](std::size_t width, double& out_sum) {
-    out_sum = 0.0;
-    std::size_t walks = 0;
-    for (std::size_t begin = 0; begin < be_trials.size();) {
-      // Windows never straddle a permutation boundary (no duplicate outputs).
-      const std::size_t perm_end = (begin / num_pos + 1) * num_pos;
-      const std::size_t n = std::min(width, perm_end - begin);
-      be_batch.plan(std::span<const std::uint32_t>(be_trials.data() + begin, n));
-      be_batch.bind(be_state);
-      for (std::size_t t = 0; t < n; ++t) {
-        be_batch.add_lane();
-        be_batch.set_flip(t, t);
-      }
-      be_batch.evaluate();
-      for (std::size_t t = 0; t < n; ++t) out_sum += be_batch.power_total(t);
-      ++walks;
-      begin += n;
-    }
-    return walks;
-  };
-
-  struct LanePoint {
-    std::size_t lanes = 0;
-    double seconds = 0.0;
-  };
-  std::vector<LanePoint> be_sweep;
-  double be_batched_seconds = 0.0;
-  for (const std::size_t width :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
-        std::size_t{16}, lane_width}) {
-    if (width > kMaxEvalBatchLanes) continue;
-    bool seen = false;
-    for (const LanePoint& point : be_sweep) seen |= point.lanes == width;
-    if (seen) continue;
-    double width_seconds = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kBeReps; ++rep) {
-      double sum = 0.0;
-      stopwatch.restart();
-      run_batched_walk(width, sum);
-      width_seconds = std::min(width_seconds, stopwatch.seconds());
-      if (sum != be_scalar_sum) {
-        std::cerr << "FATAL: batched scoring diverged from scalar at width "
-                  << width << "\n";
-        return 1;
-      }
-    }
-    be_sweep.push_back({width, width_seconds});
-    if (width == lane_width) be_batched_seconds = width_seconds;
-  }
-
-  // End to end: the §4.1 search and the branch-and-bound exact search with
-  // the lanes forced off vs on — same trajectory, different walk count.
-  MinPowerOptions mp_scalar_options = sequential;
-  mp_scalar_options.batch_lanes = 1;
-  stopwatch.restart();
-  const MinPowerResult mp_scalar =
-      min_power_assignment(evaluator, overlap, mp_scalar_options);
-  const double mp_scalar_seconds = stopwatch.seconds();
-
-  MinPowerOptions mp_batched_options = sequential;
-  mp_batched_options.batch_lanes = lane_width;
-  stopwatch.restart();
-  const MinPowerResult mp_batched =
-      min_power_assignment(evaluator, overlap, mp_batched_options);
-  const double mp_batched_seconds = stopwatch.seconds();
-  if (mp_batched.assignment != mp_scalar.assignment ||
-      mp_batched.final_power != mp_scalar.final_power ||
-      mp_batched.trials != mp_scalar.trials ||
-      mp_batched.commits != mp_scalar.commits) {
-    std::cerr << "FATAL: batched min-power search diverged from scalar\n";
-    return 1;
-  }
-
-  ExhaustiveOptions bnb_scalar_options = exh_seq;
-  bnb_scalar_options.batch_lanes = 1;
-  stopwatch.restart();
-  const SearchResult bnb_scalar =
-      exhaustive_min_power(small_eval, bnb_scalar_options);
-  const double bnb_scalar_seconds = stopwatch.seconds();
-
-  ExhaustiveOptions bnb_batched_options = exh_seq;
-  bnb_batched_options.batch_lanes = lane_width;
-  stopwatch.restart();
-  const SearchResult bnb_batched =
-      exhaustive_min_power(small_eval, bnb_batched_options);
-  const double bnb_batched_seconds = stopwatch.seconds();
-  if (bnb_batched.assignment != bnb_scalar.assignment ||
-      bnb_batched.cost.power.total() != bnb_scalar.cost.power.total() ||
-      bnb_batched.nodes_expanded != bnb_scalar.nodes_expanded ||
-      bnb_batched.evaluations != bnb_scalar.evaluations) {
-    std::cerr << "FATAL: batched branch-and-bound diverged from scalar\n";
-    return 1;
-  }
 
   // -- batched MA+MP sweep vs back-to-back monolithic run_flow ---------------
   // Each monolithic call re-synthesizes, re-extracts BDD probabilities and
@@ -821,7 +660,6 @@ int main(int argc, char** argv) {
   double dist_local_seconds = 0.0;
   ExhaustiveOptions dist_search_options;
   dist_search_options.num_threads = 1;
-  dist_search_options.batch_lanes = requested_lanes;
   dist_search_options.max_outputs = 34;  // let the climb pass the default 24
   for (const std::size_t pos : {24u, 26u, 28u, 30u, 32u}) {
     auto [spec, prepared] = prepare_dist(pos);
@@ -973,7 +811,6 @@ int main(int argc, char** argv) {
         unit.frontier_depth = 5;
         unit.bound_snapshot = 100.0 + static_cast<double>(j);
         unit.node_budget = 1 << 16;
-        unit.batch_lanes = 8;
         unit.circuit.corpus = "x1";
         unit.circuit.fingerprint = 0x1234 + j;
       }
@@ -1110,44 +947,6 @@ int main(int argc, char** argv) {
     std::cout << "}";
   }
   std::cout << "\n    ]\n"
-            << "  },\n"
-            << "  \"batched_eval\": {\n"
-            << "    \"lane_width\": " << lane_width << ",\n"
-            << "    \"simd_active\": "
-            << (eval_batch_simd_active() ? "true" : "false") << ",\n"
-            << "    \"trials\": " << be_trials.size() << ",\n"
-            << "    \"scalar_seconds\": " << be_scalar_seconds << ",\n"
-            << "    \"batched_seconds\": " << be_batched_seconds << ",\n"
-            << "    \"speedup_per_candidate\": "
-            << be_scalar_seconds / be_batched_seconds << ",\n"
-            << "    \"lane_sweep\": [";
-  for (std::size_t i = 0; i < be_sweep.size(); ++i) {
-    std::cout << (i == 0 ? "\n" : ",\n")
-              << "      {\"lanes\": " << be_sweep[i].lanes
-              << ", \"seconds\": " << be_sweep[i].seconds
-              << ", \"speedup\": " << be_scalar_seconds / be_sweep[i].seconds
-              << "}";
-  }
-  std::cout << "\n    ],\n"
-            << "    \"mp_scalar_seconds\": " << mp_scalar_seconds << ",\n"
-            << "    \"mp_batched_seconds\": " << mp_batched_seconds << ",\n"
-            << "    \"mp_speedup\": "
-            << mp_scalar_seconds / mp_batched_seconds << ",\n"
-            << "    \"mp_batched_trials\": " << mp_batched.batched_trials
-            << ",\n"
-            << "    \"mp_batch_walks\": " << mp_batched.batch_walks << ",\n"
-            << "    \"mp_lane_occupancy\": "
-            << static_cast<double>(mp_batched.batched_trials) /
-                   static_cast<double>(
-                       std::max<std::size_t>(mp_batched.batch_walks, 1))
-            << ",\n"
-            << "    \"bnb_scalar_seconds\": " << bnb_scalar_seconds << ",\n"
-            << "    \"bnb_batched_seconds\": " << bnb_batched_seconds << ",\n"
-            << "    \"bnb_speedup\": "
-            << bnb_scalar_seconds / bnb_batched_seconds << ",\n"
-            << "    \"bnb_batched_evals\": " << bnb_batched.batched_evals
-            << ",\n"
-            << "    \"bnb_batch_walks\": " << bnb_batched.batch_walks << "\n"
             << "  },\n"
             << "  \"batched_sweep\": {\n"
             << "    \"circuits\": " << sweep_nets.size() << ",\n"

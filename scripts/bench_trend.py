@@ -6,7 +6,6 @@ Compares the current nightly run's JSON against the previous run's and fails
 
   * commit_path.speedup_per_commit and commits_per_second   (higher better)
   * server_throughput.hot.requests_per_second               (higher better)
-  * batched_eval.speedup_per_candidate                      (higher better)
   * exhaustive_bb.largest_tractable_pos                     (higher better)
   * exhaustive_bb.runs[pos].nodes_expanded                  (lower better)
   * exhaustive_bb.runs[pos].prune_factor                    (higher better)
@@ -117,14 +116,9 @@ def main() -> int:
 
     gate = Gate()
 
-    # batched_eval.speedup_per_candidate is a same-process ratio of two walks
-    # over identical trials, so it self-normalizes against machine speed; it
-    # still shares the loose wall-clock tolerance because the two arms can
-    # catch different noise.
     for metric in ("commit_path.speedup_per_commit",
                    "commit_path.commits_per_second",
                    "server_throughput.hot.requests_per_second",
-                   "batched_eval.speedup_per_candidate",
                    "distributed_search.speedup_2w",
                    "journal_replay.records_per_second"):
         gate.check(metric, lookup(previous, metric), lookup(current, metric),

@@ -29,8 +29,7 @@ bool units_compatible(const std::vector<WorkUnit>& recovered,
         !(a.bound_snapshot == b.bound_snapshot ||
           (a.bound_snapshot != a.bound_snapshot &&
            b.bound_snapshot != b.bound_snapshot)) ||
-        a.node_budget != b.node_budget || a.batch_lanes != b.batch_lanes ||
-        a.anneal_seed != b.anneal_seed ||
+        a.node_budget != b.node_budget || a.anneal_seed != b.anneal_seed ||
         a.restart_index != b.restart_index ||
         a.iterations != b.iterations || a.shared_bounds != b.shared_bounds ||
         a.circuit.fingerprint != b.circuit.fingerprint)

@@ -146,7 +146,6 @@ SearchResult dist_anneal(const AssignmentEvaluator& evaluator,
     unit.anneal_seed = options.seed;
     unit.restart_index = restart;
     unit.iterations = iterations;
-    unit.batch_lanes = options.batch_lanes;
     unit.trace_id = obs::current_trace_id();
     unit.circuit = circuit;
   }
@@ -164,8 +163,6 @@ SearchResult dist_anneal(const AssignmentEvaluator& evaluator,
   std::size_t evaluations = 0;
   for (const UnitResult& unit : outcome.units) {
     evaluations += static_cast<std::size_t>(unit.evaluations);
-    best.batched_evals += static_cast<std::size_t>(unit.batched_evals);
-    best.batch_walks += static_cast<std::size_t>(unit.batch_walks);
     if (best.assignment.empty() || unit.metric < best_metric) {
       best_metric = unit.metric;
       best.assignment = assignment_from_string(unit.assignment);
@@ -211,7 +208,6 @@ UnitResult run_work_unit(const AssignmentEvaluator& evaluator,
       options.frontier_depth = unit.frontier_depth;
       options.bound_snapshot = unit.bound_snapshot;
       options.node_budget = unit.node_budget;
-      options.batch_lanes = static_cast<std::size_t>(unit.batch_lanes);
       options.channel = unit.shared_bounds ? channel : nullptr;
       const BnbSubtreeResult result =
           run_bnb_subtree(evaluator, unit.by_power, options);
@@ -220,19 +216,14 @@ UnitResult run_work_unit(const AssignmentEvaluator& evaluator,
       out.leaves = result.leaves;
       out.nodes_expanded = result.nodes_expanded;
       out.subtrees_pruned = result.subtrees_pruned;
-      out.batched_evals = result.batched_evals;
-      out.batch_walks = result.batch_walks;
       out.budget_tripped = result.budget_tripped;
     } else {
       const AnnealRestartOutcome result = run_min_area_restart(
           evaluator, unit.anneal_seed, unit.restart_index,
-          static_cast<std::size_t>(unit.iterations),
-          static_cast<std::size_t>(unit.batch_lanes));
+          static_cast<std::size_t>(unit.iterations));
       out.metric = static_cast<double>(result.area);
       out.assignment = assignment_to_string(result.assignment);
       out.evaluations = result.evaluations;
-      out.batched_evals = result.batched_evals;
-      out.batch_walks = result.batch_walks;
     }
   } catch (const std::exception& error) {
     out.ok = false;
@@ -275,7 +266,6 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
     // this makes each unit's result (and counters) worker-independent.
     unit.bound_snapshot = seed.seed_metric;
     unit.node_budget = options.node_budget;
-    unit.batch_lanes = options.batch_lanes;
     unit.shared_bounds = dist.shared_bounds;
     unit.trace_id = obs::current_trace_id();
     unit.circuit = circuit;
@@ -304,8 +294,6 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
     }
     best.evaluations += static_cast<std::size_t>(unit.leaves);
     best.subtrees_pruned += static_cast<std::size_t>(unit.subtrees_pruned);
-    best.batched_evals += static_cast<std::size_t>(unit.batched_evals);
-    best.batch_walks += static_cast<std::size_t>(unit.batch_walks);
     expanded += unit.nodes_expanded;
     tripped = tripped || unit.budget_tripped;
   }
@@ -338,7 +326,6 @@ SearchResult dist_min_area_assignment(const AssignmentEvaluator& evaluator,
     exhaustive.max_outputs = exhaustive_limit;
     exhaustive.num_threads = options.num_threads;
     exhaustive.node_budget = options.node_budget;
-    exhaustive.batch_lanes = options.batch_lanes;
     try {
       return dist_exhaustive_search(evaluator, /*by_power=*/false, exhaustive,
                                     dist);

@@ -6,7 +6,7 @@
 ///
 /// Determinism contract (docs/distributed.md): the merged (cost, assignment,
 /// tie-break) is bit-identical to the single-process search for every worker
-/// count, thread count, lane width and steal interleaving —
+/// count, thread count and steal interleaving —
 ///  * branch-and-bound units fix disjoint prefixes of the same plan order and
 ///    prune strictly, so every leaf tied with the global optimum survives in
 ///    exactly one unit; the merge takes the lexicographic (metric, code)

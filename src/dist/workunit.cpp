@@ -160,8 +160,6 @@ std::string format_complete_command(const std::string& worker,
   out += " leaves=" + std::to_string(result.leaves);
   out += " expanded=" + std::to_string(result.nodes_expanded);
   out += " pruned=" + std::to_string(result.subtrees_pruned);
-  out += " batched=" + std::to_string(result.batched_evals);
-  out += " walks=" + std::to_string(result.batch_walks);
   out += " evals=" + std::to_string(result.evaluations);
   out += " tripped=" + std::string(result.budget_tripped ? "1" : "0");
   if (!result.spans_wire.empty())
@@ -210,10 +208,6 @@ UnitResult parse_complete_tokens(const std::vector<std::string>& tokens) {
       result.nodes_expanded = parse_u64_text(key, value);
     } else if (key == "pruned") {
       result.subtrees_pruned = parse_u64_text(key, value);
-    } else if (key == "batched") {
-      result.batched_evals = parse_u64_text(key, value);
-    } else if (key == "walks") {
-      result.batch_walks = parse_u64_text(key, value);
     } else if (key == "evals") {
       result.evaluations = parse_u64_text(key, value);
     } else if (key == "tripped") {
@@ -244,7 +238,6 @@ std::string format_work_grant(const WorkUnit& unit, double incumbent) {
   field_u64(out, "frontier", unit.frontier_depth);
   field_metric(out, "bound", unit.bound_snapshot);
   field_u64(out, "budget", unit.node_budget);
-  field_u64(out, "lanes", unit.batch_lanes);
   field_u64(out, "aseed", unit.anneal_seed);
   field_u64(out, "restart", unit.restart_index);
   field_u64(out, "iters", unit.iterations);
@@ -316,7 +309,6 @@ std::optional<ParsedGrant> parse_work_grant(const std::string& json) {
       static_cast<std::uint32_t>(require_u64(json, "frontier"));
   unit.bound_snapshot = json_metric(json, "bound");
   unit.node_budget = require_u64(json, "budget");
-  unit.batch_lanes = require_u64(json, "lanes");
   unit.anneal_seed = require_u64(json, "aseed");
   unit.restart_index = static_cast<std::uint32_t>(require_u64(json, "restart"));
   unit.iterations = require_u64(json, "iters");

@@ -53,7 +53,6 @@ struct WorkUnit {
   /// B&B: per-unit node budget (the job's global budget; the driver enforces
   /// the global sum at merge time).  0 = unlimited.
   std::uint64_t node_budget = 0;
-  std::uint64_t batch_lanes = 0;
   /// Annealing: master seed, restart index and the resolved (non-zero)
   /// iteration count.
   std::uint64_t anneal_seed = 0;
@@ -84,8 +83,6 @@ struct UnitResult {
   std::uint64_t leaves = 0;
   std::uint64_t nodes_expanded = 0;
   std::uint64_t subtrees_pruned = 0;
-  std::uint64_t batched_evals = 0;
-  std::uint64_t batch_walks = 0;
   std::uint64_t evaluations = 0;  ///< annealing candidate measurements
   bool budget_tripped = false;
   /// Trace spans the unit produced on the worker, in obs::spans_to_wire

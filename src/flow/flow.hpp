@@ -125,14 +125,6 @@ struct FlowReport {
   std::size_t search_nodes_expanded = 0;
   std::size_t search_subtrees_pruned = 0;
   double search_bound_tightness = 0.0;
-  /// Batched-evaluator telemetry (docs/eval_batch.md): candidate
-  /// measurements served from shared multi-lane cone walks, and the number
-  /// of those walks.  Zero when the search ran its scalar paths
-  /// (batch_lanes = 1).  Walks saved over one-trial-per-walk scalar
-  /// evaluation = search_batched_trials - search_batch_walks; average lane
-  /// occupancy = search_batched_trials / search_batch_walks.
-  std::size_t search_batched_trials = 0;
-  std::size_t search_batch_walks = 0;
   bool used_exact_bdd = true;
   bool equivalence_ok = true;
   double seconds = 0.0;

@@ -216,8 +216,6 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
     stage.search_nodes_expanded = search.nodes_expanded;
     stage.search_subtrees_pruned = search.subtrees_pruned;
     stage.search_bound_tightness = search.bound_tightness;
-    stage.search_batched_trials = search.batched_evals;
-    stage.search_batch_walks = search.batch_walks;
   };
   switch (mode) {
     case PhaseMode::kAllPositive:
@@ -273,16 +271,12 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
       MinPowerOptions minpower = options_.minpower;
       minpower.num_threads = options_.num_threads;
       std::size_t seed_evals = 0;
-      std::size_t seed_batched = 0;
-      std::size_t seed_walks = 0;
       if (minpower.initial.empty() && options_.minpower_from_minarea) {
         // The seeding search *is* the min-area stage: compute (or reuse) it
         // through the cache, so MA→MP sweeps never run [15]'s search twice.
         const AssignStage& ma = assign(PhaseMode::kMinArea);
         minpower.initial = ma.assignment;
         seed_evals = ma.search_evaluations;
-        seed_batched = ma.search_batched_trials;
-        seed_walks = ma.search_batch_walks;
       }
       const MinPowerResult search =
           min_power_assignment(eval, cone_overlap(), minpower);
@@ -291,8 +285,6 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
       stage.search_commits = search.commits;
       stage.commit_rescore_pairs = search.commit_rescore_pairs;
       stage.avg_update_nodes = search.avg_update_nodes;
-      stage.search_batched_trials = search.batched_trials + seed_batched;
-      stage.search_batch_walks = search.batch_walks + seed_walks;
       break;
     }
     case PhaseMode::kExhaustivePower: {
@@ -408,8 +400,6 @@ FlowReport FlowSession::report(PhaseMode mode) {
   report.search_nodes_expanded = assigned.search_nodes_expanded;
   report.search_subtrees_pruned = assigned.search_subtrees_pruned;
   report.search_bound_tightness = assigned.search_bound_tightness;
-  report.search_batched_trials = assigned.search_batched_trials;
-  report.search_batch_walks = assigned.search_batch_walks;
   report.est_power = assigned.cost.power.total();
   report.block_gates = assigned.cost.domino_gates;
   report.boundary_inverters =

@@ -67,10 +67,6 @@ class FlowSession {
     std::size_t search_nodes_expanded = 0;
     std::size_t search_subtrees_pruned = 0;
     double search_bound_tightness = 0.0;
-    /// Batched-evaluator telemetry (matches FlowReport): trials served from
-    /// shared batch walks, and the walk count; zero on scalar paths.
-    std::size_t search_batched_trials = 0;
-    std::size_t search_batch_walks = 0;
   };
 
   /// Result of domino synthesis + technology mapping (+ optional resize).

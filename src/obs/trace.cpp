@@ -19,7 +19,6 @@ std::string_view span_cat_name(SpanCat cat) noexcept {
     case SpanCat::kServer: return "server";
     case SpanCat::kFlow: return "flow";
     case SpanCat::kSearch: return "search";
-    case SpanCat::kBatch: return "batch";
     case SpanCat::kDist: return "dist";
   }
   return "unknown";

@@ -40,10 +40,9 @@ enum class SpanCat : std::uint8_t {
   kServer = 0,  ///< request admission→response (server.request)
   kFlow = 1,    ///< FlowSession stage builds (flow.synth, flow.assign, ...)
   kSearch = 2,  ///< §4.1 commits, B&B subtrees (search.commit, ...)
-  kBatch = 3,   ///< EvalBatch shared walks (batch.walk)
-  kDist = 4,    ///< fabric lease/unit/merge (dist.lease, dist.unit, ...)
+  kDist = 3,    ///< fabric lease/unit/merge (dist.lease, dist.unit, ...)
 };
-inline constexpr std::size_t kNumSpanCats = 5;
+inline constexpr std::size_t kNumSpanCats = 4;
 
 [[nodiscard]] std::string_view span_cat_name(SpanCat cat) noexcept;
 

@@ -25,9 +25,6 @@ EvalContext::EvalContext(const Network& net, std::vector<double> node_probs,
     throw std::runtime_error("EvalContext: prob count mismatch");
   check_phase_ready(net);
   topo_ = net.topo_order();
-  topo_rank_.resize(net.num_nodes());
-  for (std::size_t r = 0; r < topo_.size(); ++r)
-    topo_rank_[topo_[r]] = static_cast<std::uint32_t>(r);
 
   const std::size_t n = net.num_nodes();
   kinds_.resize(n);
@@ -520,10 +517,49 @@ void EvalState::touch_pin(InstanceKey key, bool add) {
   if (ctx_->config().load_aware) refresh_leaf(key);
 }
 
+// The §4.2 leaf formula: one instance's power components from its demand and
+// load counters.
 void EvalState::refresh_leaf(InstanceKey key) {
+  const PowerModelConfig& cfg = ctx_->config();
+  const NodeId node = key >> 1;
+  const bool neg = (key & 1) != 0;
+  const NodeKind kind = ctx_->kind(node);
+  const std::uint32_t ref = ref_[key];
+  const std::uint32_t pins = pins_[key];
+  const std::uint32_t po_refs = po_refs_[key];
+  const std::uint32_t po_inv = po_inv_[key];
+
+  Leaf leaf;
+  if ((kind == NodeKind::kAnd || kind == NodeKind::kOr) && ref > 0) {
+    const double s = ctx_->instance_prob(key);
+    const double cap =
+        cfg.load_aware
+            ? cfg.wire_cap + cfg.pin_cap * pins + cfg.po_cap * po_refs
+            : cfg.gate_cap;
+    // DeMorgan: the negative instance of an AND is a domino OR gate.
+    const bool instance_is_and = (kind == NodeKind::kAnd) != neg;
+    const double mult =
+        instance_is_and ? cfg.penalty.and_mult : cfg.penalty.or_mult;
+    const double add =
+        instance_is_and ? cfg.penalty.and_add : cfg.penalty.or_add;
+    leaf.domino = domino_switching(s) * cap * mult + add;
+  } else if ((kind == NodeKind::kPi || kind == NodeKind::kLatch) && neg &&
+             ref > 0) {
+    const double cap =
+        cfg.load_aware
+            ? cfg.wire_cap + cfg.pin_cap * pins + cfg.po_cap * po_refs
+            : cfg.inverter_cap;
+    leaf.input_inv = static_switching(ctx_->probs()[node]) * cap;
+  }
+  if (po_inv > 0) {
+    const double pin = ctx_->instance_prob(key);
+    const double cap = cfg.load_aware ? cfg.wire_cap + cfg.po_cap * po_inv
+                                      : cfg.inverter_cap;
+    leaf.output_inv = cfg.domino_driven_inverter_edges * pin * cap;
+  }
+
   std::size_t i = leaf_base_ + key;
-  tree_[i] =
-      compute_leaf(*ctx_, key, ref_[key], pins_[key], po_refs_[key], po_inv_[key]);
+  tree_[i] = leaf;
   if (building_) return;
   for (i >>= 1; i > 0; i >>= 1) tree_[i] = combine(tree_[i * 2], tree_[i * 2 + 1]);
 }

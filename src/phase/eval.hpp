@@ -86,14 +86,6 @@ class EvalContext {
   [[nodiscard]] const PowerModelConfig& config() const noexcept { return config_; }
   [[nodiscard]] const std::vector<NodeId>& topo_order() const noexcept { return topo_; }
 
-  /// Topological rank of a node (its position in topo_order()); a gate's
-  /// fanins always rank strictly lower.  The batched evaluator (EvalBatch)
-  /// orders its region sweep by descending rank so every consumer's demand
-  /// is final before its fanins' realization is read.
-  [[nodiscard]] std::uint32_t topo_rank(NodeId id) const noexcept {
-    return topo_rank_[id];
-  }
-
   [[nodiscard]] std::size_t num_nodes() const noexcept { return kinds_.size(); }
   [[nodiscard]] std::size_t num_instances() const noexcept { return kinds_.size() * 2; }
   [[nodiscard]] std::size_t num_outputs() const noexcept { return po_roots_.size(); }
@@ -214,7 +206,6 @@ class EvalContext {
   std::vector<double> probs_;
   PowerModelConfig config_;
   std::vector<NodeId> topo_;
-  std::vector<std::uint32_t> topo_rank_;  ///< node -> position in topo_
   std::vector<NodeKind> kinds_;
   std::vector<double> inst_prob_;        ///< 2 per node: p, 1-p
   std::vector<Resolved> po_roots_;
@@ -327,6 +318,7 @@ class EvalState {
   /// AssignmentEvaluator::cone_average_probs(assignment()).
   [[nodiscard]] std::vector<double> cone_average_probs() const;
 
+ private:
   /// Power components of one instance slot; summed component-wise through
   /// the fixed-shape tree.
   struct Leaf {
@@ -334,21 +326,6 @@ class EvalState {
     double input_inv = 0.0;   ///< PI/latch boundary inverter switching
     double output_inv = 0.0;  ///< PO boundary inverter switching
   };
-
-  /// Leaf power components of one instance as a pure function of the shared
-  /// context and the four demand/load counters.  This is the single §4.2
-  /// leaf formula: refresh_leaf() feeds it the state's own counters, and the
-  /// batched evaluator (EvalBatch) feeds it per-lane counters — defined
-  /// inline in this header so every translation unit compiles the exact same
-  /// arithmetic and the two paths stay bit-identical.
-  [[nodiscard]] static Leaf compute_leaf(const EvalContext& ctx,
-                                         InstanceKey key, std::uint32_t ref,
-                                         std::uint32_t pins,
-                                         std::uint32_t po_refs,
-                                         std::uint32_t po_inv) noexcept;
-
- private:
-  friend class EvalBatch;  ///< reads counters + tree as the batch baseline
 
   [[nodiscard]] static Leaf combine(const Leaf& a, const Leaf& b) noexcept;
   void add_output_refs(std::size_t output, Phase phase);
@@ -380,47 +357,5 @@ class EvalState {
   std::vector<InstanceKey> scratch_;  ///< reusable cascade stack
   bool building_ = false;
 };
-
-inline EvalState::Leaf EvalState::compute_leaf(const EvalContext& ctx,
-                                               InstanceKey key,
-                                               std::uint32_t ref,
-                                               std::uint32_t pins,
-                                               std::uint32_t po_refs,
-                                               std::uint32_t po_inv) noexcept {
-  const PowerModelConfig& cfg = ctx.config();
-  const NodeId node = key >> 1;
-  const bool neg = (key & 1) != 0;
-  const NodeKind kind = ctx.kind(node);
-
-  Leaf leaf;
-  if ((kind == NodeKind::kAnd || kind == NodeKind::kOr) && ref > 0) {
-    const double s = ctx.instance_prob(key);
-    const double cap =
-        cfg.load_aware
-            ? cfg.wire_cap + cfg.pin_cap * pins + cfg.po_cap * po_refs
-            : cfg.gate_cap;
-    // DeMorgan: the negative instance of an AND is a domino OR gate.
-    const bool instance_is_and = (kind == NodeKind::kAnd) != neg;
-    const double mult =
-        instance_is_and ? cfg.penalty.and_mult : cfg.penalty.or_mult;
-    const double add =
-        instance_is_and ? cfg.penalty.and_add : cfg.penalty.or_add;
-    leaf.domino = domino_switching(s) * cap * mult + add;
-  } else if ((kind == NodeKind::kPi || kind == NodeKind::kLatch) && neg &&
-             ref > 0) {
-    const double cap =
-        cfg.load_aware
-            ? cfg.wire_cap + cfg.pin_cap * pins + cfg.po_cap * po_refs
-            : cfg.inverter_cap;
-    leaf.input_inv = static_switching(ctx.probs()[node]) * cap;
-  }
-  if (po_inv > 0) {
-    const double pin = ctx.instance_prob(key);
-    const double cap = cfg.load_aware ? cfg.wire_cap + cfg.po_cap * po_inv
-                                      : cfg.inverter_cap;
-    leaf.output_inv = cfg.domino_driven_inverter_edges * pin * cap;
-  }
-  return leaf;
-}
 
 }  // namespace dominosyn

@@ -25,13 +25,11 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <span>
 #include <string>
 #include <unordered_map>
 
 #include "obs/trace.hpp"
 #include "phase/eval.hpp"
-#include "phase/eval_batch.hpp"
 #include "phase/search.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -328,46 +326,20 @@ bool update_incumbent(std::atomic<double>& incumbent, double metric) {
 /// 0 = the output's preferred phase); below them both children are explored.
 /// Counters follow a canonical-owner rule so prefix levels shared by many
 /// tasks are counted exactly once.
-///
-/// With batch_lanes >= 2 the enumeration consumes batched-evaluator lanes
-/// (eval_batch.hpp) instead of assign/withdraw cascades, in two shapes:
-///  * sibling pairs — at every non-prefix internal depth, both children's
-///    prefix metrics come from one 2-lane walk over that output's cone, so a
-///    pruned child never pays its assignment cascade;
-///  * the bottom pod — the deepest r levels (the largest r whose complete
-///    subtree has 2^(r+1)-2 nodes <= lanes) are evaluated in one walk per
-///    pod visit, one lane per subtree node, and then walked without touching
-///    the EvalState at all.
-/// Expansion counters, prune decisions, budget flushes, leaf order and
-/// tie-breaks replay the scalar recursion exactly — the lanes are
-/// bit-identical to the cascades they replace.
 class BnbWorker {
  public:
   BnbWorker(const EvalState& base, const BnbPlan& plan, bool by_power,
-            std::size_t shard_depth, std::size_t lanes,
-            std::shared_ptr<const EvalContext> ctx, BnbShared& shared)
+            std::size_t shard_depth, BnbShared& shared)
       : state_(base),
         plan_(plan),
         by_power_(by_power),
         shard_depth_(shard_depth),
-        lanes_(lanes),
-        ctx_(std::move(ctx)),
         shared_(shared),
         // Batch the shared-counter updates, but never so coarsely that a
         // small budget could be overrun without ever being checked.
         flush_limit_(shared.budget != 0
                          ? std::min<std::uint64_t>(256, shared.budget)
-                         : 256) {
-    const std::size_t size = plan.order.size();
-    pod_levels_ = 0;
-    if (lanes_ >= 2) {
-      while (pod_levels_ + 1 <= size - shard_depth_ &&
-             (std::size_t{1} << (pod_levels_ + 2)) - 2 <= lanes_)
-        ++pod_levels_;
-    }
-    pod_depth_ = size - pod_levels_;
-    if (lanes_ >= 2) sibling_.resize(pod_depth_);
-  }
+                         : 256) {}
 
   void run(std::uint64_t task) {
     task_ = task;
@@ -378,12 +350,6 @@ class BnbWorker {
   [[nodiscard]] const ChunkBest& best() const noexcept { return best_; }
   [[nodiscard]] std::uint64_t pruned() const noexcept { return pruned_; }
   [[nodiscard]] std::uint64_t leaves() const noexcept { return leaves_; }
-  [[nodiscard]] std::uint64_t batched_evals() const noexcept {
-    return batched_evals_;
-  }
-  [[nodiscard]] std::uint64_t batch_walks() const noexcept {
-    return batch_walks_;
-  }
 
  private:
   void flush_expanded() {
@@ -404,28 +370,6 @@ class BnbWorker {
                                                        : Phase::kPositive);
   }
 
-  static EvalBatch::LanePhase lane_phase(Phase phase) {
-    return phase == Phase::kPositive ? EvalBatch::LanePhase::kPositive
-                                     : EvalBatch::LanePhase::kNegative;
-  }
-
-  EvalBatch& sibling_batch(std::size_t depth) {
-    if (!sibling_[depth]) {
-      sibling_[depth] = std::make_unique<EvalBatch>(ctx_, 2);
-      sibling_[depth]->plan({plan_.order[depth]});
-    }
-    return *sibling_[depth];
-  }
-
-  EvalBatch& pod_batch() {
-    if (!pod_) {
-      pod_ = std::make_unique<EvalBatch>(ctx_, lanes_);
-      pod_->plan(std::span<const std::uint32_t>(
-          plan_.order.data() + pod_depth_, plan_.order.size() - pod_depth_));
-    }
-    return *pod_;
-  }
-
   void descend(std::size_t depth) {
     if (shared_.budget_tripped.load(std::memory_order_relaxed)) return;
     if (depth == plan_.order.size()) {
@@ -437,31 +381,8 @@ class BnbWorker {
         shared_.channel->publish(candidate.metric);
       return;
     }
-    if (pod_levels_ > 0 && depth == pod_depth_) {
-      pod_descend();
-      return;
-    }
     const std::uint32_t output = plan_.order[depth];
     const bool in_prefix = depth < shard_depth_;
-    // Sibling batch: both children's prefix metrics from one shared walk
-    // over this output's cone, before either child is expanded.  Prefix
-    // levels stay scalar: their per-task ownership skips children, and
-    // there are at most shard_depth of them per task.
-    const bool batched = lanes_ >= 2 && !in_prefix;
-    double sibling_metric[2] = {0.0, 0.0};
-    if (batched) {
-      EvalBatch& batch = sibling_batch(depth);
-      batch.bind(state_);
-      for (int child = 0; child < 2; ++child) {
-        const std::size_t lane = batch.add_lane();
-        batch.set_choice(lane, 0, lane_phase(child_phase(output, child)));
-      }
-      batch.evaluate();
-      ++batch_walks_;
-      batched_evals_ += 2;
-      sibling_metric[0] = batch.metric(0, by_power_);
-      sibling_metric[1] = batch.metric(1, by_power_);
-    }
     for (int child = 0; child < 2; ++child) {
       bool canonical = true;
       if (in_prefix) {
@@ -471,13 +392,12 @@ class BnbWorker {
         canonical = (task_ & ((1ULL << shift) - 1)) == 0;
       }
       const Phase phase = child_phase(output, child);
-      if (!batched) state_.assign_output(output, phase);
+      state_.assign_output(output, phase);
       if (phase == Phase::kNegative) code_ |= 1ULL << output;
       if (canonical && ++pending_expanded_ >= flush_limit_) flush_expanded();
 
       const double lb =
-          (batched ? sibling_metric[child] : metric_of(state_, by_power_)) +
-          plan_.suffix_bound[depth + 1];
+          metric_of(state_, by_power_) + plan_.suffix_bound[depth + 1];
       double incumbent = shared_.incumbent.load(std::memory_order_relaxed);
       if (shared_.channel != nullptr)
         incumbent = std::min(incumbent, shared_.channel->current());
@@ -485,78 +405,11 @@ class BnbWorker {
           kBoundSlackRel * (std::abs(lb) + std::abs(incumbent));
       if (lb - slack > incumbent) {
         if (canonical) ++pruned_;
-        // a pruned child was never assigned on the batched path
       } else {
-        if (batched) state_.assign_output(output, phase);
         descend(depth + 1);
-        if (batched) state_.withdraw_output(output);
       }
 
-      if (!batched) state_.withdraw_output(output);
-      code_ &= ~(1ULL << output);
-    }
-  }
-
-  /// Evaluates the complete bottom subtree — every node at the deepest
-  /// pod_levels_ levels — as lanes of one walk from the current prefix, then
-  /// replays the scalar recursion over the cached lane metrics.  Lane
-  /// numbering: level L (1-based, L outputs assigned) occupies lanes
-  /// [2^L - 2, 2^(L+1) - 2), offset by the path code whose bit t picks the
-  /// child taken at pod level t (bit 0 = preferred phase).
-  void pod_descend() {
-    EvalBatch& pod = pod_batch();
-    pod.bind(state_);
-    for (std::size_t level = 1; level <= pod_levels_; ++level) {
-      for (std::size_t path = 0; path < (std::size_t{1} << level); ++path) {
-        const std::size_t lane = pod.add_lane();
-        for (std::size_t t = 0; t < level; ++t) {
-          const std::uint32_t output = plan_.order[pod_depth_ + t];
-          const int child = static_cast<int>((path >> t) & 1);
-          pod.set_choice(lane, t, lane_phase(child_phase(output, child)));
-        }
-      }
-    }
-    pod.evaluate();
-    ++batch_walks_;
-    pod_walk(pod, pod_depth_, 0);
-  }
-
-  void pod_walk(const EvalBatch& pod, std::size_t depth, std::size_t path) {
-    if (shared_.budget_tripped.load(std::memory_order_relaxed)) return;
-    if (depth == plan_.order.size()) {
-      ++leaves_;
-      const std::size_t lane =
-          (std::size_t{1} << pod_levels_) - 2 + path;
-      const ChunkBest candidate{pod.metric(lane, by_power_), code_};
-      if (better(candidate, best_)) best_ = candidate;
-      if (update_incumbent(shared_.incumbent, candidate.metric) &&
-          shared_.channel != nullptr)
-        shared_.channel->publish(candidate.metric);
-      return;
-    }
-    const std::uint32_t output = plan_.order[depth];
-    const std::size_t level = depth - pod_depth_;  // children sit at level+1
-    for (int child = 0; child < 2; ++child) {
-      const Phase phase = child_phase(output, child);
-      if (phase == Phase::kNegative) code_ |= 1ULL << output;
-      if (++pending_expanded_ >= flush_limit_) flush_expanded();
-
-      const std::size_t child_path =
-          path | (static_cast<std::size_t>(child) << level);
-      const std::size_t lane = (std::size_t{2} << level) - 2 + child_path;
-      ++batched_evals_;
-      const double lb =
-          pod.metric(lane, by_power_) + plan_.suffix_bound[depth + 1];
-      double incumbent = shared_.incumbent.load(std::memory_order_relaxed);
-      if (shared_.channel != nullptr)
-        incumbent = std::min(incumbent, shared_.channel->current());
-      const double slack =
-          kBoundSlackRel * (std::abs(lb) + std::abs(incumbent));
-      if (lb - slack > incumbent) {
-        ++pruned_;
-      } else {
-        pod_walk(pod, depth + 1, child_path);
-      }
+      state_.withdraw_output(output);
       code_ &= ~(1ULL << output);
     }
   }
@@ -565,20 +418,12 @@ class BnbWorker {
   const BnbPlan& plan_;
   bool by_power_;
   std::size_t shard_depth_;
-  std::size_t lanes_;
-  std::shared_ptr<const EvalContext> ctx_;
   BnbShared& shared_;
-  std::size_t pod_levels_ = 0;  ///< bottom levels covered by the pod (0 = off)
-  std::size_t pod_depth_ = 0;   ///< first pod depth (== size when off)
-  std::vector<std::unique_ptr<EvalBatch>> sibling_;  ///< per-depth 2-lane plans
-  std::unique_ptr<EvalBatch> pod_;
   std::uint64_t task_ = 0;
   std::uint64_t code_ = 0;
   ChunkBest best_;
   std::uint64_t pruned_ = 0;
   std::uint64_t leaves_ = 0;
-  std::uint64_t batched_evals_ = 0;
-  std::uint64_t batch_walks_ = 0;
   std::uint64_t pending_expanded_ = 0;
   std::uint64_t flush_limit_ = 256;
 };
@@ -637,7 +482,6 @@ SearchResult exhaustive_branch_and_bound(const AssignmentEvaluator& evaluator,
   BnbShared shared;
   shared.incumbent.store(seed.metric, std::memory_order_relaxed);
   shared.budget = options.node_budget;
-  const std::size_t lanes = resolve_eval_batch_lanes(options.batch_lanes);
 
   ThreadPool pool(options.num_threads);
   // Shard the top levels into 4x-oversubscribed subtree tasks; the pool's
@@ -670,8 +514,8 @@ SearchResult exhaustive_branch_and_bound(const AssignmentEvaluator& evaluator,
       }
     }
     if (worker == nullptr) {
-      auto fresh = std::make_unique<BnbWorker>(base, plan, by_power,
-                                               shard_depth, lanes, ctx, shared);
+      auto fresh =
+          std::make_unique<BnbWorker>(base, plan, by_power, shard_depth, shared);
       worker = fresh.get();
       const std::lock_guard<std::mutex> lock(worker_mutex);
       workers.push_back(std::move(fresh));
@@ -693,8 +537,6 @@ SearchResult exhaustive_branch_and_bound(const AssignmentEvaluator& evaluator,
     if (better(worker->best(), overall)) overall = worker->best();
     best.evaluations += static_cast<std::size_t>(worker->leaves());
     best.subtrees_pruned += static_cast<std::size_t>(worker->pruned());
-    best.batched_evals += static_cast<std::size_t>(worker->batched_evals());
-    best.batch_walks += static_cast<std::size_t>(worker->batch_walks());
   }
   best.assignment = assignment_from_code(overall.code, num_pos);
   best.cost = evaluator.evaluate(best.assignment);
@@ -775,7 +617,6 @@ SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
     exhaustive.max_outputs = exhaustive_limit;
     exhaustive.num_threads = options.num_threads;
     exhaustive.node_budget = options.node_budget;
-    exhaustive.batch_lanes = options.batch_lanes;
     try {
       return exhaustive_min_area(evaluator, exhaustive);
     } catch (const ExhaustiveBudgetError&) {
@@ -796,8 +637,8 @@ SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
   ThreadPool pool(options.num_threads);
 
   pool.parallel_for(num_restarts, [&](std::size_t restart) {
-    restarts[restart] = run_min_area_restart(evaluator, options.seed, restart,
-                                             iterations, options.batch_lanes);
+    restarts[restart] =
+        run_min_area_restart(evaluator, options.seed, restart, iterations);
   });
 
   // Merge in restart order with strict improvement — the sequential rule.
@@ -806,8 +647,6 @@ SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
   std::size_t evaluations = 0;
   for (const AnnealRestartOutcome& restart : restarts) {
     evaluations += restart.evaluations;
-    global_best.batched_evals += restart.batched_evals;
-    global_best.batch_walks += restart.batch_walks;
     if (global_best.assignment.empty() || restart.area < best_area) {
       best_area = restart.area;
       global_best.assignment = restart.assignment;
@@ -866,10 +705,8 @@ BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
   shared.incumbent.store(options.bound_snapshot, std::memory_order_relaxed);
   shared.budget = options.node_budget;
   shared.channel = options.channel;
-  const std::size_t lanes = resolve_eval_batch_lanes(options.batch_lanes);
 
-  BnbWorker worker(base, plan, by_power, options.frontier_depth, lanes, ctx,
-                   shared);
+  BnbWorker worker(base, plan, by_power, options.frontier_depth, shared);
   {
     const obs::TraceSpan span("search.bnb_subtree", obs::SpanCat::kSearch);
     worker.run(options.task);
@@ -881,8 +718,6 @@ BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
   result.leaves = worker.leaves();
   result.nodes_expanded = shared.expanded.load(std::memory_order_relaxed);
   result.subtrees_pruned = worker.pruned();
-  result.batched_evals = worker.batched_evals();
-  result.batch_walks = worker.batch_walks();
   result.budget_tripped =
       shared.budget_tripped.load(std::memory_order_relaxed);
   return result;
@@ -891,10 +726,8 @@ BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
 AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
                                           std::uint64_t seed,
                                           std::size_t restart_index,
-                                          std::size_t iterations,
-                                          std::size_t batch_lanes) {
+                                          std::size_t iterations) {
   const std::size_t num_pos = evaluator.network().num_pos();
-  const std::size_t lanes = resolve_eval_batch_lanes(batch_lanes);
   const std::size_t restart = restart_index;
 
   Rng rng(seed + restart * 0x9e3779b9ULL);
@@ -915,11 +748,6 @@ AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
       std::pow(t_end / t0, 1.0 / static_cast<double>(iterations));
   double temperature = t0;
 
-  // The metropolis loop cannot batch without changing the trajectory:
-  // rng.uniform() is drawn only when a trial worsens the energy, so the
-  // rng stream itself depends on each measurement's outcome and lanes
-  // evaluated ahead of the draw would replay a different random sequence.
-  // It stays scalar by design (docs/eval_batch.md).
   for (std::size_t iter = 0; iter < iterations; ++iter) {
     state.apply_flip(rng.below(num_pos));
     const double trial = static_cast<double>(state.area_cells());
@@ -940,68 +768,23 @@ AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
   // Greedy descent from the best annealed point.
   state.set_assignment(best);
   energy = best_energy;
-  std::size_t batched_evals = 0;
-  std::size_t batch_walks = 0;
-  if (lanes > 1) {
-    // Windowed first-improvement: lanes score the next W flips of the
-    // sweep in one shared walk; consuming stops at the first improvement,
-    // so every flip is still measured exactly once per sweep and the
-    // descent trajectory equals the scalar flip-by-flip loop.
-    EvalBatch batch(evaluator.context(), lanes);
-    std::vector<std::uint32_t> vars;
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      std::size_t start = 0;
-      while (start < num_pos) {
-        const std::size_t count = std::min(lanes, num_pos - start);
-        vars.clear();
-        for (std::size_t t = 0; t < count; ++t)
-          vars.push_back(static_cast<std::uint32_t>(start + t));
-        batch.plan(vars);
-        batch.bind(state);
-        for (std::size_t t = 0; t < count; ++t) {
-          batch.add_lane();
-          batch.set_flip(t, t);
-        }
-        batch.evaluate();
-        ++batch_walks;
-        std::size_t advanced = count;
-        for (std::size_t t = 0; t < count; ++t) {
-          const double trial = static_cast<double>(batch.area_cells(t));
-          ++evaluations;
-          ++batched_evals;
-          if (trial < energy) {
-            state.apply_flip(start + t);
-            energy = trial;
-            improved = true;
-            advanced = t + 1;  // the tail re-measures from the new base
-            break;
-          }
-        }
-        start += advanced;
-      }
-    }
-  } else {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (std::size_t i = 0; i < num_pos; ++i) {
-        state.apply_flip(i);
-        const double trial = static_cast<double>(state.area_cells());
-        ++evaluations;
-        if (trial < energy) {
-          energy = trial;
-          improved = true;
-        } else {
-          state.undo();
-        }
+  bool improved = true;
+  while (improved) {
+    improved = false;
+    for (std::size_t i = 0; i < num_pos; ++i) {
+      state.apply_flip(i);
+      const double trial = static_cast<double>(state.area_cells());
+      ++evaluations;
+      if (trial < energy) {
+        energy = trial;
+        improved = true;
+      } else {
+        state.undo();
       }
     }
   }
 
-  return {state.assignment(), static_cast<std::size_t>(energy), evaluations,
-          batched_evals, batch_walks};
+  return {state.assignment(), static_cast<std::size_t>(energy), evaluations};
 }
 
 }  // namespace dominosyn

@@ -10,13 +10,7 @@
 /// it improves, and remove the pair from the candidate set either way.
 ///
 /// Measurements run on the incremental engine: a trial is one or two
-/// O(|cone|) flips on a persistent EvalState, undone unless committed — or,
-/// with batch_lanes > 1, a lane of the batched evaluator (eval_batch.hpp):
-/// the loop prefetches the next W candidates its selection rule would pick,
-/// scores them in one shared cone walk, and consumes the lane results in the
-/// exact scalar order, discarding the unconsumed tail whenever a commit
-/// invalidates it.  Trajectories — assignments, trials, commits, rescores —
-/// are bit-identical at every lane width (docs/eval_batch.md).
+/// O(|cone|) flips on a persistent EvalState, undone unless committed.
 ///
 /// Commits are as cheap as trials: A_i depends only on output i's own phase
 /// (both values precomputed in EvalContext with the reference walk's
@@ -29,16 +23,13 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <memory>
 #include <queue>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "phase/eval.hpp"
-#include "phase/eval_batch.hpp"
 #include "phase/search.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -85,14 +76,6 @@ class LiveCandidateSet {
  private:
   std::size_t n_;
   std::vector<std::size_t> tree_;
-};
-
-/// One prefetched trial: a candidate pair with its flip combination, scored
-/// as one lane of a shared batch walk.
-struct WindowEntry {
-  std::size_t pick = 0;
-  bool flip_i = false;
-  bool flip_j = false;
 };
 
 }  // namespace
@@ -208,8 +191,8 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
   LiveCandidateSet live(candidates.size());
   std::size_t remaining = candidates.size();
 
-  // Commit bookkeeping shared by the scalar and batched drivers: refresh the
-  // flipped outputs' averages and re-score the surviving pairs touching them.
+  // Commit bookkeeping: refresh the flipped outputs' averages and re-score
+  // the surviving pairs touching them.
   const auto after_commit = [&](std::size_t i, bool flip_i, std::size_t j,
                                 bool flip_j) {
     // One span per accepted commit, covering the incremental re-score —
@@ -246,251 +229,65 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
     }
   };
 
-  const std::size_t lanes = resolve_eval_batch_lanes(options.batch_lanes);
-
-  if (lanes > 1) {
-    // ---- batched drivers: prefetch the exact candidates the scalar loop
-    // would pick next, score them as lanes of one shared walk, consume the
-    // results in scalar order.  A commit invalidates the unconsumed tail —
-    // each mode restores precisely the state its scalar twin would hold.
-    EvalBatch batch(evaluator.context(), lanes);
-    std::vector<std::uint32_t> vars;  // union of the window's flipped outputs
-
-    // Scores a window in one walk: lane t carries window[t]'s flips.
-    const auto score_window = [&](std::span<const WindowEntry> window) {
-      vars.clear();
-      const auto var_slot = [&](std::size_t output) {
-        const auto o = static_cast<std::uint32_t>(output);
-        const auto it = std::find(vars.begin(), vars.end(), o);
-        if (it != vars.end())
-          return static_cast<std::size_t>(it - vars.begin());
-        vars.push_back(o);
-        return vars.size() - 1;
-      };
-      for (const WindowEntry& e : window) {
-        if (e.flip_i) var_slot(candidates[e.pick].first);
-        if (e.flip_j) var_slot(candidates[e.pick].second);
-      }
-      batch.plan(vars);
-      batch.bind(state);
-      for (const WindowEntry& e : window) {
-        const std::size_t lane = batch.add_lane();
-        if (e.flip_i) batch.set_flip(lane, var_slot(candidates[e.pick].first));
-        if (e.flip_j) batch.set_flip(lane, var_slot(candidates[e.pick].second));
-      }
-      batch.evaluate();
-      ++result.batch_walks;
-    };
+  while (remaining > 0) {
+    std::size_t pick = 0;
+    bool flip_i = false;
+    bool flip_j = false;
 
     switch (options.guidance) {
       case GuidanceMode::kCostFunction: {
-        std::vector<WindowEntry> window;
-        // Candidates currently prefetched (popped but unconsumed): distinct
-        // from `consumed` — a prefetched candidate must not be popped twice,
-        // but must still be rescored by a commit.
-        std::vector<std::uint8_t> in_window(candidates.size(), 0);
-        while (remaining > 0) {
-          // Prefetch the next min(lanes, remaining) valid heap entries — the
-          // exact (pair, combo) sequence the scalar loop would pop, the
-          // averages (and therefore the combos) being stable between commits.
-          window.clear();
-          const std::size_t want = std::min(lanes, remaining);
-          while (window.size() < want) {
-            const auto [k, c] = heap.top();
-            heap.pop();
-            if (consumed[c] || in_window[c] != 0 || k != current_k[c])
-              continue;  // stale entry
-            const Scored scored =
-                score_pair(candidates[c].first, candidates[c].second);
-            in_window[c] = 1;
-            window.push_back({c, scored.flip_i, scored.flip_j});
-          }
-          score_window(window);
-
-          for (std::size_t t = 0; t < window.size(); ++t) {
-            const WindowEntry& e = window[t];
-            in_window[e.pick] = 0;
-            ++result.trials;
-            ++result.batched_trials;
-            consumed[e.pick] = true;
-            --remaining;
-            live.erase(e.pick);
-            if (batch.power_total(t) < result.final_power - kImprovementEps) {
-              const auto [i, j] = candidates[e.pick];
-              if (e.flip_i) state.apply_flip(i);
-              if (e.flip_j) state.apply_flip(j);
-              commit(state.cost());
-              // The unconsumed prefetched entries return to the heap at
-              // their pre-commit keys *before* the rescore — the rescore
-              // then supersedes exactly the ones a scalar commit would
-              // have, restoring the one-valid-entry heap invariant.
-              for (std::size_t u = t + 1; u < window.size(); ++u) {
-                in_window[window[u].pick] = 0;
-                heap.emplace(current_k[window[u].pick], window[u].pick);
-              }
-              after_commit(i, e.flip_i, j, e.flip_j);
-              break;  // discard the invalidated tail
-            }
-          }
+        for (;;) {
+          const auto [k, c] = heap.top();
+          heap.pop();
+          if (consumed[c] || k != current_k[c]) continue;  // stale entry
+          pick = c;
+          break;
         }
+        const auto [i, j] = candidates[pick];
+        const Scored scored = score_pair(i, j);
+        flip_i = scored.flip_i;
+        flip_j = scored.flip_j;
         break;
       }
       case GuidanceMode::kRandom: {
-        std::vector<WindowEntry> pending;
-        while (remaining > 0 || !pending.empty()) {
-          if (pending.empty()) {
-            // The rng stream is measurement-independent, so drawing a whole
-            // window's picks and combos up front replays the exact scalar
-            // sequence.  Candidates leave the live set at draw time (the
-            // next draw's modulus depends on it), and are re-measured —
-            // not re-drawn — when a commit moves the base.
-            const std::size_t want = std::min(lanes, remaining);
-            for (std::size_t t = 0; t < want; ++t) {
-              const std::size_t pick = live.nth(rng.below(remaining));
-              live.erase(pick);
-              --remaining;
-              consumed[pick] = true;
-              const bool fi = rng.bernoulli(0.5);
-              const bool fj = rng.bernoulli(0.5);
-              pending.push_back({pick, fi, fj});
-            }
-          }
-          score_window(pending);
-          std::size_t done = pending.size();
-          for (std::size_t t = 0; t < pending.size(); ++t) {
-            ++result.trials;
-            ++result.batched_trials;
-            if (batch.power_total(t) < result.final_power - kImprovementEps) {
-              const WindowEntry& e = pending[t];
-              const auto [i, j] = candidates[e.pick];
-              if (e.flip_i) state.apply_flip(i);
-              if (e.flip_j) state.apply_flip(j);
-              commit(state.cost());
-              after_commit(i, e.flip_i, j, e.flip_j);
-              done = t + 1;  // the tail re-evaluates against the new base
-              break;
-            }
-          }
-          pending.erase(pending.begin(),
-                        pending.begin() + static_cast<std::ptrdiff_t>(done));
-        }
+        pick = live.nth(rng.below(remaining));
+        flip_i = rng.bernoulli(0.5);
+        flip_j = rng.bernoulli(0.5);
         break;
       }
       case GuidanceMode::kMeasureAll: {
-        while (remaining > 0) {
-          const std::size_t pick = live.nth(0);
-          const auto [i, j] = candidates[pick];
-          // All four (fi, fj) combos of the pair — combo bit 1 = flip i,
-          // bit 0 = flip j.  A width-2 or width-3 batch scores them across
-          // two walks of the same plan; wider ones take a single walk.
-          double combo_power[4];
-          batch.plan({static_cast<std::uint32_t>(i),
-                      static_cast<std::uint32_t>(j)});
-          for (std::size_t first = 0; first < 4; first += lanes) {
-            const std::size_t count = std::min(lanes, std::size_t{4} - first);
-            batch.bind(state);
-            for (std::size_t t = 0; t < count; ++t) {
-              const std::size_t lane = batch.add_lane();
-              if (((first + t) & 2u) != 0) batch.set_flip(lane, 0);
-              if (((first + t) & 1u) != 0) batch.set_flip(lane, 1);
-            }
-            batch.evaluate();
-            ++result.batch_walks;
-            for (std::size_t t = 0; t < count; ++t)
-              combo_power[first + t] = batch.power_total(t);
-          }
-
-          double best_power = std::numeric_limits<double>::infinity();
-          bool flip_i = false;
-          bool flip_j = false;
-          for (std::size_t combo = 0; combo < 4; ++combo) {
+        // Oracle baseline: take the first live pair, measure all four combos.
+        pick = live.nth(0);
+        double best_power = std::numeric_limits<double>::infinity();
+        const auto [i, j] = candidates[pick];
+        for (const bool fi : {false, true})
+          for (const bool fj : {false, true}) {
+            const double power = measure_flips(i, fi, j, fj).power.total();
             ++result.trials;
-            ++result.batched_trials;
-            if (combo_power[combo] < best_power) {
-              best_power = combo_power[combo];
-              flip_i = (combo & 2u) != 0;
-              flip_j = (combo & 1u) != 0;
+            if (power < best_power) {
+              best_power = power;
+              flip_i = fi;
+              flip_j = fj;
             }
           }
-          // The scalar common path re-measures the chosen combo; that value
-          // is the winning lane's, reused without another walk.
-          ++result.trials;
-          ++result.batched_trials;
-          consumed[pick] = true;
-          --remaining;
-          live.erase(pick);
-          if (best_power < result.final_power - kImprovementEps) {
-            if (flip_i) state.apply_flip(i);
-            if (flip_j) state.apply_flip(j);
-            commit(state.cost());
-            after_commit(i, flip_i, j, flip_j);
-          }
-        }
         break;
       }
     }
-  } else {
-    // ---- scalar driver (batch_lanes == 1): one cone walk per trial.
-    while (remaining > 0) {
-      std::size_t pick = 0;
-      bool flip_i = false;
-      bool flip_j = false;
 
-      switch (options.guidance) {
-        case GuidanceMode::kCostFunction: {
-          for (;;) {
-            const auto [k, c] = heap.top();
-            heap.pop();
-            if (consumed[c] || k != current_k[c]) continue;  // stale entry
-            pick = c;
-            break;
-          }
-          const auto [i, j] = candidates[pick];
-          const Scored scored = score_pair(i, j);
-          flip_i = scored.flip_i;
-          flip_j = scored.flip_j;
-          break;
-        }
-        case GuidanceMode::kRandom: {
-          pick = live.nth(rng.below(remaining));
-          flip_i = rng.bernoulli(0.5);
-          flip_j = rng.bernoulli(0.5);
-          break;
-        }
-        case GuidanceMode::kMeasureAll: {
-          // Oracle baseline: take the first live pair, measure all four combos.
-          pick = live.nth(0);
-          double best_power = std::numeric_limits<double>::infinity();
-          const auto [i, j] = candidates[pick];
-          for (const bool fi : {false, true})
-            for (const bool fj : {false, true}) {
-              const double power = measure_flips(i, fi, j, fj).power.total();
-              ++result.trials;
-              if (power < best_power) {
-                best_power = power;
-                flip_i = fi;
-                flip_j = fj;
-              }
-            }
-          break;
-        }
-      }
-
-      const auto [i, j] = candidates[pick];
-      unsigned applied = 0;
-      if (flip_i) { state.apply_flip(i); ++applied; }
-      if (flip_j) { state.apply_flip(j); ++applied; }
-      const AssignmentCost trial_cost = state.cost();
-      ++result.trials;
-      consumed[pick] = true;
-      --remaining;
-      live.erase(pick);
-      if (trial_cost.power.total() < result.final_power - kImprovementEps) {
-        commit(trial_cost);
-        after_commit(i, flip_i, j, flip_j);
-      } else {
-        while (applied-- > 0) state.undo();
-      }
+    const auto [i, j] = candidates[pick];
+    unsigned applied = 0;
+    if (flip_i) { state.apply_flip(i); ++applied; }
+    if (flip_j) { state.apply_flip(j); ++applied; }
+    const AssignmentCost trial_cost = state.cost();
+    ++result.trials;
+    consumed[pick] = true;
+    --remaining;
+    live.erase(pick);
+    if (trial_cost.power.total() < result.final_power - kImprovementEps) {
+      commit(trial_cost);
+      after_commit(i, flip_i, j, flip_j);
+    } else {
+      while (applied-- > 0) state.undo();
     }
   }
 
@@ -498,59 +295,18 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
   if (options.polish_descent) {
     const unsigned num_threads = ThreadPool::resolve_threads(options.num_threads);
     if (num_threads <= 1) {
-      if (lanes > 1) {
-        // Windowed first-improvement: lanes score the next W flips of the
-        // sweep in one walk; consuming stops at the first improvement, so
-        // every output is still measured exactly once per sweep and the
-        // trajectory equals the sequential flip-by-flip descent.
-        EvalBatch batch(evaluator.context(), lanes);
-        std::vector<std::uint32_t> vars;
-        bool improved = true;
-        while (improved) {
-          improved = false;
-          std::size_t start = 0;
-          while (start < num_pos) {
-            const std::size_t count = std::min(lanes, num_pos - start);
-            vars.clear();
-            for (std::size_t t = 0; t < count; ++t)
-              vars.push_back(static_cast<std::uint32_t>(start + t));
-            batch.plan(vars);
-            batch.bind(state);
-            for (std::size_t t = 0; t < count; ++t) {
-              batch.add_lane();
-              batch.set_flip(t, t);
-            }
-            batch.evaluate();
-            ++result.batch_walks;
-            std::size_t advanced = count;
-            for (std::size_t t = 0; t < count; ++t) {
-              ++result.trials;
-              ++result.batched_trials;
-              if (batch.power_total(t) < result.final_power - kImprovementEps) {
-                state.apply_flip(start + t);
-                commit(state.cost());
-                improved = true;
-                advanced = t + 1;  // the tail re-measures from the new base
-                break;
-              }
-            }
-            start += advanced;
-          }
-        }
-      } else {
-        bool improved = true;
-        while (improved) {
-          improved = false;
-          for (std::size_t i = 0; i < num_pos; ++i) {
-            state.apply_flip(i);
-            const AssignmentCost trial_cost = state.cost();
-            ++result.trials;
-            if (trial_cost.power.total() < result.final_power - kImprovementEps) {
-              commit(trial_cost);
-              improved = true;
-            } else {
-              state.undo();
-            }
+      bool improved = true;
+      while (improved) {
+        improved = false;
+        for (std::size_t i = 0; i < num_pos; ++i) {
+          state.apply_flip(i);
+          const AssignmentCost trial_cost = state.cost();
+          ++result.trials;
+          if (trial_cost.power.total() < result.final_power - kImprovementEps) {
+            commit(trial_cost);
+            improved = true;
+          } else {
+            state.undo();
           }
         }
       }
@@ -558,15 +314,9 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
       // Speculative parallel descent: evaluate the remaining flips of the
       // sweep from the current base, commit the first improving one, resume
       // after it — the exact trajectory (and trial count, defined as flips
-      // measured up to the committed one) of the sequential sweep.  With
-      // batch_lanes > 1 each shard scores its strided flips in lane groups
-      // against the shared (read-only) base instead of flipping a private
-      // EvalState copy.
+      // measured up to the committed one) of the sequential sweep.
       ThreadPool pool(options.num_threads);
       std::vector<double> powers(num_pos);
-      std::vector<std::unique_ptr<EvalBatch>> shard_batch(pool.size());
-      std::vector<std::size_t> shard_walks(pool.size(), 0);
-      std::vector<std::vector<std::uint32_t>> shard_vars(pool.size());
       bool improved = true;
       while (improved) {
         improved = false;
@@ -575,35 +325,11 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
           const std::size_t count = num_pos - start;
           const std::size_t shards = std::min<std::size_t>(pool.size(), count);
           pool.parallel_for(shards, [&](std::size_t shard) {
-            if (lanes > 1) {
-              if (!shard_batch[shard])
-                shard_batch[shard] =
-                    std::make_unique<EvalBatch>(evaluator.context(), lanes);
-              EvalBatch& batch = *shard_batch[shard];
-              std::vector<std::uint32_t>& mine = shard_vars[shard];
-              mine.clear();
-              for (std::size_t idx = shard; idx < count; idx += shards)
-                mine.push_back(static_cast<std::uint32_t>(start + idx));
-              for (std::size_t at = 0; at < mine.size(); at += lanes) {
-                const std::size_t n = std::min(lanes, mine.size() - at);
-                batch.plan(std::span<const std::uint32_t>(mine.data() + at, n));
-                batch.bind(state);
-                for (std::size_t t = 0; t < n; ++t) {
-                  batch.add_lane();
-                  batch.set_flip(t, t);
-                }
-                batch.evaluate();
-                ++shard_walks[shard];
-                for (std::size_t t = 0; t < n; ++t)
-                  powers[mine[at + t]] = batch.power_total(t);
-              }
-            } else {
-              EvalState local = state;
-              for (std::size_t idx = shard; idx < count; idx += shards) {
-                local.apply_flip(start + idx);
-                powers[start + idx] = local.power_total();
-                local.undo();
-              }
+            EvalState local = state;
+            for (std::size_t idx = shard; idx < count; idx += shards) {
+              local.apply_flip(start + idx);
+              powers[start + idx] = local.power_total();
+              local.undo();
             }
           });
           std::size_t found = count;
@@ -615,18 +341,15 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
           }
           if (found == count) {
             result.trials += count;
-            if (lanes > 1) result.batched_trials += count;
             break;
           }
           result.trials += found + 1;
-          if (lanes > 1) result.batched_trials += found + 1;
           state.apply_flip(start + found);
           commit(state.cost());
           improved = true;
           start += found + 1;
         }
       }
-      for (const std::size_t walks : shard_walks) result.batch_walks += walks;
     }
   }
   return result;

@@ -50,13 +50,6 @@ struct SearchResult {
   std::size_t nodes_expanded = 0;
   std::size_t subtrees_pruned = 0;
   double bound_tightness = 0.0;
-  /// Batched-evaluation telemetry (docs/eval_batch.md): candidates scored
-  /// through EvalBatch lanes and the shared cone walks that scored them.
-  /// `batched_evals - batch_walks` is the cone walks the batching saved;
-  /// `batched_evals / batch_walks` the average lane occupancy.  Zero when
-  /// the engine ran its scalar path (batch_lanes == 1, or nothing to batch).
-  std::size_t batched_evals = 0;
-  std::size_t batch_walks = 0;
 };
 
 // -- exhaustive enumeration limits --------------------------------------------
@@ -146,11 +139,6 @@ struct ExhaustiveOptions {
   /// (branch-and-bound) or when 2^P exceeds it outright (Gray walk).
   /// 0 = unlimited.
   std::uint64_t node_budget = 0;
-  /// Lane width of the batched evaluator under the branch-and-bound search
-  /// (sibling branches and bottom prefix pods share one cone walk each):
-  /// 0 = auto (kDefaultEvalBatchLanes), 1 = scalar path.  Results are
-  /// bit-identical at every width.
-  std::size_t batch_lanes = 0;
 };
 
 /// Exact minimum-power assignment over all 2^P candidates.  Ties are broken
@@ -186,10 +174,6 @@ struct MinAreaOptions {
   /// Worker threads (exhaustive sharding / concurrent annealing restarts);
   /// 0 = one per hardware thread.  The result is identical for every value.
   unsigned num_threads = 1;
-  /// Lane width of the batched evaluator (B&B sibling/pod batching and the
-  /// annealing greedy descent): 0 = auto, 1 = scalar path.  Bit-identical
-  /// results at every width.
-  std::size_t batch_lanes = 0;
 };
 
 [[nodiscard]] SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
@@ -250,7 +234,6 @@ struct BnbSubtreeOptions {
   /// Abort flag after this many expanded nodes (0 = unlimited).  The trip
   /// point is deterministic when `channel` is null.
   std::uint64_t node_budget = 0;
-  std::size_t batch_lanes = 0;  ///< 0 = auto, 1 = scalar; result identical.
   IncumbentChannel* channel = nullptr;  ///< optional live incumbent exchange
 };
 
@@ -261,8 +244,6 @@ struct BnbSubtreeResult {
   std::uint64_t leaves = 0;  ///< exactly-evaluated complete assignments
   std::uint64_t nodes_expanded = 0;
   std::uint64_t subtrees_pruned = 0;
-  std::uint64_t batched_evals = 0;
-  std::uint64_t batch_walks = 0;
   /// True when the node budget tripped: counters cover the truncated walk
   /// and `metric` is only a lower-bound-respecting partial best.
   bool budget_tripped = false;
@@ -279,17 +260,15 @@ struct BnbSubtreeResult {
 /// One annealing restart of the min-area search, exactly as
 /// min_area_assignment runs it: restart `restart_index` under master seed
 /// `seed` (Rng seeded seed + index * golden-ratio), metropolis walk of
-/// `iterations` steps, then the batched first-improvement descent.
+/// `iterations` steps, then the first-improvement descent.
 struct AnnealRestartOutcome {
   PhaseAssignment assignment;
   std::size_t area = 0;
   std::size_t evaluations = 0;
-  std::size_t batched_evals = 0;
-  std::size_t batch_walks = 0;
 };
 [[nodiscard]] AnnealRestartOutcome run_min_area_restart(
     const AssignmentEvaluator& evaluator, std::uint64_t seed,
-    std::size_t restart_index, std::size_t iterations, std::size_t batch_lanes);
+    std::size_t restart_index, std::size_t iterations);
 
 /// The iteration count an auto (0) request resolves to — shared by
 /// min_area_assignment and the distributed annealing units so shipped units
@@ -326,11 +305,6 @@ struct MinPowerOptions {
   /// remaining flips of a sweep); 0 = one per hardware thread.  The result
   /// and the reported trial count are identical for every value.
   unsigned num_threads = 1;
-  /// Lane width of the batched evaluator (trial-window prefetch in the §4.1
-  /// loop, lane-evaluated polish sweeps): 0 = auto (kDefaultEvalBatchLanes),
-  /// 1 = scalar path.  The trajectory — assignments, trials, commits,
-  /// rescore counts — is bit-identical at every width.
-  std::size_t batch_lanes = 0;
 };
 
 struct MinPowerResult {
@@ -350,11 +324,6 @@ struct MinPowerResult {
   /// touch; the maintained per-phase averages make each refresh O(1).
   std::size_t commit_rescore_pairs = 0;
   std::size_t avg_update_nodes = 0;
-  /// Batched-evaluation telemetry (docs/eval_batch.md): trials scored
-  /// through EvalBatch lanes and the shared cone walks that scored them.
-  /// Zero on the scalar path (batch_lanes == 1).
-  std::size_t batched_trials = 0;
-  std::size_t batch_walks = 0;
 };
 
 /// The paper's minimum-power phase assignment heuristic (§4.1).

@@ -316,10 +316,6 @@ Client::SubmitSummary Client::summarize(std::string raw) {
       protocol::find_number(json, "search_subtrees_pruned").value_or(0));
   summary.search_bound_tightness =
       protocol::find_number(json, "search_bound_tightness").value_or(0.0);
-  summary.search_batched_trials = static_cast<std::size_t>(
-      protocol::find_number(json, "search_batched_trials").value_or(0));
-  summary.search_batch_walks = static_cast<std::size_t>(
-      protocol::find_number(json, "search_batch_walks").value_or(0));
   return summary;
 }
 

@@ -110,10 +110,6 @@ class Client {
     std::size_t search_nodes_expanded = 0;
     std::size_t search_subtrees_pruned = 0;
     double search_bound_tightness = 0.0;
-    /// Batched-evaluator counters of the served report (0 when the search
-    /// ran scalar, batch_lanes = 1).
-    std::size_t search_batched_trials = 0;
-    std::size_t search_batch_walks = 0;
     /// The idempotency fingerprint this submit carried on the wire — the
     /// handle for `job_status` / `domino_cli --attach` after a disconnect.
     std::string rid;

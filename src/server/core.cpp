@@ -88,11 +88,6 @@ ServerCore::Instruments::Instruments(obs::MetricsRegistry& registry)
       search_subtrees_pruned(
           registry.counter("dominosyn_search_subtrees_pruned_total",
                            "Branch-and-bound subtrees pruned")),
-      search_batched_trials(
-          registry.counter("dominosyn_search_batched_trials_total",
-                           "Trials served from shared batch walks")),
-      search_batch_walks(registry.counter("dominosyn_search_batch_walks_total",
-                                          "Shared batch walks executed")),
       retried_submits(
           registry.counter("dominosyn_requests_retried_total",
                            "Submits that arrived with a nonzero retry= "
@@ -255,8 +250,6 @@ void ServerCore::process(const std::string& key,
         inst_.search_nodes_expanded.add(response.report.search_nodes_expanded);
         inst_.search_subtrees_pruned.add(
             response.report.search_subtrees_pruned);
-        inst_.search_batched_trials.add(response.report.search_batched_trials);
-        inst_.search_batch_walks.add(response.report.search_batch_walks);
         if (response.telemetry.rebuilt.prob_builds > 0)
           (response.report.used_exact_bdd ? inst_.prob_builds_exact
                                           : inst_.prob_builds_approx)
@@ -378,8 +371,8 @@ ServerResponse ServerCore::execute(Pending& pending) {
       std::chrono::duration<double>(start - pending.enqueued).count();
   inst_.queue_us.record(static_cast<std::uint64_t>(queue_seconds * 1e6));
 
-  // Every span below this point (flow stages, search commits, batch walks,
-  // shipped work units) carries the request's trace id.
+  // Every span below this point (flow stages, search commits, shipped work
+  // units) carries the request's trace id.
   const obs::TraceContext trace_context(pending.trace_id);
   const obs::TraceSpan request_span("server.request", obs::SpanCat::kServer);
 
@@ -531,10 +524,6 @@ ServerCore::Stats ServerCore::stats() const {
         static_cast<std::size_t>(inst_.search_nodes_expanded.value());
     snapshot.search_subtrees_pruned =
         static_cast<std::size_t>(inst_.search_subtrees_pruned.value());
-    snapshot.search_batched_trials =
-        static_cast<std::size_t>(inst_.search_batched_trials.value());
-    snapshot.search_batch_walks =
-        static_cast<std::size_t>(inst_.search_batch_walks.value());
     snapshot.bound_tightness_sum = inst_.bound_tightness_sum.value();
     snapshot.retried_submits =
         static_cast<std::size_t>(inst_.retried_submits.value());

@@ -168,11 +168,6 @@ class ServerCore {
     std::size_t exhaustive_searches = 0;
     std::size_t search_nodes_expanded = 0;
     std::size_t search_subtrees_pruned = 0;
-    /// Aggregated batched-evaluator telemetry (docs/eval_batch.md): trials
-    /// served from shared batch walks and the walk count, summed over kOk
-    /// responses.  batched - walks = cone walks the lanes saved fleet-wide.
-    std::size_t search_batched_trials = 0;
-    std::size_t search_batch_walks = 0;
     double bound_tightness_sum = 0.0;
     /// Distributed-fabric counters (snapshot of DistCoordinator::counters):
     /// work-unit leases granted, speculative steals, re-issues after worker
@@ -303,8 +298,6 @@ class ServerCore {
     obs::Counter& exhaustive_searches;
     obs::Counter& search_nodes_expanded;
     obs::Counter& search_subtrees_pruned;
-    obs::Counter& search_batched_trials;
-    obs::Counter& search_batch_walks;
     obs::Counter& retried_submits;
     obs::Counter& reattached_submits;
     obs::Counter& degraded_responses;

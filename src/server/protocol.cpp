@@ -93,10 +93,11 @@ Command parse_submit_header(const std::vector<std::string>& tokens,
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
 
+    // Names may hold spaces ("Industry 1"), so they travel percent-encoded.
     if (key == "circuit") {
-      request.circuit = value;
+      request.circuit = dist::percent_decode(value);
     } else if (key == "corpus") {
-      corpus = value;
+      corpus = dist::percent_decode(value);
     } else if (key == "blif") {
       if (value != "inline")
         throw ProtocolError("blif only supports 'inline' (body until .end)");
@@ -333,8 +334,6 @@ void append_report(std::string& out, const FlowReport& report) {
   append_field(out, "search_nodes_expanded", report.search_nodes_expanded);
   append_field(out, "search_subtrees_pruned", report.search_subtrees_pruned);
   append_field(out, "search_bound_tightness", report.search_bound_tightness);
-  append_field(out, "search_batched_trials", report.search_batched_trials);
-  append_field(out, "search_batch_walks", report.search_batch_walks);
   append_field(out, "used_exact_bdd", report.used_exact_bdd);
   append_field(out, "equivalence_ok", report.equivalence_ok);
   append_field(out, "seconds", report.seconds, /*comma=*/false);
@@ -478,8 +477,6 @@ std::string format_stats(const ServerCore::Stats& stats,
   append_field(out, "exhaustive_searches", stats.exhaustive_searches);
   append_field(out, "search_nodes_expanded", stats.search_nodes_expanded);
   append_field(out, "search_subtrees_pruned", stats.search_subtrees_pruned);
-  append_field(out, "search_batched_trials", stats.search_batched_trials);
-  append_field(out, "search_batch_walks", stats.search_batch_walks);
   append_field(out, "bound_tightness_sum", stats.bound_tightness_sum);
   append_field(out, "units_issued", stats.units_issued);
   append_field(out, "units_stolen", stats.units_stolen);
@@ -636,6 +633,27 @@ std::optional<std::string> find_string(const std::string& json,
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
+        case 'u': {
+          // \uXXXX: the control bytes append_json_string escapes; any other
+          // code point comes back as UTF-8.
+          unsigned cp = 0;
+          const char* hex = json.data() + at + 1;
+          if (json.size() - at < 5 ||
+              std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4)
+            return std::nullopt;
+          if (cp < 0x80) {
+            out += static_cast<char>(cp);
+          } else if (cp < 0x800) {
+            out += static_cast<char>(0xc0 | (cp >> 6));
+            out += static_cast<char>(0x80 | (cp & 0x3f));
+          } else {
+            out += static_cast<char>(0xe0 | (cp >> 12));
+            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (cp & 0x3f));
+          }
+          at += 4;
+          break;
+        }
         default: out += json[at];
       }
     } else {

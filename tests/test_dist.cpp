@@ -149,8 +149,6 @@ TEST(DistWire, CompleteCommandRoundTripsExactly) {
   result.leaves = 11;
   result.nodes_expanded = 222;
   result.subtrees_pruned = 33;
-  result.batched_evals = 4444;
-  result.batch_walks = 55;
   result.evaluations = 666;
   result.budget_tripped = true;
 
@@ -165,8 +163,6 @@ TEST(DistWire, CompleteCommandRoundTripsExactly) {
   EXPECT_EQ(parsed.leaves, result.leaves);
   EXPECT_EQ(parsed.nodes_expanded, result.nodes_expanded);
   EXPECT_EQ(parsed.subtrees_pruned, result.subtrees_pruned);
-  EXPECT_EQ(parsed.batched_evals, result.batched_evals);
-  EXPECT_EQ(parsed.batch_walks, result.batch_walks);
   EXPECT_EQ(parsed.evaluations, result.evaluations);
   EXPECT_EQ(parsed.budget_tripped, result.budget_tripped);
 
@@ -198,7 +194,6 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
   unit.frontier_depth = 6;
   unit.bound_snapshot = 98.5;
   unit.node_budget = 1ULL << 21;
-  unit.batch_lanes = 8;
   unit.shared_bounds = true;
   unit.circuit.has_bench = true;
   unit.circuit.bench = dist_spec(5, 10, 120);
@@ -219,7 +214,6 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
   EXPECT_EQ(got.frontier_depth, unit.frontier_depth);
   EXPECT_EQ(got.bound_snapshot, unit.bound_snapshot);
   EXPECT_EQ(got.node_budget, unit.node_budget);
-  EXPECT_EQ(got.batch_lanes, unit.batch_lanes);
   EXPECT_TRUE(got.shared_bounds);
   ASSERT_TRUE(got.circuit.has_bench);
   EXPECT_EQ(got.circuit.bench.name, unit.circuit.bench.name);
@@ -617,8 +611,6 @@ TEST(DistSearchTest, ExhaustiveBitIdenticalAcrossEveryTopology) {
         EXPECT_EQ(got.evaluations, baseline->evaluations);
         EXPECT_EQ(got.nodes_expanded, baseline->nodes_expanded);
         EXPECT_EQ(got.subtrees_pruned, baseline->subtrees_pruned);
-        EXPECT_EQ(got.batched_evals, baseline->batched_evals);
-        EXPECT_EQ(got.batch_walks, baseline->batch_walks);
       }
     }
   }

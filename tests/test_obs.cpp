@@ -287,8 +287,8 @@ TEST(SpanWireCodec, RoundTripsAllFields) {
   std::strcpy(events[1].name, "search.bnb_subtree");
   events[1].trace_id = 42;
   events[1].cat = static_cast<std::uint8_t>(SpanCat::kSearch);
-  std::strcpy(events[2].name, "batch.walk");
-  events[2].cat = static_cast<std::uint8_t>(SpanCat::kBatch);
+  std::strcpy(events[2].name, "flow.assign");
+  events[2].cat = static_cast<std::uint8_t>(SpanCat::kFlow);
 
   const std::string wire = spans_to_wire(events);
   EXPECT_EQ(wire.find(' '), std::string::npos);  // single protocol token
@@ -379,7 +379,6 @@ TEST(Tracing, SpanCatNamesMatchTheMetricLabels) {
   EXPECT_EQ(span_cat_name(SpanCat::kServer), "server");
   EXPECT_EQ(span_cat_name(SpanCat::kFlow), "flow");
   EXPECT_EQ(span_cat_name(SpanCat::kSearch), "search");
-  EXPECT_EQ(span_cat_name(SpanCat::kBatch), "batch");
   EXPECT_EQ(span_cat_name(SpanCat::kDist), "dist");
 }
 

@@ -282,11 +282,11 @@ TEST(MinPower, GuidanceModesAllImprove) {
   }
 }
 
-TEST(MinPower, TrajectoryBitIdenticalAcrossLaneWidthsAndThreads) {
-  // The batched trial windows (docs/eval_batch.md) must be invisible: the
-  // §4.1 loop and the polish descent walk the exact same trajectory —
-  // assignment, power, trial and commit counts — at every lane width and
-  // thread count as the scalar single-threaded run.
+TEST(MinPower, TrajectoryBitIdenticalAcrossThreads) {
+  // The speculative parallel polish must be invisible: the §4.1 loop and
+  // the polish descent walk the exact same trajectory — assignment, power,
+  // trial and commit counts — at every thread count as the single-threaded
+  // run.
   BenchSpec spec;
   spec.name = "mplanes";
   spec.num_pis = 10;
@@ -299,39 +299,28 @@ TEST(MinPower, TrajectoryBitIdenticalAcrossLaneWidthsAndThreads) {
 
   for (const GuidanceMode mode :
        {GuidanceMode::kCostFunction, GuidanceMode::kMeasureAll}) {
-    MinPowerOptions scalar;
-    scalar.guidance = mode;
-    scalar.batch_lanes = 1;
-    scalar.num_threads = 1;
-    const auto reference = min_power_assignment(evaluator, overlap, scalar);
+    MinPowerOptions sequential;
+    sequential.guidance = mode;
+    sequential.num_threads = 1;
+    const auto reference = min_power_assignment(evaluator, overlap, sequential);
 
-    // 2 and 3 exercise the chunked measure-all walks (4 combos over a
-    // narrower batch), 3 the uneven remainder.
-    for (const std::size_t lanes : {std::size_t{2}, std::size_t{3},
-                                    std::size_t{4}, std::size_t{8},
-                                    std::size_t{16}}) {
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        MinPowerOptions batched = scalar;
-        batched.batch_lanes = lanes;
-        batched.num_threads = threads;
-        const auto got = min_power_assignment(evaluator, overlap, batched);
-        EXPECT_EQ(got.assignment, reference.assignment)
-            << "mode=" << static_cast<int>(mode) << " lanes=" << lanes
-            << " threads=" << threads;
-        EXPECT_EQ(got.final_power, reference.final_power);  // bitwise
-        EXPECT_EQ(got.initial_power, reference.initial_power);
-        EXPECT_EQ(got.trials, reference.trials);
-        EXPECT_EQ(got.commits, reference.commits);
-        if (lanes > 1) EXPECT_GT(got.batched_trials, 0u);
-      }
+    for (const unsigned threads : {2u, 3u, 8u}) {
+      MinPowerOptions threaded = sequential;
+      threaded.num_threads = threads;
+      const auto got = min_power_assignment(evaluator, overlap, threaded);
+      EXPECT_EQ(got.assignment, reference.assignment)
+          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
+      EXPECT_EQ(got.final_power, reference.final_power);  // bitwise
+      EXPECT_EQ(got.initial_power, reference.initial_power);
+      EXPECT_EQ(got.trials, reference.trials);
+      EXPECT_EQ(got.commits, reference.commits);
     }
   }
 }
 
-TEST(MinArea, AnnealingBitIdenticalAcrossLaneWidthsAndThreads) {
+TEST(MinArea, AnnealingBitIdenticalAcrossThreads) {
   // Same contract for the annealing + greedy-descent fallback: the seeded
-  // walk commits the same flips whether candidates are scored one at a time
-  // or through EvalBatch lanes, on any number of restart workers.
+  // walk commits the same flips on any number of restart workers.
   BenchSpec spec;
   spec.name = "malanes";
   spec.num_pis = 9;
@@ -341,24 +330,18 @@ TEST(MinArea, AnnealingBitIdenticalAcrossLaneWidthsAndThreads) {
   const Network net = generate_benchmark(spec);
   const auto evaluator = make_evaluator(net, 0.6);
 
-  MinAreaOptions scalar;
-  scalar.exhaustive_limit = 0;  // force the annealing path
-  scalar.batch_lanes = 1;
-  scalar.num_threads = 1;
-  const auto reference = min_area_assignment(evaluator, scalar);
+  MinAreaOptions sequential;
+  sequential.exhaustive_limit = 0;  // force the annealing path
+  sequential.num_threads = 1;
+  const auto reference = min_area_assignment(evaluator, sequential);
 
-  for (const std::size_t lanes : {std::size_t{2}, std::size_t{4},
-                                  std::size_t{8}, std::size_t{16}}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      MinAreaOptions batched = scalar;
-      batched.batch_lanes = lanes;
-      batched.num_threads = threads;
-      const auto got = min_area_assignment(evaluator, batched);
-      EXPECT_EQ(got.assignment, reference.assignment)
-          << "lanes=" << lanes << " threads=" << threads;
-      EXPECT_EQ(got.cost.area_cells(), reference.cost.area_cells());
-      EXPECT_EQ(got.cost.power.total(), reference.cost.power.total());
-    }
+  for (const unsigned threads : {2u, 3u, 8u}) {
+    MinAreaOptions threaded = sequential;
+    threaded.num_threads = threads;
+    const auto got = min_area_assignment(evaluator, threaded);
+    EXPECT_EQ(got.assignment, reference.assignment) << "threads=" << threads;
+    EXPECT_EQ(got.cost.area_cells(), reference.cost.area_cells());
+    EXPECT_EQ(got.cost.power.total(), reference.cost.power.total());
   }
 }
 

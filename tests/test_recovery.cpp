@@ -61,7 +61,6 @@ std::vector<WorkUnit> make_units(std::size_t count) {
     unit.frontier_depth = 3;
     unit.bound_snapshot = 123.5;
     unit.node_budget = 1 << 16;
-    unit.batch_lanes = 4;
     unit.circuit.corpus = "apex7";
     unit.circuit.pi_prob = 0.5;
     unit.circuit.fingerprint = 0xfeedfacecafeULL;
@@ -80,8 +79,6 @@ UnitResult fake_result(const WorkUnit& unit) {
   result.leaves = unit.task + 2;
   result.nodes_expanded = unit.task * 10 + 1;
   result.subtrees_pruned = unit.task;
-  result.batched_evals = unit.task * 2;
-  result.batch_walks = unit.task / 2;
   return result;
 }
 

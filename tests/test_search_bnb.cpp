@@ -107,34 +107,27 @@ TEST(SearchBnb, BitIdenticalToGrayWalkOnRandomCircuits) {
   }
 }
 
-TEST(SearchBnb, BitIdenticalAcrossLaneWidthsAndThreads) {
-  // The batched evaluator must be invisible in the result: every lane width
-  // crossed with every thread count returns exactly the scalar
-  // single-threaded search's (cost, assignment, tie-break).
+TEST(SearchBnb, BitIdenticalAcrossThreads) {
+  // Sharding must be invisible in the result: every thread count returns
+  // exactly the single-threaded search's (cost, assignment, tie-break).
   const Network net = random_circuit(31, 9, 100, 2);
   for (const PowerModelConfig& model : model_variants()) {
     const AssignmentEvaluator evaluator = make_evaluator(net, model, 0.6);
     for (const bool by_power : {true, false}) {
-      ExhaustiveOptions scalar;
-      scalar.batch_lanes = 1;
+      const ExhaustiveOptions sequential;
       const SearchResult reference =
-          by_power ? exhaustive_min_power(evaluator, scalar)
-                   : exhaustive_min_area(evaluator, scalar);
+          by_power ? exhaustive_min_power(evaluator, sequential)
+                   : exhaustive_min_area(evaluator, sequential);
 
-      for (const std::size_t lanes : {std::size_t{2}, std::size_t{4},
-                                      std::size_t{8}, std::size_t{16}}) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-          ExhaustiveOptions batched;
-          batched.batch_lanes = lanes;
-          batched.num_threads = threads;
-          const SearchResult got =
-              by_power ? exhaustive_min_power(evaluator, batched)
-                       : exhaustive_min_area(evaluator, batched);
-          EXPECT_EQ(got.assignment, reference.assignment)
-              << "power=" << by_power << " lanes=" << lanes
-              << " threads=" << threads;
-          expect_cost_identical(got.cost, reference.cost);
-        }
+      for (const unsigned threads : {2u, 3u, 8u}) {
+        ExhaustiveOptions threaded;
+        threaded.num_threads = threads;
+        const SearchResult got =
+            by_power ? exhaustive_min_power(evaluator, threaded)
+                     : exhaustive_min_area(evaluator, threaded);
+        EXPECT_EQ(got.assignment, reference.assignment)
+            << "power=" << by_power << " threads=" << threads;
+        expect_cost_identical(got.cost, reference.cost);
       }
     }
   }

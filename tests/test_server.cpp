@@ -443,6 +443,19 @@ TEST(Protocol, ParsesSubmitWithCorpus) {
   EXPECT_FALSE(command->request.deadline.has_value());
 }
 
+TEST(Protocol, ParsesPercentEncodedCorpusAndCircuitNames) {
+  // Three paper circuits have a space in their name ("Industry 1"); the
+  // submit line carries names percent-encoded.
+  std::istringstream in("submit corpus=Industry%201 circuit=my%20key mode=ma\n");
+  const auto command = protocol::read_command(in);
+  ASSERT_TRUE(command.has_value());
+  ASSERT_EQ(command->kind, protocol::CommandKind::kSubmit);
+  ASSERT_NE(command->request.network, nullptr);
+  EXPECT_EQ(command->request.network->name(), "Industry 1");
+  EXPECT_EQ(command->request.corpus, "Industry 1");
+  EXPECT_EQ(command->request.circuit, "my key");
+}
+
 TEST(Protocol, ParsesSubmitWithInlineBlif) {
   std::istringstream in(
       "submit blif=inline mode=mp deadline_ms=60000\n"
@@ -548,6 +561,14 @@ TEST(Protocol, ResponseRoundTripsThroughScanners) {
   EXPECT_EQ(protocol::find_string(rejection, "status"), "rejected_queue_full");
   EXPECT_EQ(protocol::find_string(rejection, "error"),
             "admission queue at capacity (4)");
+
+  // Control bytes travel as \u00XX escapes and decode back to the byte;
+  // other escaped code points decode to UTF-8.
+  rejected.error_message = std::string("a\x01" "b");
+  EXPECT_EQ(protocol::find_string(protocol::format_response(rejected), "error"),
+            rejected.error_message);
+  EXPECT_EQ(protocol::find_string("{\"k\":\"\\u00e9\"}", "k"), "\xc3\xa9");
+  EXPECT_EQ(protocol::find_string("{\"k\":\"\\u00\"}", "k"), std::nullopt);
 }
 
 TEST(Transport, UnixSocketServesRealClients) {

@@ -26,6 +26,7 @@
 #include <sstream>
 #include <thread>
 
+#include "dist/workunit.hpp"
 #include "server/client.hpp"
 #include "util/cli.hpp"
 
@@ -313,7 +314,7 @@ int main(int argc, char** argv) {
     std::string command = "submit";
     std::string body;
     if (!corpus.empty()) {
-      command += " corpus=" + corpus;
+      command += " corpus=" + dist::percent_encode(corpus);
     } else {
       std::ifstream file(blif_path);
       if (!file) {
@@ -329,7 +330,8 @@ int main(int argc, char** argv) {
       command += " blif=inline";
     }
     command += " mode=" + flags->get("mode", "mp");
-    if (flags->has("circuit")) command += " circuit=" + flags->get("circuit");
+    if (flags->has("circuit"))
+      command += " circuit=" + dist::percent_encode(flags->get("circuit"));
     for (const auto& [flag, key] :
          {std::pair{"threads", "threads"}, {"sim-steps", "sim_steps"},
           {"sim-warmup", "sim_warmup"}, {"deadline-ms", "deadline_ms"},
