@@ -7,8 +7,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <utility>
+
+#include "util/codec.hpp"
 
 namespace dominosyn::dist::checkpoint {
 
@@ -16,41 +17,29 @@ namespace {
 
 using journal::JournalError;
 
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
+// Record writers; replay_record is their decoder.
+
+std::string open_record(std::uint64_t job_id, const std::string& rid,
+                        std::uint32_t lease_timeout_ms, std::size_t units) {
+  return "open job=" + std::to_string(job_id) +
+         " rid=" + codec::percent_encode(rid) +
+         " lease_ms=" + std::to_string(lease_timeout_ms) +
+         " units=" + std::to_string(units);
 }
 
-/// `key=value` lookup inside a tokenized record; empty when absent.
-std::string token_value(const std::vector<std::string>& tokens,
-                        std::string_view key) {
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    if (token.size() > key.size() + 1 &&
-        std::string_view(token).substr(0, key.size()) == key &&
-        token[key.size()] == '=')
-      return token.substr(key.size() + 1);
-    // `rid=` with an empty value still parses (local jobs have no rid).
-    if (token.size() == key.size() + 1 &&
-        std::string_view(token).substr(0, key.size()) == key &&
-        token[key.size()] == '=')
-      return std::string();
-  }
-  return std::string();
+std::string unit_record(const WorkUnit& unit) {
+  return "unit " +
+         format_work_grant(unit, std::numeric_limits<double>::infinity());
 }
 
-std::uint64_t token_u64(const std::vector<std::string>& tokens,
-                        std::string_view key) {
-  const std::string text = token_value(tokens, key);
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return 0;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+std::string incumbent_record(std::uint64_t job_id, double metric) {
+  return "incumbent job=" + std::to_string(job_id) +
+         " metric=" + codec::encode_double(metric);
+}
+
+std::string finish_record(std::uint64_t job_id, bool failed) {
+  return "finish job=" + std::to_string(job_id) +
+         " failed=" + std::string(failed ? "1" : "0");
 }
 
 }  // namespace
@@ -91,20 +80,8 @@ CheckpointLog::CheckpointLog(std::string dir, Options options)
 void CheckpointLog::replay_record(const std::string& payload) {
   try {
     const std::size_t space = payload.find(' ');
-    const std::string verb = payload.substr(0, space);
-    if (verb == "open") {
-      const auto tokens = split_ws(payload);
-      const std::uint64_t job_id = token_u64(tokens, "job");
-      if (job_id == 0) return;
-      JobState job;
-      job.rid = percent_decode(token_value(tokens, "rid"));
-      job.lease_timeout_ms =
-          static_cast<std::uint32_t>(token_u64(tokens, "lease_ms"));
-      job.expected_units = static_cast<std::size_t>(token_u64(tokens, "units"));
-      job.units.resize(job.expected_units);
-      job.results.resize(job.expected_units);
-      state_.insert_or_assign(job_id, std::move(job));
-    } else if (verb == "unit") {
+    const std::string_view verb = std::string_view(payload).substr(0, space);
+    if (verb == "unit") {
       if (space == std::string::npos) return;
       const auto grant = parse_work_grant(payload.substr(space + 1));
       if (!grant) return;
@@ -114,8 +91,26 @@ void CheckpointLog::replay_record(const std::string& payload) {
       const std::size_t index = static_cast<std::size_t>(grant->unit.unit_id);
       if (index >= job.units.size()) return;
       job.units[index] = grant->unit;
+      return;
+    }
+    // Every other record is a `key=value` line; a field that is missing or
+    // does not decode makes the whole record unparsable.
+    const std::vector<std::string_view> tokens = codec::split_tokens(payload);
+    const auto u64 = [&tokens](std::string_view key) {
+      return codec::decode_u64(codec::find_field(tokens, key));
+    };
+    if (verb == "open") {
+      const std::uint64_t job_id = u64("job");
+      if (job_id == 0) return;
+      JobState job;
+      job.rid = codec::percent_decode(codec::find_field(tokens, "rid").value);
+      job.lease_timeout_ms = codec::narrow_u32("lease_ms", u64("lease_ms"));
+      job.expected_units = static_cast<std::size_t>(u64("units"));
+      job.units.resize(job.expected_units);
+      job.results.resize(job.expected_units);
+      state_.insert_or_assign(job_id, std::move(job));
     } else if (verb == "complete_work") {
-      UnitResult result = parse_complete_tokens(split_ws(payload));
+      UnitResult result = parse_complete_tokens(tokens);
       const auto it = state_.find(result.job_id);
       if (it == state_.end()) return;
       JobState& job = it->second;
@@ -124,21 +119,21 @@ void CheckpointLog::replay_record(const std::string& payload) {
       if (job.results[index].has_value()) return;  // keep-first
       job.results[index] = std::move(result);
     } else if (verb == "incumbent") {
-      const auto tokens = split_ws(payload);
-      const auto it = state_.find(token_u64(tokens, "job"));
+      const auto it = state_.find(u64("job"));
       if (it == state_.end()) return;
-      const double metric = decode_metric(token_value(tokens, "metric"));
+      const double metric =
+          codec::decode_double(codec::find_field(tokens, "metric"));
       if (metric < it->second.incumbent) it->second.incumbent = metric;
     } else if (verb == "finish") {
-      const auto tokens = split_ws(payload);
-      const auto it = state_.find(token_u64(tokens, "job"));
+      const auto it = state_.find(u64("job"));
       if (it == state_.end()) return;
+      it->second.failed =
+          codec::decode_flag(codec::find_field(tokens, "failed"));
       it->second.finished = true;
-      it->second.failed = token_value(tokens, "failed") == "1";
     } else if (verb == "adopt") {
       // A restarted coordinator re-journaled this job under a new id; the
       // old entry is redundant history.
-      state_.erase(token_u64(split_ws(payload), "job"));
+      state_.erase(u64("job"));
     }
     // Unknown verbs: skip — a newer incarnation may add record types.
   } catch (const std::exception&) {
@@ -163,14 +158,8 @@ void CheckpointLog::record_open(std::uint64_t job_id, const std::string& rid,
   job.units = units;
   job.results.resize(units.size());
 
-  std::string open = "open job=" + std::to_string(job_id) +
-                     " rid=" + percent_encode(rid) +
-                     " lease_ms=" + std::to_string(lease_timeout_ms) +
-                     " units=" + std::to_string(units.size());
-  append_locked(open);
-  for (const WorkUnit& unit : units)
-    append_locked("unit " + format_work_grant(
-                                unit, std::numeric_limits<double>::infinity()));
+  append_locked(open_record(job_id, rid, lease_timeout_ms, units.size()));
+  for (const WorkUnit& unit : units) append_locked(unit_record(unit));
   state_.insert_or_assign(job_id, std::move(job));
 }
 
@@ -191,8 +180,7 @@ void CheckpointLog::record_incumbent(std::uint64_t job_id, double metric) {
   const auto it = state_.find(job_id);
   if (it == state_.end()) return;
   if (!(metric < it->second.incumbent)) return;
-  append_locked("incumbent job=" + std::to_string(job_id) +
-                " metric=" + encode_metric(metric));
+  append_locked(incumbent_record(job_id, metric));
   it->second.incumbent = metric;
 }
 
@@ -200,8 +188,7 @@ void CheckpointLog::record_finish(std::uint64_t job_id, bool failed) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = state_.find(job_id);
   if (it == state_.end()) return;
-  append_locked("finish job=" + std::to_string(job_id) +
-                " failed=" + std::string(failed ? "1" : "0"));
+  append_locked(finish_record(job_id, failed));
   it->second.finished = true;
   it->second.failed = failed;
   // The finish record makes the job's result durable before the client sees
@@ -263,23 +250,16 @@ std::uint64_t CheckpointLog::journal_records() const {
 void CheckpointLog::serialize_job(std::uint64_t job_id, const JobState& job,
                                   std::string& out) {
   out += journal::frame_record(
-      "open job=" + std::to_string(job_id) + " rid=" + percent_encode(job.rid) +
-      " lease_ms=" + std::to_string(job.lease_timeout_ms) +
-      " units=" + std::to_string(job.units.size()));
+      open_record(job_id, job.rid, job.lease_timeout_ms, job.units.size()));
   for (const WorkUnit& unit : job.units)
-    out += journal::frame_record(
-        "unit " +
-        format_work_grant(unit, std::numeric_limits<double>::infinity()));
+    out += journal::frame_record(unit_record(unit));
   for (const auto& result : job.results)
     if (result.has_value())
       out += journal::frame_record(format_complete_command("journal", *result));
   if (job.incumbent < std::numeric_limits<double>::infinity())
-    out += journal::frame_record("incumbent job=" + std::to_string(job_id) +
-                                 " metric=" + encode_metric(job.incumbent));
+    out += journal::frame_record(incumbent_record(job_id, job.incumbent));
   if (job.finished)
-    out += journal::frame_record("finish job=" + std::to_string(job_id) +
-                                 " failed=" +
-                                 std::string(job.failed ? "1" : "0"));
+    out += journal::frame_record(finish_record(job_id, job.failed));
 }
 
 void CheckpointLog::compact_locked() {

@@ -8,8 +8,9 @@
 /// functions of their unit descriptions and the merge is unit-ordered, so
 /// *which process* produced a completed unit never matters).
 ///
-/// Record payloads reuse the PR 7 wire codecs verbatim — one line each,
-/// dispatched on the first token:
+/// Record payloads are written and read by util/codec.hpp and reuse the
+/// fabric's wire formats verbatim — one line each, dispatched on the first
+/// token; a record whose fields do not decode is skipped at replay:
 ///
 ///     open job=<id> rid=<pct-enc> lease_ms=<n> units=<n>
 ///     unit <work-grant JSON>                    (format_work_grant, one/unit)

@@ -17,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "server/client.hpp"
 #include "sgraph/partition.hpp"
+#include "util/codec.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -107,7 +108,7 @@ std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::evaluator_for(
   // Key on everything the evaluator depends on.  The fingerprint identifies
   // the synthesized structure; pi_prob/load_aware parameterize the engine.
   const std::string key = std::to_string(circuit.fingerprint) + "/" +
-                          encode_metric(circuit.pi_prob) + "/" +
+                          codec::encode_double(circuit.pi_prob) + "/" +
                           (circuit.load_aware ? "1" : "0");
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_.find(key);

@@ -13,13 +13,14 @@
 /// (metric, code/assignment) pair plus telemetry; the coordinator merges them
 /// in unit order with the exact single-process tie-break.
 ///
-/// Wire encoding: worker->coordinator messages are single-line `key=value`
-/// commands (`lease_work`, `steal`, `complete_work`, `push_incumbent`);
+/// Wire encoding (util/codec.hpp; docs/protocol.md, "Encodings"):
+/// worker->coordinator messages are single-line `key=value` commands
+/// (`lease_work`, `steal`, `complete_work`, `push_incumbent`);
 /// coordinator->worker responses are one-line flat JSON.  uint64 payloads
 /// (task bits, assignment codes, fingerprints) are written and scanned as
 /// exact decimal text — never through a double, which loses precision past
 /// 2^53.  Metrics are doubles formatted shortest-round-trip; the infinities
-/// a fully-pruned subtree reports are encoded as the literal `inf`.
+/// a fully-pruned subtree reports are the literal `inf` (quoted in JSON).
 
 #pragma once
 
@@ -27,6 +28,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/options.hpp"
@@ -102,9 +104,10 @@ struct UnitResult {
                                               double metric);
 
 /// Parses the `key=value` tail of a complete_work command (tokens[0] is the
-/// verb).  Throws std::runtime_error on malformed/missing fields.
+/// verb, as codec::split_tokens returns it).  Throws codec::Error on
+/// malformed/missing fields.
 [[nodiscard]] UnitResult parse_complete_tokens(
-    const std::vector<std::string>& tokens);
+    const std::vector<std::string_view>& tokens);
 
 // -- coordinator -> worker response lines -------------------------------------
 
@@ -120,7 +123,7 @@ struct UnitResult {
 [[nodiscard]] std::string format_incumbent_ack(double incumbent);
 
 /// Parses a lease/steal response; nullopt when `"work":false`.  The second
-/// member is the job incumbent at grant time.  Throws std::runtime_error on
+/// member is the job incumbent at grant time.  Throws codec::Error on
 /// malformed grants.
 struct ParsedGrant {
   WorkUnit unit;
@@ -131,17 +134,5 @@ struct ParsedGrant {
 
 /// Extracts `"incumbent"` from an acknowledgement (+inf when absent/"inf").
 [[nodiscard]] double parse_incumbent(const std::string& json);
-
-// -- shared scalar encodings --------------------------------------------------
-
-/// Shortest-round-trip double; non-finite values as literal inf/-inf/nan
-/// (unlike protocol JSON numbers, which would become null).
-[[nodiscard]] std::string encode_metric(double value);
-[[nodiscard]] double decode_metric(const std::string& text);
-
-/// Percent-encoding for free-text fields inside whitespace-split key=value
-/// commands (space, '%', '=', control characters).
-[[nodiscard]] std::string percent_encode(const std::string& text);
-[[nodiscard]] std::string percent_decode(const std::string& text);
 
 }  // namespace dominosyn::dist

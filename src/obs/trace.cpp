@@ -4,13 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <type_traits>
+
+#include "util/codec.hpp"
 
 namespace dominosyn::obs {
 
@@ -59,39 +61,24 @@ std::string spans_to_wire(const std::vector<TraceEvent>& events) {
   return out;
 }
 
-namespace {
-
-template <typename T>
-bool parse_u(std::string_view text, T& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-}  // namespace
-
 std::vector<TraceEvent> spans_from_wire(std::string_view wire) {
+  const auto parse = [](std::string_view text, auto& out) {
+    const auto value = codec::parse_u64(text);
+    out = static_cast<std::remove_reference_t<decltype(out)>>(
+        value.value_or(0));
+    return value && *value == out;  // decodes and fits the field
+  };
   std::vector<TraceEvent> events;
-  while (!wire.empty()) {
-    const std::size_t end = wire.find(';');
-    std::string_view token = wire.substr(0, end);
-    wire = end == std::string_view::npos ? std::string_view{}
-                                         : wire.substr(end + 1);
+  for (const std::string_view span : codec::split_tokens(wire, ";")) {
+    const std::vector<std::string_view> fields =
+        codec::split_positional(span, ',');
     TraceEvent event;
-    std::array<std::string_view, 6> fields;
-    std::size_t count = 0;
-    while (count < fields.size()) {
-      const std::size_t comma = token.find(',');
-      fields[count++] = token.substr(0, comma);
-      if (comma == std::string_view::npos) break;
-      token = token.substr(comma + 1);
-    }
-    if (count != 6) continue;  // malformed span: drop, never fail the verb
     std::uint64_t cat = 0;
-    if (!parse_u(fields[1], cat) || cat >= kNumSpanCats ||
-        !parse_u(fields[2], event.trace_id) ||
-        !parse_u(fields[3], event.start_us) ||
-        !parse_u(fields[4], event.dur_us) || !parse_u(fields[5], event.tid))
+    // A malformed span is dropped; it never fails the verb.
+    if (fields.size() != 6 || !parse(fields[1], cat) || cat >= kNumSpanCats ||
+        !parse(fields[2], event.trace_id) ||
+        !parse(fields[3], event.start_us) ||
+        !parse(fields[4], event.dur_us) || !parse(fields[5], event.tid))
       continue;
     event.cat = static_cast<std::uint8_t>(cat);
     const std::size_t len = std::min(fields[0].size(), sizeof(event.name) - 1);
@@ -189,19 +176,6 @@ ThreadRing& thread_ring() {
 
 thread_local std::uint64_t tls_trace_id = 0;
 
-void json_escape_into(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -283,6 +257,7 @@ void record_remote(const std::string& process,
 }
 
 std::string chrome_trace_json() {
+  using codec::append_field;
   Collector& collector = Collector::instance();
 
   std::vector<RemoteEvent> all;
@@ -316,28 +291,24 @@ std::string chrome_trace_json() {
     first = false;
     out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
     out += std::to_string(pid);
-    out += ",\"tid\":0,\"args\":{\"name\":\"";
-    json_escape_into(out, name);
-    out += "\"}}";
+    out += ",\"tid\":0,\"args\":{\"name\":";
+    codec::append_json_string(out, name);
+    out += "}}";
   }
   for (const RemoteEvent& entry : all) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    json_escape_into(out, entry.event.name);
-    out += "\",\"cat\":\"";
-    out += span_cat_name(static_cast<SpanCat>(
-        entry.event.cat < kNumSpanCats ? entry.event.cat : 0));
-    out += "\",\"ph\":\"X\",\"ts\":";
-    out += std::to_string(entry.event.start_us);
-    out += ",\"dur\":";
-    out += std::to_string(entry.event.dur_us);
-    out += ",\"pid\":";
-    out += std::to_string(entry.pid);
-    out += ",\"tid\":";
-    out += std::to_string(entry.event.tid);
-    out += ",\"args\":{\"trace_id\":";
-    out += std::to_string(entry.event.trace_id);
+    out += '{';
+    append_field(out, "name", std::string_view(entry.event.name));
+    const auto cat = entry.event.cat < kNumSpanCats ? entry.event.cat : 0;
+    append_field(out, "cat", span_cat_name(static_cast<SpanCat>(cat)));
+    append_field(out, "ph", std::string_view("X"));
+    append_field(out, "ts", entry.event.start_us);
+    append_field(out, "dur", entry.event.dur_us);
+    append_field(out, "pid", std::uint64_t{entry.pid});
+    append_field(out, "tid", std::uint64_t{entry.event.tid});
+    out += "\"args\":{";
+    append_field(out, "trace_id", entry.event.trace_id, /*comma=*/false);
     out += "}}";
   }
   out += "]}";

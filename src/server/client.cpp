@@ -304,18 +304,6 @@ Client::SubmitSummary Client::summarize(std::string raw) {
   summary.service_seconds =
       protocol::find_number(json, "service_seconds").value_or(0.0);
   summary.degraded = protocol::find_bool(json, "degraded").value_or(false);
-  summary.search_commits = static_cast<std::size_t>(
-      protocol::find_number(json, "search_commits").value_or(0));
-  summary.commit_rescore_pairs = static_cast<std::size_t>(
-      protocol::find_number(json, "commit_rescore_pairs").value_or(0));
-  summary.avg_update_nodes = static_cast<std::size_t>(
-      protocol::find_number(json, "avg_update_nodes").value_or(0));
-  summary.search_nodes_expanded = static_cast<std::size_t>(
-      protocol::find_number(json, "search_nodes_expanded").value_or(0));
-  summary.search_subtrees_pruned = static_cast<std::size_t>(
-      protocol::find_number(json, "search_subtrees_pruned").value_or(0));
-  summary.search_bound_tightness =
-      protocol::find_number(json, "search_bound_tightness").value_or(0.0);
   return summary;
 }
 

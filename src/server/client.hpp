@@ -101,19 +101,10 @@ class Client {
     double service_seconds = 0.0;
     /// Served under overload brownout (auto-exhaustive disabled).
     bool degraded = false;
-    /// Min-power commit-path counters of the served report (0 otherwise).
-    std::size_t search_commits = 0;
-    std::size_t commit_rescore_pairs = 0;
-    std::size_t avg_update_nodes = 0;
-    /// Exhaustive branch-and-bound counters of the served report (0 when
-    /// the assignment came from a heuristic search).
-    std::size_t search_nodes_expanded = 0;
-    std::size_t search_subtrees_pruned = 0;
-    double search_bound_tightness = 0.0;
     /// The idempotency fingerprint this submit carried on the wire — the
     /// handle for `job_status` / `domino_cli --attach` after a disconnect.
     std::string rid;
-    std::string raw;  ///< the full response line
+    std::string raw;  ///< the full response line; scan it for other fields
   };
 
   /// request() + field extraction for submit commands, with retries per

@@ -135,9 +135,6 @@ ServerCore::ServerCore(ServerConfig config)
     coordinator_.set_checkpoint(checkpoint_.get());
   }
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  brownout_high_water_ = config_.brownout_high_water != 0
-                             ? config_.brownout_high_water
-                             : std::max<std::size_t>(1, config_.queue_capacity / 2);
   const unsigned total = ThreadPool::resolve_threads(config_.num_workers);
   workers_.reserve(total);
   for (unsigned i = 0; i < total; ++i)
@@ -385,7 +382,8 @@ ServerResponse ServerCore::execute(Pending& pending) {
       response.telemetry.queue_seconds = queue_seconds;
       return response;
     }
-    brownout_active = config_.brownout && queued_ >= brownout_high_water_;
+    brownout_active = config_.brownout_high_water != 0 &&
+                      queued_ >= config_.brownout_high_water;
   }
   if (pending.request.deadline && start > *pending.request.deadline) {
     ServerResponse response = rejection(ServerStatus::kRejectedDeadline,

@@ -128,9 +128,7 @@ struct ServerConfig {
   /// are answered by the §4.1 heuristic alone (auto-exhaustive disabled) and
   /// flagged `degraded=1` — trading a few percent of power optimality for
   /// latency instead of escalating to kRejectedQueueFull.  Explicit
-  /// exhaustive-mode requests are never degraded.
-  bool brownout = false;
-  /// Queue depth that trips the brownout; 0 = queue_capacity / 2.
+  /// exhaustive-mode requests are never degraded.  0 = brownout off.
   std::size_t brownout_high_water = 0;
   /// Durable job state (docs/robustness.md): directory for the write-ahead
   /// checkpoint journal.  Non-empty arms journaling of every rid-carrying
@@ -323,7 +321,6 @@ class ServerCore {
                       const ServerResponse& response);
 
   ServerConfig config_;
-  std::size_t brownout_high_water_ = 0;  ///< resolved from config at start
   std::unique_ptr<SessionCache> owned_cache_;
   SessionCache* cache_ = nullptr;
   /// Declared before coordinator_ so the coordinator (which borrows the

@@ -3,13 +3,9 @@
 #include "server/protocol.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <istream>
 #include <limits>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -21,41 +17,37 @@
 
 namespace dominosyn::protocol {
 
+using codec::append_field;
+
 namespace {
 
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream stream(line);
-  std::string token;
-  while (stream >> token) tokens.push_back(std::move(token));
-  return tokens;
-}
-
-PhaseMode parse_mode(const std::string& text) {
+PhaseMode parse_mode(std::string_view text) {
   if (text == "allpos" || text == "all-positive") return PhaseMode::kAllPositive;
   if (text == "ma" || text == "min-area") return PhaseMode::kMinArea;
   if (text == "mp" || text == "min-power") return PhaseMode::kMinPower;
   if (text == "exhaustive" || text == "exhaustive-power")
     return PhaseMode::kExhaustivePower;
-  throw ProtocolError("unknown mode '" + text +
+  throw ProtocolError("unknown mode '" + std::string(text) +
                       "' (allpos|ma|mp|exhaustive)");
 }
 
-long require_long(const std::string& key, const std::string& value,
-                  long min_value, long max_value) {
+/// Submit options are user-typed: range-checked by the CLI parsers.
+long require_long(const codec::Field& field, long min_value, long max_value) {
+  const std::string value(field.value);
   const auto parsed = cli::parse_long(value.c_str(), min_value, max_value);
   if (!parsed)
-    throw ProtocolError(key + " must be an integer in [" +
+    throw ProtocolError(std::string(field.key) + " must be an integer in [" +
                         std::to_string(min_value) + ", " +
                         std::to_string(max_value) + "], got '" + value + "'");
   return *parsed;
 }
 
-double require_double(const std::string& key, const std::string& value,
-                      double min_value, double max_value) {
+double require_double(const codec::Field& field, double min_value,
+                      double max_value) {
+  const std::string value(field.value);
   const auto parsed = cli::parse_double(value.c_str(), min_value, max_value);
   if (!parsed)
-    throw ProtocolError(key + " must be a number in [" +
+    throw ProtocolError(std::string(field.key) + " must be a number in [" +
                         std::to_string(min_value) + ", " +
                         std::to_string(max_value) + "], got '" + value + "'");
   return *parsed;
@@ -79,25 +71,22 @@ std::string read_blif_body(const LineSource& next_line) {
   throw ProtocolError("inline BLIF body ended before .end");
 }
 
-Command parse_submit_header(const std::vector<std::string>& tokens,
+Command parse_submit_header(const std::vector<std::string_view>& tokens,
                             std::string& corpus, bool& inline_blif) {
   Command command;
   command.kind = CommandKind::kSubmit;
   ServerRequest& request = command.request;
 
   for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw ProtocolError("submit arguments are key=value, got '" + token + "'");
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
+    const codec::Field field = codec::split_field("submit", tokens[i]);
+    const std::string_view key = field.key;
+    const std::string_view value = field.value;
 
     // Names may hold spaces ("Industry 1"), so they travel percent-encoded.
     if (key == "circuit") {
-      request.circuit = dist::percent_decode(value);
+      request.circuit = codec::percent_decode(value);
     } else if (key == "corpus") {
-      corpus = dist::percent_decode(value);
+      corpus = codec::percent_decode(value);
     } else if (key == "blif") {
       if (value != "inline")
         throw ProtocolError("blif only supports 'inline' (body until .end)");
@@ -106,45 +95,45 @@ Command parse_submit_header(const std::vector<std::string>& tokens,
       request.options.mode = parse_mode(value);
     } else if (key == "threads") {
       request.options.num_threads =
-          static_cast<unsigned>(require_long(key, value, 0, 1024));
+          static_cast<unsigned>(require_long(field, 0, 1024));
     } else if (key == "pi_prob") {
-      request.options.pi_prob = require_double(key, value, 0.0, 1.0);
+      request.options.pi_prob = require_double(field, 0.0, 1.0);
     } else if (key == "sim_steps") {
       request.options.sim.steps =
-          static_cast<std::size_t>(require_long(key, value, 1, 1 << 24));
+          static_cast<std::size_t>(require_long(field, 1, 1 << 24));
     } else if (key == "sim_warmup") {
       request.options.sim.warmup =
-          static_cast<std::size_t>(require_long(key, value, 0, 1 << 24));
+          static_cast<std::size_t>(require_long(field, 0, 1 << 24));
     } else if (key == "sim_seed") {
       request.options.sim.seed = static_cast<std::uint64_t>(
-          require_long(key, value, 0, std::numeric_limits<long>::max()));
+          require_long(field, 0, std::numeric_limits<long>::max()));
     } else if (key == "clock") {
-      request.options.clock_period = require_double(key, value, 0.0, 1e9);
+      request.options.clock_period = require_double(field, 0.0, 1e9);
     } else if (key == "exh_limit") {
       request.options.exhaustive_pos_limit =
-          static_cast<std::size_t>(require_long(key, value, 0, 62));
+          static_cast<std::size_t>(require_long(field, 0, 62));
     } else if (key == "load_aware") {
-      request.options.model.load_aware = require_long(key, value, 0, 1) != 0;
+      request.options.model.load_aware = require_long(field, 0, 1) != 0;
     } else if (key == "dist") {
-      request.options.dist.enabled = require_long(key, value, 0, 1) != 0;
+      request.options.dist.enabled = require_long(field, 0, 1) != 0;
     } else if (key == "dist_frontier") {
       request.options.dist.frontier_depth =
-          static_cast<std::size_t>(require_long(key, value, 0, 62));
+          static_cast<std::size_t>(require_long(field, 0, 62));
     } else if (key == "dist_shared") {
-      request.options.dist.shared_bounds = require_long(key, value, 0, 1) != 0;
+      request.options.dist.shared_bounds = require_long(field, 0, 1) != 0;
     } else if (key == "dist_participate") {
-      request.options.dist.participate = require_long(key, value, 0, 1) != 0;
+      request.options.dist.participate = require_long(field, 0, 1) != 0;
     } else if (key == "rid") {
       request.request_id = value;
     } else if (key == "retry") {
       request.retry_attempt =
-          static_cast<unsigned>(require_long(key, value, 0, 1 << 20));
+          static_cast<unsigned>(require_long(field, 0, 1 << 20));
     } else if (key == "deadline_ms") {
       request.deadline = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(
-                             require_long(key, value, 0, 86'400'000));
+                             require_long(field, 0, 86'400'000));
     } else {
-      throw ProtocolError("unknown submit key '" + key + "'");
+      throw ProtocolError("unknown submit key '" + std::string(key) + "'");
     }
   }
 
@@ -154,7 +143,7 @@ Command parse_submit_header(const std::vector<std::string>& tokens,
   return command;
 }
 
-Command parse_submit(const std::vector<std::string>& tokens,
+Command parse_submit(const std::vector<std::string_view>& tokens,
                      const LineSource& next_line) {
   // blif=inline means a body follows regardless of whether the header
   // parses, so on a header error the body must still be consumed — else the
@@ -201,100 +190,39 @@ Command parse_submit(const std::vector<std::string>& tokens,
 }
 
 /// Parses the shared `key=value` tail of the single-line dist verbs.
-Command parse_dist_verb(const std::vector<std::string>& tokens) {
-  const std::string& verb = tokens[0];
+Command parse_dist_verb(const std::vector<std::string_view>& tokens) {
+  const std::string_view verb = tokens[0];
   Command command;
-  if (verb == "complete_work") {
-    command.kind = CommandKind::kCompleteWork;
-    try {
-      command.unit_result = dist::parse_complete_tokens(tokens);
-    } catch (const std::exception& e) {
-      throw ProtocolError(e.what());
-    }
-  } else {
-    command.kind = verb == "lease_work"  ? CommandKind::kLeaseWork
-                   : verb == "steal"     ? CommandKind::kStealWork
-                                         : CommandKind::kPushIncumbent;
-  }
+  command.kind = verb == "lease_work"      ? CommandKind::kLeaseWork
+                 : verb == "steal"         ? CommandKind::kStealWork
+                 : verb == "complete_work" ? CommandKind::kCompleteWork
+                                           : CommandKind::kPushIncumbent;
+  if (command.kind == CommandKind::kCompleteWork)
+    command.unit_result = dist::parse_complete_tokens(tokens);
   bool saw_job = false;
   bool saw_metric = false;
   for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw ProtocolError("'" + verb + "' arguments are key=value, got '" +
-                          token + "'");
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "worker") {
-      command.worker = dist::percent_decode(value);
-    } else if (command.kind == CommandKind::kPushIncumbent && key == "job") {
-      command.job_id = static_cast<std::uint64_t>(require_long(
-          key, value, 0, std::numeric_limits<long>::max()));
+    const codec::Field field = codec::split_field(verb, tokens[i]);
+    if (field.key == "worker") {
+      command.worker = codec::percent_decode(field.value);
+    } else if (command.kind == CommandKind::kPushIncumbent &&
+               field.key == "job") {
+      command.job_id = codec::decode_u64(field);
       saw_job = true;
     } else if (command.kind == CommandKind::kPushIncumbent &&
-               key == "metric") {
-      try {
-        command.metric = dist::decode_metric(value);
-      } catch (const std::exception& e) {
-        throw ProtocolError(e.what());
-      }
+               field.key == "metric") {
+      command.metric = codec::decode_double(field);
       saw_metric = true;
     } else if (command.kind != CommandKind::kCompleteWork) {
-      throw ProtocolError("unknown '" + verb + "' key '" + key + "'");
+      throw ProtocolError("unknown '" + std::string(verb) + "' key '" +
+                          std::string(field.key) + "'");
     }
   }
   if (command.worker.empty())
-    throw ProtocolError("'" + verb + "' needs worker=<id>");
+    throw ProtocolError("'" + std::string(verb) + "' needs worker=<id>");
   if (command.kind == CommandKind::kPushIncumbent && (!saw_job || !saw_metric))
     throw ProtocolError("push_incumbent needs job= and metric=");
   return command;
-}
-
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buffer[32];
-  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  out.append(buffer, result.ptr);
-}
-
-void append_field(std::string& out, std::string_view key, double value,
-                  bool comma = true) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_number(out, value);
-  if (comma) out += ',';
-}
-
-void append_field(std::string& out, std::string_view key, std::size_t value,
-                  bool comma = true) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-  if (comma) out += ',';
-}
-
-void append_field(std::string& out, std::string_view key, bool value,
-                  bool comma = true) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += value ? "true" : "false";
-  if (comma) out += ',';
-}
-
-void append_field(std::string& out, std::string_view key,
-                  std::string_view value, bool comma = true) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_json_string(out, value);
-  if (comma) out += ',';
 }
 
 void append_report(std::string& out, const FlowReport& report) {
@@ -364,10 +292,10 @@ std::optional<Command> read_command(const LineSource& next_line) {
   for (;;) {
     const auto line = next_line();
     if (!line) return std::nullopt;
-    const std::vector<std::string> tokens = split_tokens(*line);
+    const std::vector<std::string_view> tokens = codec::split_tokens(*line);
     if (tokens.empty()) continue;  // blank line / keep-alive
 
-    const std::string& verb = tokens[0];
+    const std::string_view verb = tokens[0];
     if (verb == "submit") return parse_submit(tokens, next_line);
     if (verb == "lease_work" || verb == "steal" || verb == "complete_work" ||
         verb == "push_incumbent")
@@ -376,16 +304,11 @@ std::optional<Command> read_command(const LineSource& next_line) {
       Command command;
       command.kind = CommandKind::kJobStatus;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const std::string& token = tokens[i];
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0)
-          throw ProtocolError("job_status arguments are key=value, got '" +
-                              token + "'");
-        const std::string key = token.substr(0, eq);
-        if (key == "rid")
-          command.rid = token.substr(eq + 1);
-        else
-          throw ProtocolError("unknown job_status key '" + key + "'");
+        const codec::Field field = codec::split_field(verb, tokens[i]);
+        if (field.key != "rid")
+          throw ProtocolError("unknown job_status key '" +
+                              std::string(field.key) + "'");
+        command.rid = field.value;
       }
       if (command.rid.empty())
         throw ProtocolError("job_status needs rid=<fingerprint>");
@@ -394,7 +317,7 @@ std::optional<Command> read_command(const LineSource& next_line) {
     if (verb == "stats" || verb == "metrics" || verb == "trace" ||
         verb == "ping" || verb == "quit") {
       if (tokens.size() != 1)
-        throw ProtocolError("'" + verb + "' takes no arguments");
+        throw ProtocolError("'" + std::string(verb) + "' takes no arguments");
       Command command;
       command.kind = verb == "stats"     ? CommandKind::kStats
                      : verb == "metrics" ? CommandKind::kMetrics
@@ -403,7 +326,7 @@ std::optional<Command> read_command(const LineSource& next_line) {
                                          : CommandKind::kQuit;
       return command;
     }
-    throw ProtocolError("unknown command '" + verb +
+    throw ProtocolError("unknown command '" + std::string(verb) +
                         "' (submit|job_status|stats|metrics|trace|ping|quit)");
   }
 }
@@ -414,29 +337,6 @@ std::optional<Command> read_command(std::istream& in) {
     if (!std::getline(in, line)) return std::nullopt;
     return line;
   });
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 std::string format_response(const ServerResponse& response) {
@@ -582,95 +482,6 @@ std::string format_error(std::string_view message) {
   append_field(out, "error", message, /*comma=*/false);
   out += '}';
   return out;
-}
-
-namespace {
-
-/// Position just past `"key":`, or npos.
-std::size_t value_pos(const std::string& json, const std::string& key) {
-  const std::string needle = '"' + key + "\":";
-  const std::size_t at = json.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
-}
-
-}  // namespace
-
-std::optional<double> find_number(const std::string& json,
-                                  const std::string& key) {
-  const std::size_t at = value_pos(json, key);
-  if (at == std::string::npos) return std::nullopt;
-  const char* begin = json.c_str() + at;
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (end == begin) return std::nullopt;
-  return value;
-}
-
-std::optional<std::uint64_t> find_uint64(const std::string& json,
-                                         const std::string& key) {
-  const std::size_t at = value_pos(json, key);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t end = at;
-  while (end < json.size() && json[end] >= '0' && json[end] <= '9') ++end;
-  if (end == at) return std::nullopt;
-  std::uint64_t value = 0;
-  const auto result = std::from_chars(json.data() + at, json.data() + end, value);
-  if (result.ec != std::errc{}) return std::nullopt;
-  return value;
-}
-
-std::optional<std::string> find_string(const std::string& json,
-                                       const std::string& key) {
-  std::size_t at = value_pos(json, key);
-  if (at == std::string::npos || at >= json.size() || json[at] != '"')
-    return std::nullopt;
-  ++at;
-  std::string out;
-  while (at < json.size() && json[at] != '"') {
-    if (json[at] == '\\' && at + 1 < json.size()) {
-      ++at;
-      switch (json[at]) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          // \uXXXX: the control bytes append_json_string escapes; any other
-          // code point comes back as UTF-8.
-          unsigned cp = 0;
-          const char* hex = json.data() + at + 1;
-          if (json.size() - at < 5 ||
-              std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4)
-            return std::nullopt;
-          if (cp < 0x80) {
-            out += static_cast<char>(cp);
-          } else if (cp < 0x800) {
-            out += static_cast<char>(0xc0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-          }
-          at += 4;
-          break;
-        }
-        default: out += json[at];
-      }
-    } else {
-      out += json[at];
-    }
-    ++at;
-  }
-  if (at >= json.size()) return std::nullopt;
-  return out;
-}
-
-std::optional<bool> find_bool(const std::string& json, const std::string& key) {
-  const std::size_t at = value_pos(json, key);
-  if (at == std::string::npos) return std::nullopt;
-  if (json.compare(at, 4, "true") == 0) return true;
-  if (json.compare(at, 5, "false") == 0) return false;
-  return std::nullopt;
 }
 
 }  // namespace dominosyn::protocol

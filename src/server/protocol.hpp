@@ -35,8 +35,10 @@
 ///
 /// Every response is a single JSON line with an "ok" field; submit responses
 /// carry the full FlowReport plus serving telemetry (cache hit, stage
-/// rebuilds, queue/service seconds).  Doubles are emitted shortest-round-trip
-/// (std::to_chars), so a client parsing them back gets bit-identical values.
+/// rebuilds, queue/service seconds).  util/codec.hpp writes and reads every
+/// token and field (docs/protocol.md, "Encodings"); doubles are
+/// shortest-round-trip, so a client parsing them back gets bit-identical
+/// values.
 ///
 /// Two exceptions to the one-JSON-line rule (docs/observability.md):
 ///   * `metrics` answers with Prometheus text exposition — multiple lines,
@@ -50,20 +52,18 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "dist/workunit.hpp"
 #include "server/core.hpp"
+#include "util/codec.hpp"
 
 namespace dominosyn::protocol {
 
-/// Malformed request text (unknown command, bad key/value, truncated BLIF).
-class ProtocolError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+/// Malformed request text (unknown command, bad key/value, truncated BLIF):
+/// the codec's one error type, so a decoder's throw is a protocol error.
+using ProtocolError = codec::Error;
 
 /// Hard ceiling on one protocol line (1 MiB) — far above any legitimate
 /// command or BLIF line, and a bound on per-connection buffering so a peer
@@ -135,9 +135,6 @@ struct Command {
 /// verb's response).  Already size-capped by obs::chrome_trace_json.
 [[nodiscard]] std::string format_trace();
 
-/// Appends `text` as a quoted JSON string with escaping.
-void append_json_string(std::string& out, std::string_view text);
-
 /// Fault-injection shim for outbound response lines (transport send_line
 /// routes every response through it): `protocol.response.truncate` halves
 /// the line, `protocol.response.corrupt` flips a byte mid-line.  Identity
@@ -145,20 +142,10 @@ void append_json_string(std::string& out, std::string_view text);
 /// DOMINOSYN_NO_FAULTS.
 [[nodiscard]] std::string fault_mangle_line(std::string line);
 
-// -- minimal response scanners ------------------------------------------------
-// The responses are machine-generated flat JSON with unique key names, so a
-// positional scan for `"key":` is sufficient for the client tool and tests;
-// this is NOT a general JSON parser.
-
-[[nodiscard]] std::optional<double> find_number(const std::string& json,
-                                                const std::string& key);
-/// Exact-text uint64 scan — find_number goes through a double, which loses
-/// precision past 2^53 (assignment codes, task bits, fingerprints).
-[[nodiscard]] std::optional<std::uint64_t> find_uint64(const std::string& json,
-                                                       const std::string& key);
-[[nodiscard]] std::optional<std::string> find_string(const std::string& json,
-                                                     const std::string& key);
-[[nodiscard]] std::optional<bool> find_bool(const std::string& json,
-                                            const std::string& key);
+// The JSON string writer and response scanners, under their protocol names.
+using codec::append_json_string;
+using codec::find_bool;
+using codec::find_number;
+using codec::find_string;
 
 }  // namespace dominosyn::protocol

@@ -9,12 +9,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
 
+#include "util/codec.hpp"
 #include "util/rng.hpp"
 
 namespace dominosyn::fault {
@@ -71,14 +73,13 @@ std::string_view trim(std::string_view text) noexcept {
                               "\": " + why);
 }
 
-std::uint64_t parse_u64(std::string_view clause, std::string_view text) {
-  std::uint64_t value = 0;
-  if (text.empty()) bad_spec(clause, "missing numeric value");
-  for (const char c : text) {
-    if (c < '0' || c > '9') bad_spec(clause, "expected a non-negative integer");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+/// A whole-token count no larger than `max` (no wrap past 2^64).
+std::uint64_t parse_u64(std::string_view clause, std::string_view text,
+                        std::uint64_t max = ~std::uint64_t{0}) {
+  const auto value = codec::parse_u64(text);
+  if (!value || *value > max)
+    bad_spec(clause, "expected a non-negative integer that fits");
+  return *value;
 }
 
 /// Parses one `site=item,item,...` clause into (site, policy).  A policy of
@@ -89,7 +90,7 @@ void parse_clause(std::string_view clause,
   if (eq == std::string_view::npos || eq == 0)
     bad_spec(clause, "expected site=policy");
   const std::string_view site = trim(clause.substr(0, eq));
-  std::string_view items = clause.substr(eq + 1);
+  const std::string_view items = clause.substr(eq + 1);
 
   // A typo'd site name would arm nothing and fail silently — reject any
   // site outside the compiled-in catalogue (fault.hpp).
@@ -105,11 +106,8 @@ void parse_clause(std::string_view clause,
   policy.rng.reseed(hash_name(site));
   bool off = false;
   bool trigger_set = false;
-  while (!items.empty()) {
-    const std::size_t comma = items.find(',');
-    std::string_view item = trim(items.substr(0, comma));
-    items = comma == std::string_view::npos ? std::string_view{}
-                                            : items.substr(comma + 1);
+  for (std::string_view item : codec::split_tokens(items, ",")) {
+    item = trim(item);
     if (item.empty()) continue;
     const std::size_t colon = item.find(':');
     const std::string_view key = item.substr(0, colon);
@@ -129,18 +127,17 @@ void parse_clause(std::string_view clause,
                                         : Policy::Trigger::kFirst;
       trigger_set = true;
     } else if (key == "prob") {
-      char* end = nullptr;
-      const std::string text(value);
-      policy.prob = std::strtod(text.c_str(), &end);
-      if (end == text.c_str() || *end != '\0' || policy.prob < 0.0 ||
-          policy.prob > 1.0)
+      const auto prob = codec::parse_double(value);
+      if (!prob || !(*prob >= 0.0 && *prob <= 1.0))
         bad_spec(clause, "prob wants a probability in [0,1]");
+      policy.prob = *prob;
       policy.trigger = Policy::Trigger::kProb;
       trigger_set = true;
     } else if (key == "seed") {
       policy.rng.reseed(parse_u64(clause, value));
     } else if (key == "delay_ms") {
-      policy.delay_ms = static_cast<std::uint32_t>(parse_u64(clause, value));
+      policy.delay_ms = static_cast<std::uint32_t>(
+          parse_u64(clause, value, std::numeric_limits<std::uint32_t>::max()));
       // delay_ms alone arms the site as always-fire (latency-only sites).
       trigger_set = true;
     } else {
@@ -159,14 +156,8 @@ void parse_clause(std::string_view clause,
 std::map<std::string, Policy, std::less<>> parse_spec(
     const std::string& spec) {
   std::map<std::string, Policy, std::less<>> sites;
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const std::size_t semi = rest.find(';');
-    const std::string_view clause = trim(rest.substr(0, semi));
-    rest = semi == std::string_view::npos ? std::string_view{}
-                                          : rest.substr(semi + 1);
-    if (!clause.empty()) parse_clause(clause, sites);
-  }
+  for (const std::string_view clause : codec::split_tokens(spec, ";"))
+    if (!trim(clause).empty()) parse_clause(trim(clause), sites);
   return sites;
 }
 

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/codec.hpp"
 #include "util/fault.hpp"
 
 namespace dominosyn::journal {
@@ -38,34 +39,6 @@ const std::array<std::uint32_t, 256>& crc_table() {
 
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
   throw JournalError(what + " " + path + ": " + std::strerror(errno));
-}
-
-void hex8(std::uint32_t value, char* out) noexcept {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (int i = 7; i >= 0; --i) {
-    out[i] = kDigits[value & 0xfu];
-    value >>= 4;
-  }
-}
-
-/// Parses exactly 8 lowercase/uppercase hex digits; returns false otherwise.
-bool parse_hex8(std::string_view text, std::uint32_t& out) noexcept {
-  if (text.size() != 8) return false;
-  std::uint32_t value = 0;
-  for (const char c : text) {
-    std::uint32_t digit;
-    if (c >= '0' && c <= '9')
-      digit = static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      digit = static_cast<std::uint32_t>(c - 'a') + 10;
-    else if (c >= 'A' && c <= 'F')
-      digit = static_cast<std::uint32_t>(c - 'A') + 10;
-    else
-      return false;
-    value = (value << 4) | digit;
-  }
-  out = value;
-  return true;
 }
 
 /// write(2) until done; throws JournalError on failure.  Used for full
@@ -100,9 +73,7 @@ std::uint32_t crc32(std::string_view data) noexcept {
 std::string frame_record(std::string_view payload) {
   if (payload.find('\n') != std::string_view::npos)
     throw JournalError("journal payload contains a newline");
-  std::string frame;
-  frame.resize(8);
-  hex8(crc32(payload), frame.data());
+  std::string frame = codec::encode_hex32(crc32(payload));
   frame += ' ';
   frame.append(payload);
   frame += '\n';
@@ -128,12 +99,10 @@ ScanResult scan_file(const std::string& path) {
     if (newline == std::string::npos) break;  // torn tail: no frame boundary
     const std::string_view line(content.data() + offset, newline - offset);
     // Frame: 8 hex digits, one space, payload (possibly empty).
-    std::uint32_t expected = 0;
-    if (line.size() < 9 || line[8] != ' ' ||
-        !parse_hex8(line.substr(0, 8), expected))
-      break;
+    const auto expected = codec::parse_hex32(line.substr(0, 8));
+    if (!expected || line.size() < 9 || line[8] != ' ') break;
     const std::string_view payload = line.substr(9);
-    if (crc32(payload) != expected) break;
+    if (crc32(payload) != *expected) break;
     result.records.emplace_back(payload);
     offset = newline + 1;
   }

@@ -9,7 +9,7 @@
 ///
 /// where the 8 lowercase hex digits are the CRC-32 (IEEE polynomial) of the
 /// payload bytes.  Payloads are single-line strings by construction (the
-/// checkpoint layer reuses the one-line wire codecs of dist/workunit.hpp),
+/// checkpoint layer writes them with the one-line codec of util/codec.hpp),
 /// so the newline is an unambiguous frame boundary and the file stays
 /// greppable / diffable during an incident.
 ///

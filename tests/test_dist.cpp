@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -48,6 +49,7 @@
 #include "server/protocol.hpp"
 #include "server/transport.hpp"
 #include "sgraph/partition.hpp"
+#include "util/codec.hpp"
 
 namespace dominosyn::dist {
 namespace {
@@ -113,13 +115,7 @@ void expect_cost_identical(const AssignmentCost& a, const AssignmentCost& b) {
   EXPECT_EQ(a.output_inverters, b.output_inverters);
 }
 
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
+using codec::split_tokens;
 
 std::vector<WorkUnit> trivial_units(std::size_t count) {
   std::vector<WorkUnit> units(count);
@@ -246,31 +242,42 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
   EXPECT_EQ(regrant->unit.iterations, anneal.iterations);
   EXPECT_EQ(regrant->unit.circuit.blif_text, anneal.circuit.blif_text);
   EXPECT_TRUE(std::isinf(regrant->unit.bound_snapshot));
+  // A 32-bit field past 2^32 is no grant rather than a truncated one.
+  for (const auto& [field, wide] :
+       {std::pair{"\"restart\":3,", "\"restart\":4294967299,"},
+        std::pair{"\"frontier\":0,", "\"frontier\":4294967296,"}}) {
+    std::string text = format_work_grant(anneal, 1.0);
+    text.replace(text.find(field), std::strlen(field), wide);
+    EXPECT_THROW((void)parse_work_grant(text), codec::Error) << text;
+  }
 
   EXPECT_FALSE(parse_work_grant(format_no_work()).has_value());
   EXPECT_THROW((void)parse_work_grant("{\"ok\":false}"), std::runtime_error);
 }
 
-TEST(DistWire, MetricAndTextEncodingsRoundTrip) {
-  for (const double value :
-       {0.0, 1.0, -2.5, 123.4567890123456789, 1e-300,
-        std::numeric_limits<double>::infinity(),
-        -std::numeric_limits<double>::infinity()}) {
-    EXPECT_EQ(decode_metric(encode_metric(value)), value);
+TEST(DistWire, CompleteCommandRejectsTextNoEncoderWrites) {
+  // Flags are 0|1 and numbers are whole tokens: a peer's `ok=false` must
+  // not be merged as a successful unit, nor `metric=3.5junk` as 3.5.
+  const std::string head = "complete_work worker=w job=1 unit=0 ";
+  for (const std::string tail :
+       {"ok=false", "ok=true", "tripped=no", "metric=3.5junk",
+        "metric=+1", "code=12x", "leaves=-1"}) {
+    EXPECT_THROW((void)parse_complete_tokens(split_tokens(head + tail)),
+                 codec::Error)
+        << tail;
+    std::istringstream in(head + tail + "\n");
+    EXPECT_THROW((void)protocol::read_command(in), protocol::ProtocolError)
+        << tail;
   }
-  EXPECT_TRUE(std::isnan(decode_metric(encode_metric(
-      std::numeric_limits<double>::quiet_NaN()))));
+  const UnitResult good =
+      parse_complete_tokens(split_tokens(head + "ok=0 tripped=1 metric=-inf"));
+  EXPECT_FALSE(good.ok);
+  EXPECT_TRUE(good.budget_tripped);
+  EXPECT_EQ(good.metric, -std::numeric_limits<double>::infinity());
+}
 
-  const std::string nasty = "a b\tc\n% = %% ==\x01\x7f plain";
-  const std::string encoded = percent_encode(nasty);
-  EXPECT_EQ(encoded.find(' '), std::string::npos);
-  EXPECT_EQ(encoded.find('='), std::string::npos);
-  EXPECT_EQ(percent_decode(encoded), nasty);
-
-  // push/ack round trip.
-  const double incumbent =
-      parse_incumbent(format_incumbent_ack(77.125));
-  EXPECT_EQ(incumbent, 77.125);
+TEST(DistWire, IncumbentAckRoundTrips) {
+  EXPECT_EQ(parse_incumbent(format_incumbent_ack(77.125)), 77.125);
   EXPECT_TRUE(std::isinf(parse_incumbent(
       format_incumbent_ack(std::numeric_limits<double>::infinity()))));
 }

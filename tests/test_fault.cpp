@@ -132,6 +132,17 @@ TEST_F(FaultTest, MalformedSpecsThrow) {
   EXPECT_THROW(fault::configure("client.send.fail=seed:1"), std::invalid_argument)
       << "seed without a trigger is an empty policy";
   EXPECT_THROW(fault::configure("=always"), std::invalid_argument);
+  // Numbers are whole tokens that fit: a count past 2^64 must not wrap to
+  // 1, a delay past 2^32 ms must not truncate, and nan is no probability.
+  for (const char* spec : {"client.send.fail=nth:18446744073709551617",
+                           "client.send.fail=seed:18446744073709551616,always",
+                           "client.send.fail=delay_ms:4294967297",
+                           "client.send.fail=prob:nan",
+                           "client.send.fail=prob:0.5x",
+                           "client.send.fail=every:+2"})
+    EXPECT_THROW(fault::configure(spec), std::invalid_argument) << spec;
+  EXPECT_NO_THROW(fault::configure(
+      "client.send.fail=every:18446744073709551615,delay_ms:4294967295"));
   // A failed configure must not leave a half-armed registry.
   fault::configure("client.send.fail=always");
   EXPECT_THROW(fault::configure("broken"), std::invalid_argument);

@@ -58,6 +58,10 @@ TEST(Framing, RecordLayoutAndNewlineRejection) {
   EXPECT_EQ(frame.back(), '\n');
   EXPECT_EQ(frame.substr(9, frame.size() - 10), "open job=1 units=4");
   EXPECT_THROW((void)frame_record("two\nlines"), JournalError);
+  // The CRC is eight lowercase hex digits, zero-padded.
+  EXPECT_EQ(frame_record("123456789"), "cbf43926 123456789\n");
+  EXPECT_EQ(frame_record("finish job=3 failed=0"),
+            "0088739a finish job=3 failed=0\n");
 }
 
 TEST(Scan, MissingFileIsEmptyJournal) {

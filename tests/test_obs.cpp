@@ -306,6 +306,22 @@ TEST(SpanWireCodec, RoundTripsAllFields) {
   EXPECT_TRUE(spans_to_wire({}).empty());
   EXPECT_TRUE(spans_from_wire("").empty());
   EXPECT_TRUE(spans_from_wire("garbage-with-no-structure").empty());
+  // Exactly six positional fields, each number a whole token fitting its
+  // type; the one good span of the five survives.  An empty field is a
+  // field (`e,,1,...` is seven), so nothing shifts into the next one.
+  const std::vector<TraceEvent> strict = spans_from_wire(
+      "a,1,2,3,4,5,6;b,1,2,3,4,4294967296;c,1,2,3,4x,5;e,,1,2,3,4,5;"
+      "d,1,2,3,4,5");
+  ASSERT_EQ(strict.size(), 1u);
+  EXPECT_STREQ(strict[0].name, "d");
+  // An empty name is what the encoder writes for one.
+  TraceEvent unnamed;
+  unnamed.cat = 1;
+  const std::vector<TraceEvent> back_unnamed =
+      spans_from_wire(spans_to_wire({unnamed}));
+  ASSERT_EQ(back_unnamed.size(), 1u);
+  EXPECT_STREQ(back_unnamed[0].name, "");
+  EXPECT_EQ(back_unnamed[0].cat, 1u);
 }
 
 TEST(Tracing, ContextNestsAndSpansCarryTheThreadTraceId) {
@@ -373,6 +389,11 @@ TEST(Tracing, RemoteEventsJoinTheChromeTimeline) {
   EXPECT_NE(json.find("\"name\":\"worker-x\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"dist.unit\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"dist\""), std::string::npos);
+
+  // Names escape like every protocol string: a control byte becomes \u00XX.
+  record_remote("worker\x01y", {remote});
+  EXPECT_NE(chrome_trace_json().find("\"name\":\"worker\\u0001y\""),
+            std::string::npos);
 }
 
 TEST(Tracing, SpanCatNamesMatchTheMetricLabels) {

@@ -215,6 +215,32 @@ TEST(CheckpointLog, TornJournalTailReplaysToLastCompleteRecord) {
   ASSERT_TRUE(recovered[0].results[1].has_value());
 }
 
+TEST(CheckpointLog, RecordsWithUndecodableNumbersAreSkipped) {
+  // `job=` past 2^64 must not wrap to job 1 and collect job 1's unit
+  // records, a non-digit value must not read as 0, and a 32-bit lease past
+  // 2^32 must not truncate to 1 ms: a field that does not decode makes its
+  // record unparsable, and replay skips it.
+  ScratchDir dir("bad_numbers");
+  ASSERT_EQ(::mkdir(dir.path().c_str(), 0755), 0);
+  WorkUnit unit = make_units(1)[0];
+  unit.job_id = 1;
+  unit.unit_id = 0;
+  {
+    std::ofstream out(dir.path() + "/journal.djl", std::ios::binary);
+    for (const std::string& record :
+         {std::string("open job=18446744073709551617 rid= lease_ms=1 units=1"),
+          "unit " + format_work_grant(unit, 1.0),
+          std::string("open job=5 rid= lease_ms=1e3 units=1"),
+          std::string("open job=6 rid= lease_ms=100 units=x"),
+          std::string("open job=7 rid= lease_ms=4294967297 units=1")})
+      out << journal::frame_record(record);
+  }
+  checkpoint::CheckpointLog log(dir.path());
+  EXPECT_EQ(log.replay_stats().records, 5u);
+  EXPECT_EQ(log.replay_stats().jobs, 0u);
+  EXPECT_TRUE(log.take_recovered().empty());
+}
+
 TEST(CheckpointLog, FailedJobsAreNotRecovered) {
   ScratchDir dir("failed");
   std::vector<WorkUnit> units = make_units(1);

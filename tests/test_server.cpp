@@ -484,15 +484,19 @@ TEST(Protocol, ParsesSubmitWithInlineBlif) {
 TEST(Protocol, BadInlineSubmitHeaderStillConsumesBody) {
   // A header error must not leave the BLIF body in the stream — otherwise
   // the connection desynchronizes and body lines get parsed as commands.
-  std::istringstream in(
-      "submit blif=inline mode=bogus\n"
-      ".model t\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n"
-      "ping\n");
-  EXPECT_THROW((void)protocol::read_command(in), protocol::ProtocolError);
-  const auto next = protocol::read_command(in);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->kind, protocol::CommandKind::kPing);
-  EXPECT_FALSE(protocol::read_command(in).has_value());
+  // A bad value and a token with no '=' both take that path.
+  for (const std::string header :
+       {"submit blif=inline mode=bogus\n", "submit blif=inline junk\n"}) {
+    std::istringstream in(
+        header + ".model t\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n" +
+        "ping\n");
+    EXPECT_THROW((void)protocol::read_command(in), protocol::ProtocolError)
+        << header;
+    const auto next = protocol::read_command(in);
+    ASSERT_TRUE(next.has_value()) << header;
+    EXPECT_EQ(next->kind, protocol::CommandKind::kPing) << header;
+    EXPECT_FALSE(protocol::read_command(in).has_value()) << header;
+  }
 }
 
 TEST(Protocol, RejectsMalformedRequests) {
@@ -872,7 +876,6 @@ TEST(ServerCore, BrownoutDegradesQueuedMinPowerToHeuristic) {
   const Network net = generate_benchmark(server_spec(93, /*pos=*/4));
   ServerConfig config;
   config.num_workers = 1;
-  config.brownout = true;
   config.brownout_high_water = 1;
   ServerCore core(config);
 

@@ -20,15 +20,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <thread>
 
-#include "dist/workunit.hpp"
 #include "server/client.hpp"
 #include "util/cli.hpp"
+#include "util/codec.hpp"
 
 namespace {
 
@@ -155,13 +154,10 @@ void print_histogram_digest(const std::string& json, const std::string& name) {
   // The histogram object nests only the buckets array, so the first '}'
   // after the opening brace closes it.
   const std::size_t end = json.find('}', at);
-  const std::string section =
-      json.substr(at, end == std::string::npos ? end : end - at);
-  const auto field = [&section](const char* key) -> double {
-    const std::string prefix = '"' + std::string(key) + "\":";
-    const std::size_t pos = section.find(prefix);
-    if (pos == std::string::npos) return 0.0;
-    return std::strtod(section.c_str() + pos + prefix.size(), nullptr);
+  const std::string_view section = std::string_view(json).substr(
+      at, end == std::string::npos ? end : end - at);
+  const auto field = [section](const char* key) {
+    return dominosyn::codec::find_number(section, key).value_or(0.0);
   };
   const double count = field("count");
   std::cout << name << ": count=" << static_cast<std::uint64_t>(count);
@@ -314,7 +310,7 @@ int main(int argc, char** argv) {
     std::string command = "submit";
     std::string body;
     if (!corpus.empty()) {
-      command += " corpus=" + dist::percent_encode(corpus);
+      command += " corpus=" + codec::percent_encode(corpus);
     } else {
       std::ifstream file(blif_path);
       if (!file) {
@@ -331,7 +327,7 @@ int main(int argc, char** argv) {
     }
     command += " mode=" + flags->get("mode", "mp");
     if (flags->has("circuit"))
-      command += " circuit=" + dist::percent_encode(flags->get("circuit"));
+      command += " circuit=" + codec::percent_encode(flags->get("circuit"));
     for (const auto& [flag, key] :
          {std::pair{"threads", "threads"}, {"sim-steps", "sim_steps"},
           {"sim-warmup", "sim_warmup"}, {"deadline-ms", "deadline_ms"},

@@ -187,7 +187,6 @@ int main(int argc, char** argv) {
   config.queue_capacity = static_cast<std::size_t>(*queue);
   config.cache_capacity = static_cast<std::size_t>(*cache);
   config.slow_request_seconds = static_cast<double>(*slow_ms) / 1e3;
-  config.brownout = *brownout > 0;
   config.brownout_high_water = static_cast<std::size_t>(*brownout);
   config.journal_dir = flags->get("journal-dir");
 
