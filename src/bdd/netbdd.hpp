@@ -22,10 +22,6 @@ struct NetworkBdds {
   std::unique_ptr<BddManager> mgr;
   VariableOrder order;
   std::vector<Bdd> node_funcs;  ///< indexed by NodeId
-
-  [[nodiscard]] const Bdd& po_func(const Network& net, std::size_t po) const {
-    return node_funcs.at(net.pos().at(po).driver);
-  }
 };
 
 /// Builds BDDs for every node reachable from the combinational roots.

@@ -20,14 +20,18 @@ bool random_equivalent(const Network& a, const Network& b, std::size_t words,
   if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos() ||
       a.num_latches() != b.num_latches())
     return false;
+  const CompiledNetwork compiled_a(a);
+  const CompiledNetwork compiled_b(b);
   Rng rng(seed);
   std::vector<std::uint64_t> pi_words(a.num_pis());
   std::vector<std::uint64_t> latch_words(a.num_latches());
+  std::vector<std::uint64_t> va;
+  std::vector<std::uint64_t> vb;
   for (std::size_t w = 0; w < words; ++w) {
     for (auto& word : pi_words) word = rng.next();
     for (auto& word : latch_words) word = rng.next();
-    const auto va = a.simulate(pi_words, latch_words);
-    const auto vb = b.simulate(pi_words, latch_words);
+    compiled_a.simulate(pi_words, latch_words, va);
+    compiled_b.simulate(pi_words, latch_words, vb);
     for (std::size_t i = 0; i < a.num_pos(); ++i)
       if (va[a.pos()[i].driver] != vb[b.pos()[i].driver]) return false;
     for (std::size_t i = 0; i < a.num_latches(); ++i)

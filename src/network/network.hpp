@@ -117,7 +117,8 @@ class Network {
 
   /// 64-way bit-parallel combinational evaluation.  `pi_words[i]` is the
   /// 64-bit value vector of pis()[i]; `latch_words[i]` of latches()[i].
-  /// Returns one word per node (indexed by NodeId).
+  /// Returns one word per node (indexed by NodeId).  A one-shot call into
+  /// CompiledNetwork; callers simulating many words compile once instead.
   [[nodiscard]] std::vector<std::uint64_t> simulate(
       std::span<const std::uint64_t> pi_words,
       std::span<const std::uint64_t> latch_words = {}) const;
@@ -136,6 +137,34 @@ class Network {
   std::vector<LatchInfo> latches_;
   std::unordered_map<NodeId, std::string> names_;
   std::unordered_map<std::string, NodeId> name_index_;
+};
+
+/// Flat evaluation form of a Network for 64-way bit-parallel simulation
+/// (simulate.cpp): every gate in topological order, with its fanins in CSR
+/// form.  Compiling sorts the network once, so a caller that evaluates many
+/// 64-vector words pays for the sort once and, by passing the same value
+/// buffer back in, allocates nothing per word.  Holds no reference to the
+/// network.
+class CompiledNetwork {
+ public:
+  /// Throws std::runtime_error on a combinational cycle, like topo_order().
+  explicit CompiledNetwork(const Network& net);
+
+  /// Evaluates one word, exactly as Network::simulate does, into `value`
+  /// (resized to one word per node, indexed by NodeId; every entry is
+  /// overwritten).  An empty `latch_words` drives every latch with 0.
+  void simulate(std::span<const std::uint64_t> pi_words,
+                std::span<const std::uint64_t> latch_words,
+                std::vector<std::uint64_t>& value) const;
+
+ private:
+  std::size_t num_nodes_ = 0;
+  std::vector<NodeId> pis_;
+  std::vector<NodeId> latch_outputs_;
+  std::vector<NodeId> gates_;               ///< topological order
+  std::vector<NodeKind> gate_kinds_;        ///< parallel to gates_
+  std::vector<std::uint32_t> fanin_begin_;  ///< CSR offsets, gates_.size() + 1
+  std::vector<NodeId> fanins_;
 };
 
 // -- transformations (transform.cpp) ------------------------------------------

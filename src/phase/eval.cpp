@@ -299,8 +299,9 @@ EvalState::EvalState(std::shared_ptr<const EvalContext> context,
   po_inv_.assign(keys, 0);
   leaf_base_ = std::bit_ceil(std::max<std::size_t>(keys, 2));
   tree_.assign(leaf_base_ * 2, Leaf{});
+  dirty_.assign(keys, 0);
+  stale_.assign(leaf_base_, 0);
 
-  building_ = true;
   // Latch next-state roots: permanent demand + one consuming pin each.
   for (const auto& root : ctx_->latch_roots()) {
     const InstanceKey key = instance_key(root.node, root.parity);
@@ -310,8 +311,6 @@ EvalState::EvalState(std::shared_ptr<const EvalContext> context,
   if (phases)
     for (std::size_t i = 0; i < phases_.size(); ++i)
       add_output_refs(i, phases_[i]);
-  building_ = false;
-  rebuild_tree();
 }
 
 void EvalState::assign_output(std::size_t output, Phase phase) {
@@ -403,12 +402,12 @@ void EvalState::add_output_refs(std::size_t output, Phase phase) {
   if (!negative) {
     const InstanceKey key = instance_key(node, pol);
     ++po_refs_[key];
-    if (ctx_->config().load_aware) refresh_leaf(key);
+    if (ctx_->config().load_aware) mark_dirty(key);
   } else if (source) {
     if (!pol) {
       const InstanceKey key = instance_key(node, true);
       ++po_refs_[key];
-      if (ctx_->config().load_aware) refresh_leaf(key);
+      if (ctx_->config().load_aware) mark_dirty(key);
     }
   } else {
     const InstanceKey key = instance_key(node, pol);
@@ -416,7 +415,7 @@ void EvalState::add_output_refs(std::size_t output, Phase phase) {
       ++output_inverters_;
       touch_pin(key, true);  // the shared inverter's input pin
     }
-    refresh_leaf(key);  // inverter load grows with the POs it drives
+    mark_dirty(key);  // inverter load grows with the POs it drives
   }
 }
 
@@ -437,12 +436,12 @@ void EvalState::remove_output_refs(std::size_t output, Phase phase) {
   if (!negative) {
     const InstanceKey key = instance_key(node, pol);
     --po_refs_[key];
-    if (ctx_->config().load_aware) refresh_leaf(key);
+    if (ctx_->config().load_aware) mark_dirty(key);
   } else if (source) {
     if (!pol) {
       const InstanceKey key = instance_key(node, true);
       --po_refs_[key];
-      if (ctx_->config().load_aware) refresh_leaf(key);
+      if (ctx_->config().load_aware) mark_dirty(key);
     }
   } else {
     const InstanceKey key = instance_key(node, pol);
@@ -450,7 +449,7 @@ void EvalState::remove_output_refs(std::size_t output, Phase phase) {
       --output_inverters_;
       touch_pin(key, false);
     }
-    refresh_leaf(key);
+    mark_dirty(key);
   }
 }
 
@@ -474,10 +473,10 @@ void EvalState::add_ref(InstanceKey key) {
         touch_pin(fk, true);
         scratch_.push_back(fk);
       }
-      refresh_leaf(k);
+      mark_dirty(k);
     } else if ((kind == NodeKind::kPi || kind == NodeKind::kLatch) && neg) {
       ++input_inverters_;
-      refresh_leaf(k);
+      mark_dirty(k);
     }
   }
 }
@@ -500,10 +499,10 @@ void EvalState::remove_ref(InstanceKey key) {
         touch_pin(fk, false);
         scratch_.push_back(fk);
       }
-      refresh_leaf(k);
+      mark_dirty(k);
     } else if ((kind == NodeKind::kPi || kind == NodeKind::kLatch) && neg) {
       --input_inverters_;
-      refresh_leaf(k);
+      mark_dirty(k);
     }
   }
 }
@@ -514,12 +513,18 @@ void EvalState::touch_pin(InstanceKey key, bool add) {
   else
     --pins_[key];
   // Pin counts only feed the cost through the structural load model.
-  if (ctx_->config().load_aware) refresh_leaf(key);
+  if (ctx_->config().load_aware) mark_dirty(key);
+}
+
+void EvalState::mark_dirty(InstanceKey key) {
+  if (dirty_[key] != 0) return;
+  dirty_[key] = 1;
+  pending_.push_back(key);
 }
 
 // The §4.2 leaf formula: one instance's power components from its demand and
 // load counters.
-void EvalState::refresh_leaf(InstanceKey key) {
+EvalState::Leaf EvalState::leaf_of(InstanceKey key) const {
   const PowerModelConfig& cfg = ctx_->config();
   const NodeId node = key >> 1;
   const bool neg = (key & 1) != 0;
@@ -557,19 +562,40 @@ void EvalState::refresh_leaf(InstanceKey key) {
                                       : cfg.inverter_cap;
     leaf.output_inv = cfg.domino_driven_inverter_edges * pin * cap;
   }
-
-  std::size_t i = leaf_base_ + key;
-  tree_[i] = leaf;
-  if (building_) return;
-  for (i >>= 1; i > 0; i >>= 1) tree_[i] = combine(tree_[i * 2], tree_[i * 2 + 1]);
+  return leaf;
 }
 
-void EvalState::rebuild_tree() {
-  for (std::size_t i = leaf_base_ - 1; i > 0; --i)
-    tree_[i] = combine(tree_[i * 2], tree_[i * 2 + 1]);
+void EvalState::flush() {
+  if (pending_.empty()) return;
+  // Recompute each dirty leaf from its counters, turning pending_ into tree
+  // indices, then each ancestor once, level by level from the bottom.  All
+  // leaves share one depth, so every node on the level being walked is
+  // final, and the first child to reach a parent marks it stale for the
+  // rest of that level.
+  for (std::uint32_t& entry : pending_) {
+    const InstanceKey key = entry;
+    dirty_[key] = 0;
+    entry = static_cast<std::uint32_t>(leaf_base_ + key);
+    tree_[entry] = leaf_of(key);
+  }
+  for (bool leaves = true; pending_.front() > 1; leaves = false) {
+    std::size_t out = 0;
+    for (const std::uint32_t index : pending_) {
+      if (!leaves) stale_[index] = 0;
+      const std::uint32_t parent = index >> 1;
+      if (stale_[parent] != 0) continue;
+      stale_[parent] = 1;
+      pending_[out++] = parent;
+      tree_[parent] = combine(tree_[parent * 2], tree_[parent * 2 + 1]);
+    }
+    pending_.resize(out);
+  }
+  stale_[1] = 0;
+  pending_.clear();
 }
 
-AssignmentCost EvalState::cost() const {
+AssignmentCost EvalState::cost() {
+  flush();
   AssignmentCost cost;
   const Leaf& total = tree_[1];
   cost.power.domino_block = total.domino;
@@ -584,7 +610,7 @@ AssignmentCost EvalState::cost() const {
   return cost;
 }
 
-double EvalState::power_total() const { return cost().power.total(); }
+double EvalState::power_total() { return cost().power.total(); }
 
 double EvalState::cone_average(std::size_t output) const {
   if (output >= phases_.size())

@@ -15,9 +15,13 @@
 ///    searches; it holds no mutable state.
 ///
 ///  * EvalState — the cheap-to-copy mutable part: per-instance polarity-
-///    demand reference counts, structural load counters, and running
-///    power/area sums.  apply_flip(output) / undo() update the state in
-///    O(|cone(output)| · log nodes).
+///    demand reference counts, structural load counters, integer cell
+///    counts and a deferred power summation tree.  apply_flip(output) /
+///    undo() are an O(|cone(output)|) counter cascade that only marks the
+///    touched instances dirty; the power tree catches up on the next power
+///    read (cost() / power_total()), recomputing each dirty leaf and each of
+///    its ancestors once.  Searches that read only area_cells() — min-area
+///    annealing and min-area branch-and-bound — never pay for the tree.
 ///
 /// The context also owns the §4.1 commit-path precomputation: per-output cone
 /// instance lists (with polarity), a node→outputs inverted index, and both
@@ -36,6 +40,11 @@
 /// reports costs bit-identical to a state freshly built from the same
 /// assignment.  AssignmentEvaluator::evaluate() is implemented as exactly
 /// that fresh build, which is what makes the equivalence testable.
+/// Deferring the tree keeps the bits for the same reason: each leaf is a
+/// pure function of its instance's current counters, and every counter
+/// change marks its leaf dirty, so a read that recomputes the dirty leaves
+/// and then their ancestors bottom-up produces the very leaves and sums an
+/// eager update after every change would have left behind.
 
 #pragma once
 
@@ -235,12 +244,16 @@ class EvalContext {
 ///                 load model of PowerModelConfig::load_aware),
 ///  * po_refs    — primary outputs wired directly to the instance,
 ///  * po_inv     — negative-phase POs sharing the instance's output inverter,
-/// plus running power sums (summation tree) and integer cell counters.
+/// plus integer cell counters and the power summation tree, whose dirty
+/// leaves wait for the next cost() / power_total() call.
 ///
 /// Copying an EvalState is O(nodes) with small constants (flat arrays); no
-/// allocation besides the vector buffers.  States sharing a context may be
-/// used concurrently from different threads; a single state is not
-/// thread-safe.
+/// allocation besides the vector buffers.  A copy carries the original's
+/// pending power work and reads the same bits.  States sharing a context may
+/// be used concurrently from different threads; a single state is not
+/// thread-safe.  cost() and power_total() are non-const because they fold
+/// the pending work into the tree, so concurrent copies of one shared state
+/// are plain reads of it.
 class EvalState {
  public:
   EvalState(std::shared_ptr<const EvalContext> context,
@@ -264,8 +277,8 @@ class EvalState {
   [[nodiscard]] const PhaseAssignment& assignment() const noexcept { return phases_; }
 
   /// Assigns one currently-unassigned output (throws if already assigned) /
-  /// withdraws one currently-assigned output (throws if not), each in
-  /// O(|cone(output)|·log nodes).  Because a state with the same demand
+  /// withdraws one currently-assigned output (throws if not), each an
+  /// O(|cone(output)|) counter cascade.  Because a state with the same demand
   /// reports bit-identical costs regardless of the operation sequence that
   /// reached it, a fully-assigned partial state costs exactly what a fresh
   /// EvalState built from the same assignment costs.  Neither operation is
@@ -278,7 +291,8 @@ class EvalState {
   /// Outputs currently unassigned (0 for states built fully assigned).
   [[nodiscard]] std::size_t unassigned_outputs() const noexcept { return unassigned_; }
 
-  /// Flips the phase of one primary output in O(|cone(output)| · log nodes).
+  /// Flips the phase of one primary output: an O(|cone(output)|) counter
+  /// cascade that marks the touched power leaves dirty.
   void apply_flip(std::size_t output);
 
   /// Reverts the most recent not-yet-undone apply_flip().  Throws
@@ -292,12 +306,14 @@ class EvalState {
   /// Clears the undo history.
   void set_assignment(const PhaseAssignment& phases);
 
-  /// Cost of the current assignment, read from the running sums in O(1).
-  /// Bit-identical to AssignmentEvaluator::evaluate(assignment()).
-  [[nodiscard]] AssignmentCost cost() const;
+  /// Cost of the current assignment.  First brings the power tree up to
+  /// date, recomputing each dirty leaf and each of its ancestors once; a
+  /// second read with no change in between is O(1).  Bit-identical to
+  /// AssignmentEvaluator::evaluate(assignment()).
+  [[nodiscard]] AssignmentCost cost();
 
   /// Shorthands for the two search objectives.
-  [[nodiscard]] double power_total() const;
+  [[nodiscard]] double power_total();
   [[nodiscard]] std::size_t area_cells() const noexcept {
     return domino_gates_ + input_inverters_ + output_inverters_;
   }
@@ -333,8 +349,11 @@ class EvalState {
   void add_ref(InstanceKey key);
   void remove_ref(InstanceKey key);
   void touch_pin(InstanceKey key, bool add);
-  void refresh_leaf(InstanceKey key);
-  void rebuild_tree();
+  /// Queues an instance whose counters changed for the next flush().
+  void mark_dirty(InstanceKey key);
+  [[nodiscard]] Leaf leaf_of(InstanceKey key) const;
+  /// Brings the summation tree up to date with the counters.
+  void flush();
 
   EvalState(std::shared_ptr<const EvalContext> context,
             const PhaseAssignment* phases);
@@ -349,13 +368,15 @@ class EvalState {
   std::vector<std::uint32_t> po_inv_;
   std::vector<Leaf> tree_;  ///< 1-based tree, leaves at [leaf_base_, leaf_base_+2N)
   std::size_t leaf_base_ = 1;
+  std::vector<std::uint8_t> dirty_;     ///< per instance: leaf awaits flush()
+  std::vector<std::uint32_t> pending_;  ///< the dirty instances, unordered
+  std::vector<std::uint8_t> stale_;     ///< per internal node, during flush()
   std::size_t domino_gates_ = 0;
   std::size_t duplicated_gates_ = 0;
   std::size_t input_inverters_ = 0;
   std::size_t output_inverters_ = 0;
   std::vector<std::uint32_t> history_;
   std::vector<InstanceKey> scratch_;  ///< reusable cascade stack
-  bool building_ = false;
 };
 
 }  // namespace dominosyn

@@ -64,7 +64,7 @@ PhaseAssignment assignment_from_code(std::uint64_t code, std::size_t num_pos) {
   return phases;
 }
 
-double metric_of(const EvalState& state, bool by_power) {
+double metric_of(EvalState& state, bool by_power) {
   return by_power ? state.power_total()
                   : static_cast<double>(state.area_cells());
 }
@@ -727,6 +727,7 @@ AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
                                           std::uint64_t seed,
                                           std::size_t restart_index,
                                           std::size_t iterations) {
+  const obs::TraceSpan span("search.anneal", obs::SpanCat::kSearch);
   const std::size_t num_pos = evaluator.network().num_pos();
   const std::size_t restart = restart_index;
 

@@ -2,6 +2,7 @@
 /// 64-lane clocked power simulation of synthesized domino realizations.
 
 #include <stdexcept>
+#include <utility>
 
 #include "sim/sim.hpp"
 
@@ -33,6 +34,46 @@ SimPowerResult simulate_domino_power(const Network& net,
     return options.node_caps.empty() ? fallback : options.node_caps[id];
   };
 
+  // Each role's nodes in node-id order, with their caps and penalties looked
+  // up once.  The step loop below adds exactly the operands a per-node walk
+  // would, in node-id order and then step order, so every energy sum keeps
+  // its bits.
+  struct DominoGate {
+    NodeId id;
+    double cap, mult, add;
+  };
+  struct Inverter {
+    NodeId id;
+    NodeId fanin;  ///< the source (input inverter) or domino driver (output)
+    double cap;
+  };
+  std::vector<DominoGate> domino_gates;
+  std::vector<Inverter> input_inverters;
+  std::vector<Inverter> output_inverters;
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    switch (roles[id]) {
+      case DominoRole::kDominoGate: {
+        const bool is_and = net.kind(id) == NodeKind::kAnd;
+        domino_gates.push_back(
+            {id, cap_of(id, model.gate_cap),
+             is_and ? model.penalty.and_mult : model.penalty.or_mult,
+             is_and ? model.penalty.and_add : model.penalty.or_add});
+        break;
+      }
+      case DominoRole::kInputInverter:
+        input_inverters.push_back(
+            {id, net.fanins(id)[0], cap_of(id, model.inverter_cap)});
+        break;
+      case DominoRole::kOutputInverter:
+        output_inverters.push_back(
+            {id, net.fanins(id)[0], cap_of(id, model.inverter_cap)});
+        break;
+      case DominoRole::kSource:
+        break;
+    }
+  }
+
+  const CompiledNetwork compiled(net);
   VectorGenerator gen({pi_probs.begin(), pi_probs.end()}, options.seed);
   std::vector<std::uint64_t> pi_words;
   // Latch lane states: every bit lane is an independent trajectory.
@@ -40,8 +81,10 @@ SimPowerResult simulate_domino_power(const Network& net,
   for (std::size_t i = 0; i < net.num_latches(); ++i)
     if (net.latches()[i].init == LatchInit::kOne) latch_words[i] = ~0ULL;
 
-  // Previous-step source values, for static input-inverter edge counting.
-  std::vector<std::uint64_t> prev_value(net.num_nodes(), 0);
+  // This step's node values, and the previous step's for static
+  // input-inverter edge counting; the two buffers swap every step.
+  std::vector<std::uint64_t> value;
+  std::vector<std::uint64_t> prev_value;
   bool have_prev = false;
 
   std::vector<std::uint64_t> event_counts(net.num_nodes(), 0);
@@ -56,57 +99,45 @@ SimPowerResult simulate_domino_power(const Network& net,
 
   for (std::size_t step = 0; step < options.steps; ++step) {
     gen.next(pi_words);
-    const auto value = net.simulate(pi_words, latch_words);
+    compiled.simulate(pi_words, latch_words, value);
     const bool accounted = step >= options.warmup;
 
     if (accounted) {
-      for (NodeId id = 0; id < net.num_nodes(); ++id) {
-        const auto ones = static_cast<std::uint32_t>(__builtin_popcountll(value[id]));
-        one_counts[id] += ones;
-        switch (roles[id]) {
-          case DominoRole::kDominoGate: {
-            // One discharge per lane-cycle where the output evaluates to 1.
-            event_counts[id] += ones;
-            const bool is_and = net.kind(id) == NodeKind::kAnd;
-            const double mult =
-                is_and ? model.penalty.and_mult : model.penalty.or_mult;
-            const double add = is_and ? model.penalty.and_add : model.penalty.or_add;
-            domino_energy += ones * cap_of(id, model.gate_cap) * mult + 64.0 * add;
-            clock_energy += 64.0 * model.clock_cap_per_gate;
-            break;
-          }
-          case DominoRole::kInputInverter: {
-            // Value changes of the (static) source between consecutive cycles.
-            if (have_prev) {
-              const NodeId src = net.fanins(id)[0];
-              const auto toggles = static_cast<std::uint32_t>(
-                  __builtin_popcountll(value[src] ^ prev_value[src]));
-              event_counts[id] += toggles;
-              input_inv_energy += toggles * cap_of(id, model.inverter_cap);
-            }
-            break;
-          }
-          case DominoRole::kOutputInverter: {
-            // The domino driver rises and is then precharged: the inverter
-            // sees `domino_driven_inverter_edges` edges per discharged cycle.
-            const NodeId drv = net.fanins(id)[0];
-            const auto fired = static_cast<std::uint32_t>(
-                __builtin_popcountll(value[drv]));
-            event_counts[id] += fired;
-            output_inv_energy += model.domino_driven_inverter_edges * fired *
-                                 cap_of(id, model.inverter_cap);
-            break;
-          }
-          case DominoRole::kSource:
-            break;
+      for (NodeId id = 0; id < net.num_nodes(); ++id)
+        one_counts[id] +=
+            static_cast<std::uint32_t>(__builtin_popcountll(value[id]));
+      for (const DominoGate& gate : domino_gates) {
+        // One discharge per lane-cycle where the output evaluates to 1.
+        const auto ones =
+            static_cast<std::uint32_t>(__builtin_popcountll(value[gate.id]));
+        event_counts[gate.id] += ones;
+        domino_energy += ones * gate.cap * gate.mult + 64.0 * gate.add;
+        clock_energy += 64.0 * model.clock_cap_per_gate;
+      }
+      if (have_prev) {
+        // Value changes of the (static) source between consecutive cycles.
+        for (const Inverter& inv : input_inverters) {
+          const auto toggles = static_cast<std::uint32_t>(
+              __builtin_popcountll(value[inv.fanin] ^ prev_value[inv.fanin]));
+          event_counts[inv.id] += toggles;
+          input_inv_energy += toggles * inv.cap;
         }
+      }
+      for (const Inverter& inv : output_inverters) {
+        // The domino driver rises and is then precharged: the inverter
+        // sees `domino_driven_inverter_edges` edges per discharged cycle.
+        const auto fired =
+            static_cast<std::uint32_t>(__builtin_popcountll(value[inv.fanin]));
+        event_counts[inv.id] += fired;
+        output_inv_energy +=
+            model.domino_driven_inverter_edges * fired * inv.cap;
       }
     }
 
     // Advance lanes: latches capture their next-state inputs.
     for (std::size_t i = 0; i < net.num_latches(); ++i)
       latch_words[i] = value[net.latches()[i].input];
-    prev_value = value;
+    std::swap(value, prev_value);
     have_prev = true;
   }
 

@@ -10,6 +10,10 @@
 ///    appropriate signal probabilities").  Domino gates burn energy per
 ///    discharge (Property 2.1 makes zero-delay counting exact); boundary
 ///    static inverters burn per value change; optional per-gate clock load.
+///    The netlist is compiled once per call (CompiledNetwork: gates in
+///    topological order, fanins in CSR form) and every step evaluates into
+///    two swapped value buffers; each node's role, cap and penalty are
+///    looked up once, before the step loop.
 ///  * EventSim / measure_static_glitching — single-pattern event-driven
 ///    simulation with per-gate delays for *static* CMOS realizations; counts
 ///    real transitions including glitches (the effect domino logic is immune

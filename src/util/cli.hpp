@@ -122,20 +122,6 @@ class FlagSet {
     return value;
   }
 
-  [[nodiscard]] std::optional<double> get_double(const std::string& name,
-                                                 double fallback,
-                                                 double min_value,
-                                                 double max_value) const {
-    const auto found = values_.find(name);
-    if (found == values_.end()) return fallback;
-    const auto value =
-        parse_double(found->second.c_str(), min_value, max_value);
-    if (!value)
-      std::cerr << program_ << ": --" << name << " must be a number in ["
-                << min_value << ", " << max_value << "]\n";
-    return value;
-  }
-
   /// True when every provided flag name is in `known`; otherwise prints the
   /// offenders (catches typos like --worker for --workers).
   [[nodiscard]] bool only(std::initializer_list<const char*> known) const {

@@ -38,19 +38,19 @@ TEST(Bdd, TerminalsAndVars) {
 TEST(Bdd, CanonicityMakesEqualityStructural) {
   BddManager mgr(4);
   const Bdd a = mgr.var(0), b = mgr.var(1);
-  const Bdd f1 = (a & b) | (!a & b);
+  const Bdd f1 = (a & b) | ((!a) & b);
   const Bdd f2 = b;
   EXPECT_EQ(f1, f2);  // same index by hash consing
   const Bdd g1 = a ^ b;
-  const Bdd g2 = (a & !b) | (!a & b);
+  const Bdd g2 = (a & !b) | ((!a) & b);
   EXPECT_EQ(g1, g2);
 }
 
 TEST(Bdd, DeMorgan) {
   BddManager mgr(2);
   const Bdd a = mgr.var(0), b = mgr.var(1);
-  EXPECT_EQ(!(a & b), !a | !b);
-  EXPECT_EQ(!(a | b), !a & !b);
+  EXPECT_EQ(!(a & b), (!a) | (!b));
+  EXPECT_EQ(!(a | b), (!a) & (!b));
 }
 
 TEST(Bdd, IteBasics) {
@@ -145,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomOps, ::testing::Range<std::uint64_t>(1,
 TEST(Bdd, RestrictCofactors) {
   BddManager mgr(3);
   const Bdd a = mgr.var(0), b = mgr.var(1), c = mgr.var(2);
-  const Bdd f = (a & b) | (!a & c);
+  const Bdd f = (a & b) | ((!a) & c);
   EXPECT_EQ(mgr.restrict_var(f, 0, true), b);
   EXPECT_EQ(mgr.restrict_var(f, 0, false), c);
   // Shannon: f = ite(x, f|x=1, f|x=0).

@@ -4,11 +4,16 @@
 ///    AssignmentEvaluator::evaluate() across random networks and all power
 ///    model variants (the engine's core contract),
 ///  * undo/set_assignment state restoration,
+///  * deferred power sums: one read after a long unread run of flips, undos,
+///    jumps and partial-state assigns lands on the full evaluation exactly,
+///    for copies taken mid-run too,
 ///  * refcount-derived demand vs the independent stack-walk demand,
 ///  * thread-count independence of exhaustive / min-area / min-power search,
 ///  * the ExhaustiveLimitError contract.
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "bdd/netbdd.hpp"
 #include "benchgen/benchgen.hpp"
@@ -92,6 +97,86 @@ TEST_P(IncrementalEquivalence, RandomFlipSequencesMatchFullEvaluate) {
       EXPECT_EQ(state.area_cells(), full.area_cells());
       EXPECT_EQ(state.power_total(), full.power.total());
     }
+  }
+}
+
+TEST_P(IncrementalEquivalence, DeferredPowerSumsCatchUpExactly) {
+  // Min-area searches flip thousands of times without reading power, so the
+  // summation tree can hold many dirty leaves when a read finally comes.
+  // That one read must land on the full evaluation bit for bit, and so must
+  // a copy taken while the work is still pending.
+  const std::uint64_t seed = GetParam();
+  BenchSpec spec;
+  spec.name = "lazy";
+  spec.num_pis = 9;
+  spec.num_pos = 7;
+  spec.num_latches = seed % 2 == 0 ? 3 : 0;
+  spec.gate_target = 80;
+  spec.seed = seed * 17 + 1;
+  const Network net = generate_benchmark(spec);
+  const std::size_t num_pos = net.num_pos();
+
+  for (const bool load_aware : {false, true}) {
+    PowerModelConfig config;
+    config.load_aware = load_aware;
+    const AssignmentEvaluator evaluator =
+        make_evaluator(net, config, seed % 3 == 0 ? 0.8 : 0.5);
+    Rng rng(seed + 1000);
+    const auto random_phase = [&rng] {
+      return rng.bernoulli(0.5) ? Phase::kNegative : Phase::kPositive;
+    };
+    const auto random_assignment = [&] {
+      PhaseAssignment phases(num_pos);
+      for (auto& p : phases) p = random_phase();
+      return phases;
+    };
+
+    // Full state: flips, undos and jumps, with no power read in between.
+    EvalState state(evaluator.context(), random_assignment());
+    std::optional<EvalState> midway;
+    for (int step = 0; step < 1200; ++step) {
+      const std::uint64_t op = rng.below(10);
+      if (op < 6) {
+        state.apply_flip(rng.below(num_pos));
+      } else if (op < 9) {
+        if (state.history_depth() > 0) state.undo();
+      } else {
+        state.set_assignment(random_assignment());
+      }
+      if (step == 600) midway.emplace(state);
+    }
+    EvalState copy = state;  // taken while the work is pending
+    const AssignmentCost full = evaluator.evaluate(state.assignment());
+    expect_cost_identical(copy.cost(), full);
+    expect_cost_identical(state.cost(), full);
+    expect_cost_identical(state.cost(), full);  // a second read, no change
+    EXPECT_EQ(state.power_total(), full.power.total());
+    expect_cost_identical(midway->cost(),
+                          evaluator.evaluate(midway->assignment()));
+
+    // Partial state: assign, withdraw and flip outputs, again unread.
+    EvalState partial(evaluator.context(), EvalState::AllUnassigned{});
+    for (int step = 0; step < 1200; ++step) {
+      const std::size_t output = rng.below(num_pos);
+      if (!partial.output_assigned(output)) {
+        partial.assign_output(output, random_phase());
+      } else if (rng.bernoulli(0.5)) {
+        partial.withdraw_output(output);
+      } else {
+        partial.apply_flip(output);
+      }
+    }
+    // A fresh partial state with the same outputs assigned has the same
+    // demand, so it must cost the same bits.
+    EvalState fresh(evaluator.context(), EvalState::AllUnassigned{});
+    for (std::size_t i = 0; i < num_pos; ++i)
+      if (partial.output_assigned(i))
+        fresh.assign_output(i, partial.assignment()[i]);
+    expect_cost_identical(partial.cost(), fresh.cost());
+    for (std::size_t i = 0; i < num_pos; ++i)
+      if (!partial.output_assigned(i)) partial.assign_output(i, random_phase());
+    expect_cost_identical(partial.cost(),
+                          evaluator.evaluate(partial.assignment()));
   }
 }
 

@@ -104,6 +104,33 @@ TEST(Flow, TimedFlowMeetsSharedClock) {
   EXPECT_EQ(session.stats().assign_searches, 2u);
 }
 
+TEST(Flow, PinnedX1ReportFields) {
+  // x1 (28 POs) takes the flow's two heuristic paths: its MA anneals and its
+  // MP runs the §4.1 pair search from it.  Pinning the report's numbers to
+  // the bit catches any change to the searches' cost reads, the mapper or
+  // the simulator that would move a Table 1 row.
+  const Network net = generate_benchmark(paper_spec("x1"));
+  FlowOptions options;
+  options.pi_prob = 0.5;
+  options.sim.steps = 256;
+  options.sim.warmup = 16;
+  FlowSession session(net, options);
+
+  const FlowReport ma = session.report(PhaseMode::kMinArea);
+  EXPECT_EQ(ma.est_power, 0x1.2031950e4cecep+10);
+  EXPECT_EQ(ma.sim_power, 0x1.c1d23fffffc62p+9);
+  EXPECT_EQ(ma.cells, 501u);
+  EXPECT_EQ(ma.area, 0x1.216cccccccccap+11);
+  EXPECT_EQ(ma.critical_delay, 0x1.f466666666666p+6);
+
+  const FlowReport mp = session.report(PhaseMode::kMinPower);
+  EXPECT_EQ(mp.est_power, 0x1.7ba031e480779p+9);
+  EXPECT_EQ(mp.sim_power, 0x1.76a80962fc858p+9);
+  EXPECT_EQ(mp.cells, 609u);
+  EXPECT_EQ(mp.area, 0x1.433fffffffffep+11);
+  EXPECT_EQ(mp.critical_delay, 0x1.1d5c28f5c28f5p+7);
+}
+
 TEST(Flow, RawBlifStyleInputIsNormalized) {
   // A network with wide gates and internal inverters (not phase-ready) must
   // be normalized inside run_flow.

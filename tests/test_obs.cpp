@@ -8,8 +8,9 @@
 ///    mid-flight snapshot is internally consistent (TSan gates the races),
 ///  * span tracing: trace-id context nesting, RAII spans land in the thread
 ///    ring with the right id/category, remote ingestion labels a second
-///    process timeline in the Chrome dump, and the wire codec round-trips —
-///    the codec tests run even under DOMINOSYN_NO_TRACING.
+///    process timeline in the Chrome dump, each annealing restart records a
+///    search.anneal span, and the wire codec round-trips — the codec tests
+///    run even under DOMINOSYN_NO_TRACING.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include "bdd/netbdd.hpp"
+#include "benchgen/benchgen.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "phase/search.hpp"
 
 namespace dominosyn::obs {
 namespace {
@@ -394,6 +398,36 @@ TEST(Tracing, RemoteEventsJoinTheChromeTimeline) {
   record_remote("worker\x01y", {remote});
   EXPECT_NE(chrome_trace_json().find("\"name\":\"worker\\u0001y\""),
             std::string::npos);
+}
+
+TEST(Tracing, EveryAnnealingRestartRecordsOneSpan) {
+  // A trace dump shows annealing's share of flow.assign through one
+  // search.anneal span per restart.
+  if (kTracingCompiledOut) GTEST_SKIP() << "tracing compiled out";
+  BenchSpec spec;
+  spec.name = "anneal";
+  spec.num_pis = 8;
+  spec.num_pos = 6;
+  spec.gate_target = 60;
+  spec.seed = 3;
+  const Network net = generate_benchmark(spec);
+  const AssignmentEvaluator evaluator(
+      net, signal_probabilities(net, std::vector<double>(net.num_pis(), 0.5)));
+  MinAreaOptions options;
+  options.exhaustive_limit = 0;  // anneal even though 2^6 is enumerable
+  options.restarts = 3;
+  options.anneal_iterations = 200;
+  options.num_threads = 1;  // restarts run on this thread, into its ring
+
+  const std::uint64_t mark = thread_mark();
+  (void)min_area_assignment(evaluator, options);
+  std::size_t anneal_spans = 0;
+  for (const TraceEvent& event : thread_events_since(mark)) {
+    if (std::strcmp(event.name, "search.anneal") != 0) continue;
+    ++anneal_spans;
+    EXPECT_EQ(event.cat, static_cast<std::uint8_t>(SpanCat::kSearch));
+  }
+  EXPECT_EQ(anneal_spans, options.restarts);
 }
 
 TEST(Tracing, SpanCatNamesMatchTheMetricLabels) {

@@ -173,7 +173,7 @@ TEST(SearchBnb, PartialStateIsMonotoneLowerBoundAndExactWhenComplete) {
 
     // Withdrawing everything returns to the latch-only base exactly.
     for (const std::size_t output : order) partial.withdraw_output(output);
-    const EvalState base(evaluator.context(), EvalState::AllUnassigned{});
+    EvalState base(evaluator.context(), EvalState::AllUnassigned{});
     expect_cost_identical(partial.cost(), base.cost());
   }
 }

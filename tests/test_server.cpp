@@ -707,8 +707,10 @@ TEST(ServerCore, StatsSnapshotIsCoherentUnderConcurrentSubmits) {
   EXPECT_EQ(final_stats.completed, kClients * kPerClient);
   EXPECT_EQ(final_stats.queue_us.count, kClients * kPerClient);
   EXPECT_EQ(final_stats.service_us.count, kClients * kPerClient);
-  EXPECT_GT(final_stats.service_us.quantile(0.99),
-            final_stats.service_us.quantile(0.0) - 1);  // quantiles monotone
+  // Quantiles are monotone.  A cache hit can finish in under 1 µs, so the
+  // lowest quantile may read 0.
+  EXPECT_GE(final_stats.service_us.quantile(0.99),
+            final_stats.service_us.quantile(0.0));
 }
 
 TEST(Protocol, StatsLineCarriesLatencyHistograms) {

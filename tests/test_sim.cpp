@@ -8,6 +8,9 @@
 
 #include "benchgen/benchgen.hpp"
 #include "bdd/netbdd.hpp"
+#include "mapping/library.hpp"
+#include "mapping/mapper.hpp"
+#include "network/synth.hpp"
 #include "phase/assignment.hpp"
 #include "sim/sim.hpp"
 #include "util/rng.hpp"
@@ -134,6 +137,59 @@ TEST(DominoSim, NodeCapsOverrideModelCaps) {
   scaled.node_caps.assign(net.num_nodes(), 3.0);
   const auto big = simulate_domino_power(net, std::vector<double>(4, 0.9), scaled);
   EXPECT_NEAR(big.per_cycle.domino_block, 3.0 * plain.per_cycle.domino_block, 1e-9);
+}
+
+TEST(DominoSim, PinnedBitsOnMappedSequentialCircuit) {
+  // Every energy sum must keep its exact operands and order (node-id order,
+  // then step order), so Table 1's sim column never moves when the
+  // simulator's internals do.  A small sequential circuit with latches,
+  // input and output inverters, mapped and loaded the way FlowSession's
+  // measure stage loads it, pins each result to the bit.
+  BenchSpec spec;
+  spec.name = "simpin";
+  spec.num_pis = 10;
+  spec.num_pos = 6;
+  spec.num_latches = 4;
+  spec.gate_target = 90;
+  spec.seed = 5;
+  Network net = generate_benchmark(spec);
+  standard_synthesis(net);
+  PhaseAssignment phases(net.num_pos(), Phase::kPositive);
+  for (std::size_t i = 0; i < phases.size(); i += 2) phases[i] = Phase::kNegative;
+  const DominoSynthesisResult domino = synthesize_domino(net, phases);
+  const CellLibrary library = CellLibrary::generic();  // cells point into it
+  const MapResult mapped = map_network(domino.net, library, MapOptions{});
+  const Network& cells = mapped.netlist.net;
+
+  std::size_t role_counts[4] = {0, 0, 0, 0};
+  for (const DominoRole role : classify_domino_roles(cells))
+    ++role_counts[static_cast<std::size_t>(role)];
+  ASSERT_EQ(cells.num_latches(), 4u);
+  ASSERT_GT(role_counts[static_cast<std::size_t>(DominoRole::kInputInverter)], 0u);
+  ASSERT_GT(role_counts[static_cast<std::size_t>(DominoRole::kOutputInverter)], 0u);
+
+  SimPowerOptions options;
+  options.steps = 300;
+  options.warmup = 7;
+  options.seed = 11;
+  options.node_caps = mapped.netlist.node_loads(0.2);
+  options.model.clock_cap_per_gate = 0.35;
+  options.model.penalty.and_mult = 1.25;
+  options.model.penalty.or_add = 0.05;
+  const SimPowerResult sim = simulate_domino_power(
+      cells, std::vector<double>(cells.num_pis(), 0.6), options);
+
+  EXPECT_EQ(sim.cycles, 18752u);
+  EXPECT_EQ(sim.per_cycle.domino_block, 0x1.1c7ac091630eep+6);
+  EXPECT_EQ(sim.per_cycle.input_inverters, 0x1.b37636de9fb64p+4);
+  EXPECT_EQ(sim.per_cycle.output_inverters, 0x1.5eb07dd0d1b16p-2);
+  EXPECT_EQ(sim.per_cycle.clock_load, 0x1.7ccccccccd534p+4);
+  double activity = 0.0;
+  double one_rate = 0.0;
+  for (const double a : sim.activity) activity += a;
+  for (const double o : sim.one_rate) one_rate += o;
+  EXPECT_EQ(activity, 0x1.1813a8a0c3b6ap+5);
+  EXPECT_EQ(one_rate, 0x1.7dfe7892c8f4cp+5);
 }
 
 TEST(DominoSim, EstimatorAgreesOnRandomBlocks) {
