@@ -54,9 +54,11 @@ int main() {
 
     table.row({spec.name, std::to_string(net.num_pos()),
                fmt(guided.initial_power, 3), fmt(guided.final_power, 3),
-               std::to_string(guided.trials), fmt(oracle.final_power, 3),
-               std::to_string(oracle.trials), fmt(random.final_power, 3),
-               std::to_string(random.trials), exhaustive});
+               std::to_string(guided.counters.evaluations),
+               fmt(oracle.final_power, 3),
+               std::to_string(oracle.counters.evaluations),
+               fmt(random.final_power, 3),
+               std::to_string(random.counters.evaluations), exhaustive});
   }
   table.print(std::cout);
 

@@ -172,14 +172,14 @@ MinPowerResult seed_full_reeval_min_power(const AssignmentEvaluator& evaluator,
     const PhaseAssignment trial =
         with_flips(result.assignment, i, scored.flip_i, j, scored.flip_j);
     const AssignmentCost trial_cost = evaluator.evaluate(trial);  // O(nodes)
-    ++result.trials;
+    ++result.counters.evaluations;
     consumed[pick] = true;
     --remaining;
     if (trial_cost.power.total() < result.final_power - kEps) {
       result.assignment = trial;
       result.cost = trial_cost;
       result.final_power = trial_cost.power.total();
-      ++result.commits;
+      ++result.counters.commits;
       avg = evaluator.cone_average_probs(result.assignment);
       rebuild_queue();
       queue_head = 0;
@@ -194,12 +194,12 @@ MinPowerResult seed_full_reeval_min_power(const AssignmentEvaluator& evaluator,
       trial[i] = trial[i] == Phase::kPositive ? Phase::kNegative
                                               : Phase::kPositive;
       const AssignmentCost trial_cost = evaluator.evaluate(trial);  // O(nodes)
-      ++result.trials;
+      ++result.counters.evaluations;
       if (trial_cost.power.total() < result.final_power - kEps) {
         result.assignment = std::move(trial);
         result.cost = trial_cost;
         result.final_power = trial_cost.power.total();
-        ++result.commits;
+        ++result.counters.commits;
         improved = true;
       }
     }
@@ -477,10 +477,9 @@ int main(int argc, char** argv) {
     run.bb_seconds = stopwatch.seconds();
 
     if (bb_pos <= 16) {
-      ExhaustiveOptions gray_options = bb_options;
-      gray_options.algorithm = ExhaustiveAlgorithm::kGrayWalk;
       stopwatch.restart();
-      const SearchResult gray = exhaustive_min_power(bb_eval, gray_options);
+      const SearchResult gray =
+          exhaustive_gray_walk(bb_eval, /*by_power=*/true, bb_options);
       run.gray_seconds = stopwatch.seconds();
       if (gray.assignment != run.result.assignment ||
           gray.cost.power.total() != run.result.cost.power.total()) {
@@ -733,9 +732,12 @@ int main(int argc, char** argv) {
   }
   // Deterministic mode: the same frontier split must produce the same work
   // regardless of how many workers raced over it.
-  if (dist_timed[1].evaluations != dist_timed[2].evaluations ||
-      dist_timed[1].nodes_expanded != dist_timed[2].nodes_expanded ||
-      dist_timed[1].subtrees_pruned != dist_timed[2].subtrees_pruned) {
+  if (dist_timed[1].counters.evaluations !=
+          dist_timed[2].counters.evaluations ||
+      dist_timed[1].counters.nodes_expanded !=
+          dist_timed[2].counters.nodes_expanded ||
+      dist_timed[1].counters.subtrees_pruned !=
+          dist_timed[2].counters.subtrees_pruned) {
     std::cerr << "FATAL: distributed work counters differ between 1 and 2 "
                  "workers\n";
     return 1;
@@ -867,8 +869,8 @@ int main(int argc, char** argv) {
             << full_eval_seconds / incremental_eval_seconds << "\n"
             << "  },\n"
             << "  \"minpower_search\": {\n"
-            << "    \"trials\": " << incremental.trials << ",\n"
-            << "    \"commits\": " << incremental.commits << ",\n"
+            << "    \"trials\": " << incremental.counters.evaluations << ",\n"
+            << "    \"commits\": " << incremental.counters.commits << ",\n"
             << "    \"final_power\": " << incremental.final_power << ",\n"
             << "    \"full_reeval_seconds\": " << full_search_seconds
             << ",\n"
@@ -882,19 +884,19 @@ int main(int argc, char** argv) {
             << full_search_seconds / parallel_search_seconds << "\n"
             << "  },\n"
             << "  \"commit_path\": {\n"
-            << "    \"commits\": " << incremental.commits << ",\n"
+            << "    \"commits\": " << incremental.counters.commits << ",\n"
             << "    \"candidate_pairs\": " << cp_pairs << ",\n"
             << "    \"commit_rescore_pairs\": "
-            << incremental.commit_rescore_pairs << ",\n"
-            << "    \"avg_update_nodes\": " << incremental.avg_update_nodes
-            << ",\n"
+            << incremental.counters.commit_rescore_pairs << ",\n"
+            << "    \"avg_update_nodes\": "
+            << incremental.counters.avg_update_nodes << ",\n"
             << "    \"cold_commit_seconds\": " << cold_commit_seconds << ",\n"
             << "    \"incremental_commit_seconds\": "
             << incremental_commit_seconds << ",\n"
             << "    \"speedup_per_commit\": "
             << cold_commit_seconds / incremental_commit_seconds << ",\n"
             << "    \"commits_per_second\": "
-            << static_cast<double>(incremental.commits) /
+            << static_cast<double>(incremental.counters.commits) /
                    incremental_search_seconds << ",\n"
             << "    \"end_to_end_mp_seconds\": " << incremental_search_seconds
             << ",\n"
@@ -931,14 +933,18 @@ int main(int argc, char** argv) {
     std::cout << (i == 0 ? "\n" : ",\n")
               << "      {\"pos\": " << run.pos
               << ", \"candidates_unpruned\": " << run.unpruned
-              << ", \"nodes_expanded\": " << run.result.nodes_expanded
-              << ", \"evaluated_candidates\": " << run.result.evaluations
-              << ", \"subtrees_pruned\": " << run.result.subtrees_pruned
+              << ", \"nodes_expanded\": "
+              << run.result.counters.nodes_expanded
+              << ", \"evaluated_candidates\": "
+              << run.result.counters.evaluations
+              << ", \"subtrees_pruned\": "
+              << run.result.counters.subtrees_pruned
               << ", \"prune_factor\": "
               << static_cast<double>(run.unpruned) /
                      static_cast<double>(std::max<std::size_t>(
-                         run.result.nodes_expanded, 1))
-              << ", \"bound_tightness\": " << run.result.bound_tightness
+                         run.result.counters.nodes_expanded, 1))
+              << ", \"bound_tightness\": "
+              << run.result.counters.bound_tightness
               << ", \"bb_seconds\": " << run.bb_seconds;
     if (run.gray_seconds >= 0.0)
       std::cout << ", \"gray_seconds\": " << run.gray_seconds

@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
                std::to_string(ma.cells), fmt(ma.sim_power, 2),
                std::to_string(mp.cells), fmt(mp.sim_power, 2),
                fmt_pct(area_pen), fmt_pct(pwr_sav),
-               std::to_string(mp.search_evaluations),
-               std::to_string(mp.search_commits),
+               std::to_string(mp.search.evaluations),
+               std::to_string(mp.search.commits),
                (ma.timing_met && mp.timing_met) ? "yes" : "NO",
                fmt(watch.seconds(), 1)});
   }

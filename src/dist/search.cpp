@@ -169,7 +169,7 @@ SearchResult dist_anneal(const AssignmentEvaluator& evaluator,
     }
   }
   best.cost = evaluator.evaluate(best.assignment);
-  best.evaluations = evaluations;
+  best.counters.evaluations = evaluations;
   return best;
 }
 
@@ -245,9 +245,7 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
   const std::size_t limit =
       std::min(options.max_outputs, kMaxExhaustiveOutputs);
   if (num_pos > limit) throw ExhaustiveLimitError(num_pos, limit);
-  if (num_pos == 0 ||
-      options.algorithm == ExhaustiveAlgorithm::kGrayWalk ||
-      !evaluator.context()->bounds_admissible())
+  if (num_pos == 0 || !evaluator.context()->bounds_admissible())
     return local_exhaustive(evaluator, by_power, options);
 
   const BnbSeed seed = plan_bnb_seed(evaluator, by_power);
@@ -283,7 +281,7 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
   double best_metric = seed.seed_metric;
   std::uint64_t best_code = seed.seed_code;
   SearchResult best;
-  best.evaluations = seed.seed_evaluations;
+  best.counters.evaluations = seed.seed_evaluations;
   std::uint64_t expanded = 0;
   bool tripped = false;
   for (const UnitResult& unit : outcome.units) {
@@ -292,8 +290,9 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
       best_metric = unit.metric;
       best_code = unit.code;
     }
-    best.evaluations += static_cast<std::size_t>(unit.leaves);
-    best.subtrees_pruned += static_cast<std::size_t>(unit.subtrees_pruned);
+    best.counters.evaluations += static_cast<std::size_t>(unit.leaves);
+    best.counters.subtrees_pruned +=
+        static_cast<std::size_t>(unit.subtrees_pruned);
     expanded += unit.nodes_expanded;
     tripped = tripped || unit.budget_tripped;
   }
@@ -304,8 +303,8 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
 
   best.assignment = assignment_from_phase_code(best_code, num_pos);
   best.cost = evaluator.evaluate(best.assignment);
-  best.nodes_expanded = static_cast<std::size_t>(expanded);
-  best.bound_tightness =
+  best.counters.nodes_expanded = static_cast<std::size_t>(expanded);
+  best.counters.bound_tightness =
       best_metric > 0.0 ? seed.root_bound / best_metric
                         : (seed.root_bound == best_metric ? 1.0 : 0.0);
   return best;

@@ -110,21 +110,8 @@ struct FlowReport {
 
   PhaseAssignment assignment;
   std::size_t negative_outputs = 0;
-  std::size_t search_evaluations = 0;
-  /// Min-power commit-path telemetry (zero for the other modes and for the
-  /// auto-exhaustive path): accepted candidates, pairs re-scored on commits
-  /// under kCostFunction guidance, and cone gate instances covered by the
-  /// A_i refreshes those commits required (see MinPowerResult).
-  std::size_t search_commits = 0;
-  std::size_t commit_rescore_pairs = 0;
-  std::size_t avg_update_nodes = 0;
-  /// Exhaustive branch-and-bound telemetry (zero when the assignment came
-  /// from the heuristic searches or the unpruned Gray walk): prefix-tree
-  /// nodes expanded, subtrees cut by the admissible bound, and the root
-  /// lower bound over the optimal cost (→1 = tight; see SearchResult).
-  std::size_t search_nodes_expanded = 0;
-  std::size_t search_subtrees_pruned = 0;
-  double search_bound_tightness = 0.0;
+  /// The assign stage's work counters (DOMINOSYN_SEARCH_COUNTERS).
+  SearchCounters search;
   bool used_exact_bdd = true;
   bool equivalence_ok = true;
   double seconds = 0.0;

@@ -211,16 +211,9 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
   const bool dist_ready = options_.dist.enabled &&
                           options_.dist.coordinator != nullptr &&
                           fabric_replays(options_);
-  const auto copy_search_telemetry = [&stage](const SearchResult& search) {
-    stage.search_evaluations = search.evaluations;
-    stage.search_nodes_expanded = search.nodes_expanded;
-    stage.search_subtrees_pruned = search.subtrees_pruned;
-    stage.search_bound_tightness = search.bound_tightness;
-  };
   switch (mode) {
     case PhaseMode::kAllPositive:
       stage.assignment = all_positive(net);
-      stage.search_evaluations = 0;
       break;
     case PhaseMode::kMinArea: {
       SearchResult search;
@@ -234,7 +227,7 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
         search = min_area_assignment(eval, minarea);
       }
       stage.assignment = search.assignment;
-      copy_search_telemetry(search);
+      stage.search = search.counters;
       break;
     }
     case PhaseMode::kMinPower: {
@@ -261,7 +254,7 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
             search = exhaustive_min_power(eval, exhaustive);
           }
           stage.assignment = search.assignment;
-          copy_search_telemetry(search);
+          stage.search = search.counters;
           assigned_exactly = true;
         } catch (const ExhaustiveBudgetError&) {
           // Bound too loose within the work budget: fall back to §4.1.
@@ -276,15 +269,13 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
         // through the cache, so MA→MP sweeps never run [15]'s search twice.
         const AssignStage& ma = assign(PhaseMode::kMinArea);
         minpower.initial = ma.assignment;
-        seed_evals = ma.search_evaluations;
+        seed_evals = ma.search.evaluations;
       }
       const MinPowerResult search =
           min_power_assignment(eval, cone_overlap(), minpower);
       stage.assignment = search.assignment;
-      stage.search_evaluations = search.trials + seed_evals;
-      stage.search_commits = search.commits;
-      stage.commit_rescore_pairs = search.commit_rescore_pairs;
-      stage.avg_update_nodes = search.avg_update_nodes;
+      stage.search = search.counters;
+      stage.search.evaluations += seed_evals;
       break;
     }
     case PhaseMode::kExhaustivePower: {
@@ -306,7 +297,7 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
         search = exhaustive_min_power(eval, exhaustive);
       }
       stage.assignment = search.assignment;
-      copy_search_telemetry(search);
+      stage.search = search.counters;
       break;
     }
   }
@@ -393,13 +384,7 @@ FlowReport FlowSession::report(PhaseMode mode) {
   const AssignStage& assigned = assign(mode);
   report.assignment = assigned.assignment;
   report.negative_outputs = assigned.negative_outputs;
-  report.search_evaluations = assigned.search_evaluations;
-  report.search_commits = assigned.search_commits;
-  report.commit_rescore_pairs = assigned.commit_rescore_pairs;
-  report.avg_update_nodes = assigned.avg_update_nodes;
-  report.search_nodes_expanded = assigned.search_nodes_expanded;
-  report.search_subtrees_pruned = assigned.search_subtrees_pruned;
-  report.search_bound_tightness = assigned.search_bound_tightness;
+  report.search = assigned.search;
   report.est_power = assigned.cost.power.total();
   report.block_gates = assigned.cost.domino_gates;
   report.boundary_inverters =

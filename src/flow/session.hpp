@@ -53,20 +53,10 @@ class FlowSession {
     PhaseMode mode = PhaseMode::kMinPower;
     PhaseAssignment assignment;
     AssignmentCost cost;  ///< full evaluation of the final assignment (§4.2)
-    /// Candidate measurements, including the min-area seeding search when
-    /// kMinPower starts from [15]'s result (matches FlowReport).
-    std::size_t search_evaluations = 0;
     std::size_t negative_outputs = 0;
-    /// Min-power commit-path telemetry (see MinPowerResult); zero for other
-    /// modes and for the auto-exhaustive kMinPower path.
-    std::size_t search_commits = 0;
-    std::size_t commit_rescore_pairs = 0;
-    std::size_t avg_update_nodes = 0;
-    /// Exhaustive branch-and-bound telemetry (see SearchResult); zero when
-    /// the assignment came from a heuristic search or the Gray walk.
-    std::size_t search_nodes_expanded = 0;
-    std::size_t search_subtrees_pruned = 0;
-    double search_bound_tightness = 0.0;
+    /// The search's work counters; kMinPower's evaluations include the
+    /// min-area seeding search when it starts from [15]'s result.
+    SearchCounters search;
   };
 
   /// Result of domino synthesis + technology mapping (+ optional resize).

@@ -13,9 +13,9 @@
 /// and exchange the incumbent through one atomic best cost, so pruning
 /// tightens globally while the returned (cost, code) pair stays bit-identical
 /// to the unpruned Gray-code walk's first-minimum-in-code-order rule at
-/// every thread count.  The Gray walk itself remains available as the
-/// reference algorithm (ExhaustiveAlgorithm::kGrayWalk); annealing restarts
-/// run concurrently as before.
+/// every thread count.  The Gray walk itself remains as the reference
+/// (exhaustive_gray_walk) and as the fallback when the bounds are not
+/// admissible; annealing restarts run concurrently as before.
 
 #include <algorithm>
 #include <atomic>
@@ -132,7 +132,7 @@ SearchResult exhaustive_gray(const AssignmentEvaluator& evaluator, bool by_power
 
   best.assignment = assignment_from_code(overall.code, num_pos);
   best.cost = evaluator.evaluate(best.assignment);
-  best.evaluations = total;
+  best.counters.evaluations = total;
   return best;
 }
 
@@ -532,52 +532,67 @@ SearchResult exhaustive_branch_and_bound(const AssignmentEvaluator& evaluator,
 
   ChunkBest overall = seed;
   SearchResult best;
-  best.evaluations = seed_evaluations;
+  best.counters.evaluations = seed_evaluations;
   for (const std::unique_ptr<BnbWorker>& worker : workers) {
     if (better(worker->best(), overall)) overall = worker->best();
-    best.evaluations += static_cast<std::size_t>(worker->leaves());
-    best.subtrees_pruned += static_cast<std::size_t>(worker->pruned());
+    best.counters.evaluations += static_cast<std::size_t>(worker->leaves());
+    best.counters.subtrees_pruned +=
+        static_cast<std::size_t>(worker->pruned());
   }
   best.assignment = assignment_from_code(overall.code, num_pos);
   best.cost = evaluator.evaluate(best.assignment);
-  best.nodes_expanded = static_cast<std::size_t>(expanded);
-  best.bound_tightness =
+  best.counters.nodes_expanded = static_cast<std::size_t>(expanded);
+  best.counters.bound_tightness =
       overall.metric > 0.0
           ? plan.root_bound / overall.metric
           : (plan.root_bound == overall.metric ? 1.0 : 0.0);
   return best;
 }
 
-SearchResult exhaustive_by(const AssignmentEvaluator& evaluator, bool by_power,
-                           const ExhaustiveOptions& options) {
+/// The output count an exhaustive search may enumerate (throws
+/// ExhaustiveLimitError above the clamped limit).
+std::size_t checked_outputs(const AssignmentEvaluator& evaluator,
+                            const ExhaustiveOptions& options) {
   const std::size_t num_pos = evaluator.network().num_pos();
   const std::size_t limit =
       std::min(options.max_outputs, kMaxExhaustiveOutputs);
   if (num_pos > limit) throw ExhaustiveLimitError(num_pos, limit);
+  return num_pos;
+}
 
-  if (num_pos == 0) {
-    SearchResult best;
-    best.cost = evaluator.evaluate({});
-    best.evaluations = 1;
-    return best;
-  }
+/// The result of any search over a circuit without outputs.
+SearchResult no_outputs(const AssignmentEvaluator& evaluator) {
+  SearchResult best;
+  best.cost = evaluator.evaluate({});
+  best.counters.evaluations = 1;
+  return best;
+}
 
+SearchResult exhaustive_by(const AssignmentEvaluator& evaluator, bool by_power,
+                           const ExhaustiveOptions& options) {
   // Degenerate (negative-coefficient) power models void the admissible
   // bounds AND the partial-state prefix anchor, so branch-and-bound could
   // prune the optimum — full enumeration is the only exact option there.
-  if (options.algorithm == ExhaustiveAlgorithm::kGrayWalk ||
-      !evaluator.context()->bounds_admissible()) {
-    const std::uint64_t total = 1ULL << num_pos;
-    // The unpruned walk's work is exactly 2^P, so the budget check is an
-    // up-front (and thus fully deterministic) refusal.
-    if (options.node_budget != 0 && total > options.node_budget)
-      throw ExhaustiveBudgetError(total, options.node_budget);
-    return exhaustive_gray(evaluator, by_power, options);
-  }
+  if (!evaluator.context()->bounds_admissible())
+    return exhaustive_gray_walk(evaluator, by_power, options);
+  if (checked_outputs(evaluator, options) == 0) return no_outputs(evaluator);
   return exhaustive_branch_and_bound(evaluator, by_power, options);
 }
 
 }  // namespace
+
+SearchResult exhaustive_gray_walk(const AssignmentEvaluator& evaluator,
+                                  bool by_power,
+                                  const ExhaustiveOptions& options) {
+  const std::size_t num_pos = checked_outputs(evaluator, options);
+  if (num_pos == 0) return no_outputs(evaluator);
+  const std::uint64_t total = 1ULL << num_pos;
+  // The unpruned walk's work is exactly 2^P, so the budget check is an
+  // up-front (and thus fully deterministic) refusal.
+  if (options.node_budget != 0 && total > options.node_budget)
+    throw ExhaustiveBudgetError(total, options.node_budget);
+  return exhaustive_gray(evaluator, by_power, options);
+}
 
 SearchResult exhaustive_min_power(const AssignmentEvaluator& evaluator,
                                   const ExhaustiveOptions& options) {
@@ -602,12 +617,7 @@ SearchResult exhaustive_min_area(const AssignmentEvaluator& evaluator,
 SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
                                  const MinAreaOptions& options) {
   const std::size_t num_pos = evaluator.network().num_pos();
-  if (num_pos == 0) {
-    SearchResult result;
-    result.cost = evaluator.evaluate({});
-    result.evaluations = 1;
-    return result;
-  }
+  if (num_pos == 0) return no_outputs(evaluator);
   // Clamp like exhaustive_by does, so an over-generous exhaustive_limit
   // falls back to annealing instead of tripping ExhaustiveLimitError.
   const std::size_t exhaustive_limit =
@@ -653,7 +663,7 @@ SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
     }
   }
   global_best.cost = evaluator.evaluate(global_best.assignment);
-  global_best.evaluations = evaluations;
+  global_best.counters.evaluations = evaluations;
   return global_best;
 }
 

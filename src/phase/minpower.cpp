@@ -114,7 +114,7 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
     result.assignment = state.assignment();
     result.cost = cost;
     result.final_power = cost.power.total();
-    ++result.commits;
+    ++result.counters.commits;
   };
 
   if (num_pos < 2) return result;
@@ -210,14 +210,15 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
     for (std::size_t at = 0; at < num_changed; ++at) {
       const std::size_t output = changed[at];
       avg[output] = state.cone_average(output);
-      result.avg_update_nodes += state.context().cone_gate_count(output);
+      result.counters.avg_update_nodes +=
+          state.context().cone_gate_count(output);
     }
     if (options.guidance == GuidanceMode::kCostFunction) {
       for (std::size_t at = 0; at < num_changed; ++at) {
         for (const std::uint32_t c : pairs_of_output[changed[at]]) {
           if (consumed[c] || rescored_at[c] == commit_id) continue;
           rescored_at[c] = commit_id;
-          ++result.commit_rescore_pairs;
+          ++result.counters.commit_rescore_pairs;
           const double k =
               score_pair(candidates[c].first, candidates[c].second).k;
           if (k != current_k[c]) {
@@ -263,7 +264,7 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
         for (const bool fi : {false, true})
           for (const bool fj : {false, true}) {
             const double power = measure_flips(i, fi, j, fj).power.total();
-            ++result.trials;
+            ++result.counters.evaluations;
             if (power < best_power) {
               best_power = power;
               flip_i = fi;
@@ -279,7 +280,7 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
     if (flip_i) { state.apply_flip(i); ++applied; }
     if (flip_j) { state.apply_flip(j); ++applied; }
     const AssignmentCost trial_cost = state.cost();
-    ++result.trials;
+    ++result.counters.evaluations;
     consumed[pick] = true;
     --remaining;
     live.erase(pick);
@@ -301,7 +302,7 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
         for (std::size_t i = 0; i < num_pos; ++i) {
           state.apply_flip(i);
           const AssignmentCost trial_cost = state.cost();
-          ++result.trials;
+          ++result.counters.evaluations;
           if (trial_cost.power.total() < result.final_power - kImprovementEps) {
             commit(trial_cost);
             improved = true;
@@ -340,10 +341,10 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
             }
           }
           if (found == count) {
-            result.trials += count;
+            result.counters.evaluations += count;
             break;
           }
-          result.trials += found + 1;
+          result.counters.evaluations += found + 1;
           state.apply_flip(start + found);
           commit(state.cost());
           improved = true;

@@ -8,10 +8,10 @@
 ///    function K built from cone sizes |D|, current average probabilities A
 ///    and overlaps O(i,j); greedy commit loop with measured power.
 ///  * exhaustive_min_power — exact search over all 2^P assignments (the
-///    frg1 "only 8 assignments" observation), by default as a
-///    branch-and-bound enumeration with admissible per-output lower bounds
-///    (docs/search.md); the unpruned Gray-code walk remains available as
-///    the reference algorithm.
+///    frg1 "only 8 assignments" observation), as a branch-and-bound
+///    enumeration with admissible per-output lower bounds (docs/search.md);
+///    the unpruned Gray-code walk (exhaustive_gray_walk) is its reference
+///    and its fallback when the bounds are not admissible.
 ///
 /// All searches run on the incremental engine (phase/eval.hpp): candidate
 /// moves cost O(|cone|) instead of O(network), the exhaustive searches
@@ -34,22 +34,64 @@
 
 namespace dominosyn {
 
+/// The work counters every phase-assignment search reports, declared once.
+/// Each row is X(rule, type, field, report_key, help): `field` is a
+/// SearchCounters member, `report_key` its key in the protocol report (rows
+/// in key order), and `rule` how the serving core (server/core.hpp)
+/// aggregates it over ok responses:
+///   NONE       not aggregated;
+///   SUM        summed into ServerCore::Stats::<report_key> and the
+///              `dominosyn_<report_key>_total` counter described by `help`;
+///   SUM_COUNT  as SUM, and a nonzero value also counts the response in
+///              `exhaustive_searches` (listed just before it);
+///   TIGHTNESS  summed into `bound_tightness_sum` over those responses.
+/// Trailing arguments of DOMINOSYN_SEARCH_COUNTERS are passed on to every X.
+///
+///   evaluations       candidates whose exact cost was computed: every
+///                     Gray-walk position, the branch-and-bound leaves plus
+///                     its incumbent seeding, annealing and §4.1 trials (the
+///                     flow adds the min-area seeding search to min-power's)
+///   commits           §4.1 candidates accepted
+///   commit_rescore_pairs  pairs whose cost function K was recomputed on
+///                     commits under kCostFunction guidance — only the pairs
+///                     touching a flipped output (≤ 2·(P-1) per commit)
+///   avg_update_nodes  cone gate instances covered by the A_i refreshes of
+///                     those commits (each refresh is O(1) on the maintained
+///                     per-phase averages)
+///   nodes_expanded    branch-and-bound prefix-tree nodes whose partial state
+///                     was built (the unit the node budget meters)
+///   subtrees_pruned   subtrees cut by the admissible bound
+///   bound_tightness   root lower bound over the optimal cost (≤ 1; 1 is
+///                     tight)
+/// The branch-and-bound counters vary with worker timing when
+/// num_threads > 1; only the (cost, assignment) result is thread-count
+/// invariant.
+#define DOMINOSYN_SEARCH_COUNTERS(X, ...)                                      \
+  X(NONE, std::size_t, evaluations, search_evaluations, "", __VA_ARGS__)       \
+  X(SUM, std::size_t, commits, search_commits,                                 \
+    "Min-power commits across ok responses", __VA_ARGS__)                      \
+  X(SUM, std::size_t, commit_rescore_pairs, commit_rescore_pairs,              \
+    "Pairs rescored by the incremental commit path", __VA_ARGS__)              \
+  X(SUM, std::size_t, avg_update_nodes, avg_update_nodes,                      \
+    "Summed per-report average update-node counts", __VA_ARGS__)               \
+  X(SUM_COUNT, std::size_t, nodes_expanded, search_nodes_expanded,             \
+    "Branch-and-bound nodes expanded", __VA_ARGS__)                            \
+  X(SUM, std::size_t, subtrees_pruned, search_subtrees_pruned,                 \
+    "Branch-and-bound subtrees pruned", __VA_ARGS__)                           \
+  X(TIGHTNESS, double, bound_tightness, search_bound_tightness,                \
+    "Summed bound-tightness ratios (divide by exhaustive searches for the "    \
+    "fleet average)", __VA_ARGS__)
+
+struct SearchCounters {
+#define DOMINOSYN_SEARCH_COUNTER_FIELD(rule, type, field, ...) type field = 0;
+  DOMINOSYN_SEARCH_COUNTERS(DOMINOSYN_SEARCH_COUNTER_FIELD)
+#undef DOMINOSYN_SEARCH_COUNTER_FIELD
+};
+
 struct SearchResult {
   PhaseAssignment assignment;
   AssignmentCost cost;
-  /// Candidates whose exact cost was computed: every Gray-walk position, or
-  /// the branch-and-bound leaves plus its incumbent-seeding evaluations.
-  std::size_t evaluations = 0;
-  /// Branch-and-bound telemetry (zero for the Gray walk and annealing).
-  /// `nodes_expanded` counts prefix-tree nodes whose partial state was
-  /// built (the unit the node budget meters); `subtrees_pruned` counts
-  /// subtrees cut by the admissible bound; `bound_tightness` is the root
-  /// lower bound divided by the optimal cost (≤ 1, →1 = tight).  The
-  /// counters vary with worker timing when num_threads > 1 — only the
-  /// (cost, assignment) result is thread-count invariant.
-  std::size_t nodes_expanded = 0;
-  std::size_t subtrees_pruned = 0;
-  double bound_tightness = 0.0;
+  SearchCounters counters;
 };
 
 // -- exhaustive enumeration limits --------------------------------------------
@@ -62,10 +104,6 @@ struct SearchResult {
 //   * auto-selecting callers (min_area_assignment, the flow's kMinPower /
 //     kExhaustivePower paths) default to the *pruned* ceiling and rely on
 //     the node budget — not the limit — to bail out of loose-bound runs.
-
-/// Unpruned enumeration budget: the full-2^P Gray walk stays tractable up
-/// to this many outputs (2^20 candidates).
-inline constexpr std::size_t kDefaultExhaustiveLimit = 20;
 
 /// Branch-and-bound ceiling: with admissible per-output bounds the pruned
 /// enumeration is tractable past 2^20 — runs at P = 24–28 complete when the
@@ -117,16 +155,6 @@ class ExhaustiveBudgetError : public std::runtime_error {
   std::uint64_t budget_;
 };
 
-enum class ExhaustiveAlgorithm : std::uint8_t {
-  /// Prefix-tree enumeration pruned by admissible per-output lower bounds;
-  /// bit-identical (cost, assignment, tie-break) to the Gray walk.
-  kBranchAndBound,
-  /// The unpruned 2^P Gray-code walk — the reference implementation the
-  /// pruned search is verified against, and the faster choice only when
-  /// nothing prunes (it pays one flip per candidate instead of two).
-  kGrayWalk,
-};
-
 struct ExhaustiveOptions {
   /// Refuse (with ExhaustiveLimitError) when #POs exceeds this; values
   /// above kMaxExhaustiveOutputs are clamped to it.
@@ -134,23 +162,31 @@ struct ExhaustiveOptions {
   /// Worker threads sharding the space; 0 = one per hardware thread.
   /// The result is identical for every value.
   unsigned num_threads = 1;
-  ExhaustiveAlgorithm algorithm = ExhaustiveAlgorithm::kBranchAndBound;
   /// Abort with ExhaustiveBudgetError after this many expanded nodes
   /// (branch-and-bound) or when 2^P exceeds it outright (Gray walk).
   /// 0 = unlimited.
   std::uint64_t node_budget = 0;
 };
 
-/// Exact minimum-power assignment over all 2^P candidates.  Ties are broken
+/// Exact minimum-power assignment over all 2^P candidates, by branch and
+/// bound — or by the Gray walk below when the power model voids the
+/// admissible bounds (EvalContext::bounds_admissible).  Ties are broken
 /// towards the smallest assignment code (output i negative iff bit i set) —
 /// exactly the seed scan's first-minimum-in-code-order — so the result is
-/// thread-count independent for both algorithms.
+/// thread-count independent.
 [[nodiscard]] SearchResult exhaustive_min_power(const AssignmentEvaluator& evaluator,
                                                 const ExhaustiveOptions& options);
 
 /// Exact minimum-area assignment over all 2^P candidates.
 [[nodiscard]] SearchResult exhaustive_min_area(const AssignmentEvaluator& evaluator,
                                                const ExhaustiveOptions& options);
+
+/// The unpruned 2^P Gray-code walk: the reference the pruned search is
+/// verified against, and its fallback under inadmissible bounds.  Same
+/// limit and tie-break as above; a node budget below 2^P is refused up front.
+[[nodiscard]] SearchResult exhaustive_gray_walk(const AssignmentEvaluator& evaluator,
+                                                bool by_power,
+                                                const ExhaustiveOptions& options);
 
 /// Convenience overloads with a bare output-count limit.
 [[nodiscard]] SearchResult exhaustive_min_power(
@@ -312,18 +348,9 @@ struct MinPowerResult {
   AssignmentCost cost;            ///< final cost
   double initial_power = 0.0;
   double final_power = 0.0;
-  std::size_t trials = 0;         ///< candidate measurements
-  std::size_t commits = 0;        ///< accepted candidates
-  /// Commit-path telemetry.  `commit_rescore_pairs` counts the candidate
-  /// pairs whose cost function K was recomputed on commits under
-  /// kCostFunction guidance — the delta-updated K-queue re-scores only the
-  /// pairs touching a flipped output (≤ 2·(P-1) per commit), where the seed
-  /// rebuilt and re-sorted every surviving pair.  `avg_update_nodes` totals
-  /// the cone gate instances covered by the A_i refreshes those pairwise
-  /// commits required — the O(|cone|) bound an explicit delta walk would
-  /// touch; the maintained per-phase averages make each refresh O(1).
-  std::size_t commit_rescore_pairs = 0;
-  std::size_t avg_update_nodes = 0;
+  /// Candidate measurements (evaluations), accepted candidates (commits)
+  /// and the commit-path counters.
+  SearchCounters counters;
 };
 
 /// The paper's minimum-power phase assignment heuristic (§4.1).

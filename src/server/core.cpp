@@ -28,10 +28,6 @@ FlowSession::Stats stats_delta(const FlowSession::Stats& after,
   return delta;
 }
 
-constexpr const char* kProbBuildsHelp =
-    "Signal-probability builds by method: exact BDDs within the work budget, "
-    "or the approximate fallback";
-
 ServerResponse rejection(ServerStatus status, std::string message) {
   ServerResponse response;
   response.status = status;
@@ -51,72 +47,6 @@ std::string_view to_string(ServerStatus status) noexcept {
   }
   return "unknown";
 }
-
-ServerCore::Instruments::Instruments(obs::MetricsRegistry& registry)
-    : submitted(registry.counter("dominosyn_requests_submitted_total",
-                                 "Requests ever submitted")),
-      accepted(registry.counter("dominosyn_requests_accepted_total",
-                                "Requests past admission control")),
-      completed(registry.counter("dominosyn_requests_completed_total",
-                                 "Requests served with status ok")),
-      rejected_queue_full(
-          registry.counter("dominosyn_requests_rejected_queue_full_total",
-                           "Rejections: admission queue at capacity")),
-      rejected_deadline(
-          registry.counter("dominosyn_requests_rejected_deadline_total",
-                           "Rejections: deadline expired while queued")),
-      rejected_shutdown(
-          registry.counter("dominosyn_requests_rejected_shutdown_total",
-                           "Rejections: submitted after or cancelled by "
-                           "shutdown")),
-      errors(registry.counter("dominosyn_requests_error_total",
-                              "Requests whose flow threw")),
-      search_commits(registry.counter("dominosyn_search_commits_total",
-                                      "Min-power commits across ok responses")),
-      commit_rescore_pairs(
-          registry.counter("dominosyn_commit_rescore_pairs_total",
-                           "Pairs rescored by the incremental commit path")),
-      avg_update_nodes(
-          registry.counter("dominosyn_avg_update_nodes_total",
-                           "Summed per-report average update-node counts")),
-      exhaustive_searches(
-          registry.counter("dominosyn_exhaustive_searches_total",
-                           "Responses answered by the pruned exact search")),
-      search_nodes_expanded(
-          registry.counter("dominosyn_search_nodes_expanded_total",
-                           "Branch-and-bound nodes expanded")),
-      search_subtrees_pruned(
-          registry.counter("dominosyn_search_subtrees_pruned_total",
-                           "Branch-and-bound subtrees pruned")),
-      retried_submits(
-          registry.counter("dominosyn_requests_retried_total",
-                           "Submits that arrived with a nonzero retry= "
-                           "attempt (client re-submissions)")),
-      reattached_submits(
-          registry.counter("dominosyn_requests_reattached_total",
-                           "Retried submits answered by attaching to the "
-                           "in-flight/finished job of the same rid")),
-      degraded_responses(
-          registry.counter("dominosyn_responses_degraded_total",
-                           "Responses served under overload brownout "
-                           "(auto-exhaustive disabled)")),
-      prob_builds_exact(registry.counter(
-          "dominosyn_prob_builds_total{method=\"exact\"}", kProbBuildsHelp)),
-      prob_builds_approx(registry.counter(
-          "dominosyn_prob_builds_total{method=\"approx\"}", kProbBuildsHelp)),
-      bound_tightness_sum(
-          registry.double_sum("dominosyn_bound_tightness_sum",
-                              "Summed bound-tightness ratios (divide by "
-                              "exhaustive searches for the fleet average)")),
-      queued_now(registry.gauge("dominosyn_requests_queued",
-                                "Admitted, not yet started")),
-      running_now(registry.gauge("dominosyn_requests_running",
-                                 "Currently executing")),
-      queue_us(registry.histogram("dominosyn_request_queue_us",
-                                  "Admission-to-start latency, microseconds")),
-      service_us(registry.histogram(
-          "dominosyn_request_service_us",
-          "Start-to-response latency, microseconds")) {}
 
 ServerCore::ServerCore(ServerConfig config)
     : config_(config), inst_(metrics_) {
@@ -238,25 +168,21 @@ void ServerCore::process(const std::string& key,
   ServerResponse response = execute(*pending);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    if (response.telemetry.degraded) inst_.degraded_responses.add();
     switch (response.status) {
-      case ServerStatus::kOk:
+      case ServerStatus::kOk: {
         inst_.completed.add();
-        inst_.search_commits.add(response.report.search_commits);
-        inst_.commit_rescore_pairs.add(response.report.commit_rescore_pairs);
-        inst_.avg_update_nodes.add(response.report.avg_update_nodes);
-        inst_.search_nodes_expanded.add(response.report.search_nodes_expanded);
-        inst_.search_subtrees_pruned.add(
-            response.report.search_subtrees_pruned);
+        const SearchCounters& search = response.report.search;
+#define DOMINOSYN_ADD(field, kind, metric, help, amount) \
+  inst_.field.add(amount);
+        DOMINOSYN_SEARCH_COUNTERS(DOMINOSYN_SEARCH_AGGREGATE, DOMINOSYN_ADD)
+#undef DOMINOSYN_ADD
         if (response.telemetry.rebuilt.prob_builds > 0)
           (response.report.used_exact_bdd ? inst_.prob_builds_exact
                                           : inst_.prob_builds_approx)
               .add(response.telemetry.rebuilt.prob_builds);
-        if (response.report.search_nodes_expanded > 0) {
-          inst_.exhaustive_searches.add();
-          inst_.bound_tightness_sum.add(
-              response.report.search_bound_tightness);
-        }
         break;
+      }
       case ServerStatus::kRejectedDeadline:
         inst_.rejected_deadline.add();
         break;
@@ -400,14 +326,18 @@ ServerResponse ServerCore::execute(Pending& pending) {
                                  ? pending.request.network->name()
                                  : pending.request.circuit;
     FlowOptions& options = pending.request.options;
+    const std::size_t num_pos = pending.request.network->num_pos();
     if (brownout_active && options.mode == PhaseMode::kMinPower &&
-        options.exhaustive_pos_limit > 0) {
+        num_pos > 0 &&
+        num_pos <= std::min(options.exhaustive_pos_limit,
+                            kMaxExhaustiveOutputs)) {
       // Brownout: answer from the §4.1 heuristic alone.  Zeroing the limit
       // turns off the small-circuit auto-exhaustive upgrade (session.cpp);
-      // explicit kExhaustivePower requests keep their contract.
+      // explicit kExhaustivePower requests keep their contract.  Requests
+      // that path would not serve anyway keep their options, so a hot
+      // session is not rebuilt for an identical answer.
       options.exhaustive_pos_limit = 0;
       response.telemetry.degraded = true;
-      inst_.degraded_responses.add();
     }
     if (options.dist.enabled) {
       // Wire the request to this core's coordinator and make sure workers
@@ -500,54 +430,22 @@ ServerCore::Stats ServerCore::stats() const {
     // mutex_, so holding it here rules out torn cross-field reads — a
     // snapshot can never show completed > accepted or accepted > submitted.
     const std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.submitted = static_cast<std::size_t>(inst_.submitted.value());
-    snapshot.accepted = static_cast<std::size_t>(inst_.accepted.value());
-    snapshot.completed = static_cast<std::size_t>(inst_.completed.value());
-    snapshot.rejected_queue_full =
-        static_cast<std::size_t>(inst_.rejected_queue_full.value());
-    snapshot.rejected_deadline =
-        static_cast<std::size_t>(inst_.rejected_deadline.value());
-    snapshot.rejected_shutdown =
-        static_cast<std::size_t>(inst_.rejected_shutdown.value());
-    snapshot.errors = static_cast<std::size_t>(inst_.errors.value());
-    snapshot.search_commits =
-        static_cast<std::size_t>(inst_.search_commits.value());
-    snapshot.commit_rescore_pairs =
-        static_cast<std::size_t>(inst_.commit_rescore_pairs.value());
-    snapshot.avg_update_nodes =
-        static_cast<std::size_t>(inst_.avg_update_nodes.value());
-    snapshot.exhaustive_searches =
-        static_cast<std::size_t>(inst_.exhaustive_searches.value());
-    snapshot.search_nodes_expanded =
-        static_cast<std::size_t>(inst_.search_nodes_expanded.value());
-    snapshot.search_subtrees_pruned =
-        static_cast<std::size_t>(inst_.search_subtrees_pruned.value());
-    snapshot.bound_tightness_sum = inst_.bound_tightness_sum.value();
-    snapshot.retried_submits =
-        static_cast<std::size_t>(inst_.retried_submits.value());
-    snapshot.reattached_submits =
-        static_cast<std::size_t>(inst_.reattached_submits.value());
-    snapshot.degraded_responses =
-        static_cast<std::size_t>(inst_.degraded_responses.value());
-    snapshot.queued_now = queued_;
-    snapshot.running_now = running_;
+#define DOMINOSYN_READ_STAT(field, ...) \
+  snapshot.field = static_cast<decltype(snapshot.field)>(inst_.field.value());
+    DOMINOSYN_SERVER_COUNTERS(DOMINOSYN_READ_STAT, DOMINOSYN_IGNORE,
+                              DOMINOSYN_IGNORE, DOMINOSYN_IGNORE)
+#undef DOMINOSYN_READ_STAT
   }
+#define DOMINOSYN_READ_FABRIC(field, pass) snapshot.field = fabric.field;
+#define DOMINOSYN_READ_FAULTS(field) snapshot.field = fault::total_injected();
+  DOMINOSYN_SERVER_COUNTERS(DOMINOSYN_IGNORE, DOMINOSYN_READ_FABRIC,
+                            DOMINOSYN_READ_FAULTS, DOMINOSYN_IGNORE)
+#undef DOMINOSYN_READ_FABRIC
+#undef DOMINOSYN_READ_FAULTS
   // Latency histograms record outside mutex_ (the hot path is lock-free);
   // their snapshots are internally consistent by construction.
   snapshot.queue_us = inst_.queue_us.snapshot();
   snapshot.service_us = inst_.service_us.snapshot();
-  snapshot.units_issued = static_cast<std::size_t>(fabric.units_issued);
-  snapshot.units_stolen = static_cast<std::size_t>(fabric.units_stolen);
-  snapshot.units_reissued = static_cast<std::size_t>(fabric.units_reissued);
-  snapshot.incumbent_broadcasts =
-      static_cast<std::size_t>(fabric.incumbent_broadcasts);
-  snapshot.units_recovered = static_cast<std::size_t>(fabric.units_recovered);
-  snapshot.workers_quarantined =
-      static_cast<std::size_t>(fabric.workers_quarantined);
-  snapshot.quarantine_probes =
-      static_cast<std::size_t>(fabric.quarantine_probes);
-  snapshot.faults_injected =
-      static_cast<std::size_t>(fault::total_injected());
   return snapshot;
 }
 
@@ -563,18 +461,14 @@ std::string ServerCore::prometheus_text() const {
     out += std::to_string(value);
     out += '\n';
   };
-  fabric_counter("dominosyn_fabric_units_issued_total", fabric.units_issued);
-  fabric_counter("dominosyn_fabric_units_stolen_total", fabric.units_stolen);
-  fabric_counter("dominosyn_fabric_units_reissued_total",
-                 fabric.units_reissued);
-  fabric_counter("dominosyn_fabric_incumbent_broadcasts_total",
-                 fabric.incumbent_broadcasts);
-  fabric_counter("dominosyn_fabric_units_recovered_total",
-                 fabric.units_recovered);
-  fabric_counter("dominosyn_fabric_workers_quarantined_total",
-                 fabric.workers_quarantined);
-  fabric_counter("dominosyn_fabric_quarantine_probes_total",
-                 fabric.quarantine_probes);
+  for (const int pass : {1, 2}) {
+#define DOMINOSYN_FABRIC_TEXT(field, group) \
+  if (pass == (group))                      \
+    fabric_counter("dominosyn_fabric_" #field "_total", fabric.field);
+    DOMINOSYN_SERVER_COUNTERS(DOMINOSYN_IGNORE, DOMINOSYN_FABRIC_TEXT,
+                              DOMINOSYN_IGNORE, DOMINOSYN_IGNORE)
+#undef DOMINOSYN_FABRIC_TEXT
+  }
   out += "# HELP dominosyn_faults_injected_total Faults injected per site "
          "(docs/robustness.md; empty unless a fault spec is armed)\n";
   out += "# TYPE dominosyn_faults_injected_total counter\n";

@@ -125,10 +125,11 @@ struct ServerConfig {
   double slow_request_seconds = 0.0;
   /// Overload brownout (docs/robustness.md): when the admission queue holds
   /// `brownout_high_water`+ requests at service start, min-power requests
-  /// are answered by the §4.1 heuristic alone (auto-exhaustive disabled) and
-  /// flagged `degraded=1` — trading a few percent of power optimality for
-  /// latency instead of escalating to kRejectedQueueFull.  Explicit
-  /// exhaustive-mode requests are never degraded.  0 = brownout off.
+  /// that the auto-exhaustive path would serve (0 < #POs <= the limit) are
+  /// answered by the §4.1 heuristic alone and flagged `degraded=1` —
+  /// trading a few percent of power optimality for latency instead of
+  /// escalating to kRejectedQueueFull.  Explicit exhaustive-mode requests
+  /// are never degraded.  0 = brownout off.
   std::size_t brownout_high_water = 0;
   /// Durable job state (docs/robustness.md): directory for the write-ahead
   /// checkpoint journal.  Non-empty arms journaling of every rid-carrying
@@ -138,60 +139,108 @@ struct ServerConfig {
   std::string journal_dir;
 };
 
+/// The serving core's telemetry, declared once, in the order of the `stats`
+/// answer's "server" section (docs/observability.md).  The rows generate
+/// ServerCore::Stats, the registry instruments behind it, stats(), that
+/// section of the answer, and the registered or fabric series of `metrics`.
+/// Row forms:
+///   STAT(field, kind, metric, help[, amount])  registry instrument `kind`
+///       (counter, gauge or double_sum) named `metric`, read into
+///       Stats::field; the search aggregates add `amount` per ok response;
+///   FABRIC(field, pass)  Stats::field read from DistCoordinator::counters(),
+///       exposed as dominosyn_fabric_<field>_total, the lease counters
+///       (pass 1) before the recovery counters (pass 2);
+///   FAULTS(field)  Stats::field = fault::total_injected();
+///   SERIES(field, kind, metric, help)  a registry instrument with no Stats
+///       field.
+/// The search counters' aggregates (DOMINOSYN_SEARCH_COUNTERS) follow
+/// running_now.  Adding a counter means one row plus the code that counts it.
+#define DOMINOSYN_PROB_HELP                                                    \
+  "Signal-probability builds by method: exact BDDs within the work budget, "   \
+  "or the approximate fallback"
+#define DOMINOSYN_SERVER_COUNTERS(STAT, FABRIC, FAULTS, SERIES)                \
+  STAT(submitted, counter, "dominosyn_requests_submitted_total",               \
+       "Requests ever submitted")                                              \
+  STAT(accepted, counter, "dominosyn_requests_accepted_total",                 \
+       "Requests past admission control")                                      \
+  STAT(completed, counter, "dominosyn_requests_completed_total",               \
+       "Requests served with status ok")                                       \
+  STAT(rejected_queue_full, counter,                                           \
+       "dominosyn_requests_rejected_queue_full_total",                         \
+       "Rejections: admission queue at capacity")                              \
+  STAT(rejected_deadline, counter,                                             \
+       "dominosyn_requests_rejected_deadline_total",                           \
+       "Rejections: deadline expired while queued")                            \
+  STAT(rejected_shutdown, counter,                                             \
+       "dominosyn_requests_rejected_shutdown_total",                           \
+       "Rejections: submitted after or cancelled by shutdown")                 \
+  STAT(errors, counter, "dominosyn_requests_error_total",                      \
+       "Requests whose flow threw")                                            \
+  STAT(queued_now, gauge, "dominosyn_requests_queued",                         \
+       "Admitted, not yet started")                                            \
+  STAT(running_now, gauge, "dominosyn_requests_running",                       \
+       "Currently executing")                                                  \
+  DOMINOSYN_SEARCH_COUNTERS(DOMINOSYN_SEARCH_AGGREGATE, STAT)                  \
+  FABRIC(units_issued, 1)                                                      \
+  FABRIC(units_stolen, 1)                                                      \
+  FABRIC(units_reissued, 1)                                                    \
+  FABRIC(units_recovered, 2)                                                   \
+  FABRIC(incumbent_broadcasts, 1)                                              \
+  STAT(retried_submits, counter, "dominosyn_requests_retried_total",           \
+       "Submits that arrived with a nonzero retry= attempt (client "           \
+       "re-submissions)")                                                      \
+  STAT(reattached_submits, counter, "dominosyn_requests_reattached_total",     \
+       "Retried submits answered by attaching to the in-flight/finished job "  \
+       "of the same rid")                                                      \
+  STAT(degraded_responses, counter, "dominosyn_responses_degraded_total",      \
+       "Responses served under overload brownout (auto-exhaustive disabled)")  \
+  FABRIC(workers_quarantined, 2)                                               \
+  FABRIC(quarantine_probes, 2)                                                 \
+  FAULTS(faults_injected)                                                      \
+  SERIES(prob_builds_exact, counter,                                           \
+         "dominosyn_prob_builds_total{method=\"exact\"}", DOMINOSYN_PROB_HELP) \
+  SERIES(prob_builds_approx, counter,                                          \
+         "dominosyn_prob_builds_total{method=\"approx\"}", DOMINOSYN_PROB_HELP)
+
+/// A search-list row as the STAT rows its server rule aggregates into
+/// (phase/search.hpp).  The trailing argument is the amount one response
+/// adds, in terms of its SearchCounters `search`.
+#define DOMINOSYN_SEARCH_AGGREGATE(rule, type, field, key, help, STAT)         \
+  DOMINOSYN_SEARCH_AGGREGATE_##rule(STAT, field, key, help)
+#define DOMINOSYN_SEARCH_AGGREGATE_NONE(STAT, field, key, help)
+#define DOMINOSYN_SEARCH_AGGREGATE_SUM(STAT, field, key, help)                 \
+  STAT(key, counter, "dominosyn_" #key "_total", help, search.field)
+#define DOMINOSYN_SEARCH_AGGREGATE_SUM_COUNT(STAT, field, key, help)           \
+  STAT(exhaustive_searches, counter, "dominosyn_exhaustive_searches_total",    \
+       "Responses answered by the pruned exact search",                        \
+       search.field > 0 ? 1 : 0)                                               \
+  DOMINOSYN_SEARCH_AGGREGATE_SUM(STAT, field, key, help)
+#define DOMINOSYN_SEARCH_AGGREGATE_TIGHTNESS(STAT, field, key, help)           \
+  STAT(bound_tightness_sum, double_sum, "dominosyn_bound_tightness_sum", help, \
+       search.nodes_expanded > 0 ? search.field : 0.0)
+
+/// The Stats type of each registry kind.
+#define DOMINOSYN_STAT_TYPE_counter std::size_t
+#define DOMINOSYN_STAT_TYPE_gauge std::size_t
+#define DOMINOSYN_STAT_TYPE_double_sum double
+#define DOMINOSYN_IGNORE(...)
+
 class ServerCore {
  public:
-  /// Monotonic admission/outcome counters (completed = kOk responses), plus
-  /// an instantaneous queue-depth snapshot.
+  /// A snapshot of the DOMINOSYN_SERVER_COUNTERS rows: admission/outcome
+  /// counters (completed = kOk responses), queue-depth gauges, the summed
+  /// search counters of the served reports, the distributed-fabric and
+  /// robustness counters (docs/robustness.md), and the request latency
+  /// distributions in microseconds (admission→start, start→response;
+  /// quantile() gives p50/p95/p99).
   struct Stats {
-    std::size_t submitted = 0;
-    std::size_t accepted = 0;
-    std::size_t completed = 0;
-    std::size_t rejected_queue_full = 0;
-    std::size_t rejected_deadline = 0;
-    std::size_t rejected_shutdown = 0;
-    std::size_t errors = 0;
-    std::size_t queued_now = 0;   ///< admitted, not yet started
-    std::size_t running_now = 0;  ///< currently executing
-    /// Aggregated min-power commit-path telemetry of the served reports
-    /// (FlowReport::search_commits / commit_rescore_pairs / avg_update_nodes
-    /// summed over kOk responses) — the fleet-level view of the incremental
-    /// commit path's amortization.
-    std::size_t search_commits = 0;
-    std::size_t commit_rescore_pairs = 0;
-    std::size_t avg_update_nodes = 0;
-    /// Aggregated exhaustive branch-and-bound telemetry: responses whose
-    /// assignment came from the pruned exact search, their expanded /
-    /// pruned node totals, and the summed bound-tightness ratios (divide by
-    /// exhaustive_searches for the fleet average).
-    std::size_t exhaustive_searches = 0;
-    std::size_t search_nodes_expanded = 0;
-    std::size_t search_subtrees_pruned = 0;
-    double bound_tightness_sum = 0.0;
-    /// Distributed-fabric counters (snapshot of DistCoordinator::counters):
-    /// work-unit leases granted, speculative steals, re-issues after worker
-    /// loss, and accepted incumbent broadcasts.
-    std::size_t units_issued = 0;
-    std::size_t units_stolen = 0;
-    std::size_t units_reissued = 0;
-    std::size_t incumbent_broadcasts = 0;
-    /// Unit completions adopted from the checkpoint journal instead of
-    /// re-executed (the crash-recovery resume path; docs/robustness.md).
-    std::size_t units_recovered = 0;
-    /// Robustness counters (docs/robustness.md): submits that arrived with a
-    /// nonzero `retry=` attempt, responses served under brownout, worker
-    /// quarantine events + re-admit probes, and faults this process injected
-    /// (0 unless a fault spec is armed; compiled out under
-    /// DOMINOSYN_NO_FAULTS).
-    std::size_t retried_submits = 0;
-    /// Retried submits answered by attaching to the in-flight / finished
-    /// job of the same rid instead of re-executing (resume, not redo).
-    std::size_t reattached_submits = 0;
-    std::size_t degraded_responses = 0;
-    std::size_t workers_quarantined = 0;
-    std::size_t quarantine_probes = 0;
-    std::size_t faults_injected = 0;
-    /// Request latency distributions (microseconds): admission→start and
-    /// start→response.  Mergeable log2 snapshots; quantile() gives p50/p95/p99.
+#define DOMINOSYN_STAT_FIELD(field, kind, ...) \
+  DOMINOSYN_STAT_TYPE_##kind field = 0;
+#define DOMINOSYN_COUNT_FIELD(field, ...) std::size_t field = 0;
+    DOMINOSYN_SERVER_COUNTERS(DOMINOSYN_STAT_FIELD, DOMINOSYN_COUNT_FIELD,
+                              DOMINOSYN_COUNT_FIELD, DOMINOSYN_IGNORE)
+#undef DOMINOSYN_STAT_FIELD
+#undef DOMINOSYN_COUNT_FIELD
     obs::HistogramSnapshot queue_us;
     obs::HistogramSnapshot service_us;
   };
@@ -278,34 +327,22 @@ class ServerCore {
     std::shared_ptr<AttachState> attach;
   };
 
-  /// Registry-backed instruments behind the Stats facade.  References into
-  /// metrics_, resolved once at construction — the hot paths never look a
-  /// metric up by name.
+  /// Registry-backed instruments behind the Stats facade, registered on
+  /// construction — the hot paths never look a metric up by name.
   struct Instruments {
-    explicit Instruments(obs::MetricsRegistry& registry);
-    obs::Counter& submitted;
-    obs::Counter& accepted;
-    obs::Counter& completed;
-    obs::Counter& rejected_queue_full;
-    obs::Counter& rejected_deadline;
-    obs::Counter& rejected_shutdown;
-    obs::Counter& errors;
-    obs::Counter& search_commits;
-    obs::Counter& commit_rescore_pairs;
-    obs::Counter& avg_update_nodes;
-    obs::Counter& exhaustive_searches;
-    obs::Counter& search_nodes_expanded;
-    obs::Counter& search_subtrees_pruned;
-    obs::Counter& retried_submits;
-    obs::Counter& reattached_submits;
-    obs::Counter& degraded_responses;
-    obs::Counter& prob_builds_exact;
-    obs::Counter& prob_builds_approx;
-    obs::DoubleSum& bound_tightness_sum;
-    obs::Gauge& queued_now;
-    obs::Gauge& running_now;
-    obs::Histogram& queue_us;
-    obs::Histogram& service_us;
+    explicit Instruments(obs::MetricsRegistry& metrics) : registry(metrics) {}
+    obs::MetricsRegistry& registry;
+#define DOMINOSYN_INSTRUMENT(field, kind, metric, help, ...) \
+  decltype(registry.kind("")) field = registry.kind(metric, help);
+    DOMINOSYN_SERVER_COUNTERS(DOMINOSYN_INSTRUMENT, DOMINOSYN_IGNORE,
+                              DOMINOSYN_IGNORE, DOMINOSYN_INSTRUMENT)
+#undef DOMINOSYN_INSTRUMENT
+    obs::Histogram& queue_us =
+        registry.histogram("dominosyn_request_queue_us",
+                           "Admission-to-start latency, microseconds");
+    obs::Histogram& service_us = registry.histogram(
+        "dominosyn_request_service_us",
+        "Start-to-response latency, microseconds");
   };
 
   void schedule_locked(const std::string& key, std::shared_ptr<Pending> pending);

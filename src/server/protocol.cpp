@@ -255,13 +255,10 @@ void append_report(std::string& out, const FlowReport& report) {
     assignment += phase == Phase::kPositive ? '+' : '-';
   append_field(out, "assignment", std::string_view(assignment));
   append_field(out, "negative_outputs", report.negative_outputs);
-  append_field(out, "search_evaluations", report.search_evaluations);
-  append_field(out, "search_commits", report.search_commits);
-  append_field(out, "commit_rescore_pairs", report.commit_rescore_pairs);
-  append_field(out, "avg_update_nodes", report.avg_update_nodes);
-  append_field(out, "search_nodes_expanded", report.search_nodes_expanded);
-  append_field(out, "search_subtrees_pruned", report.search_subtrees_pruned);
-  append_field(out, "search_bound_tightness", report.search_bound_tightness);
+#define DOMINOSYN_REPORT_FIELD(rule, type, field, key, ...) \
+  append_field(out, #key, report.search.field);
+  DOMINOSYN_SEARCH_COUNTERS(DOMINOSYN_REPORT_FIELD)
+#undef DOMINOSYN_REPORT_FIELD
   append_field(out, "used_exact_bdd", report.used_exact_bdd);
   append_field(out, "equivalence_ok", report.equivalence_ok);
   append_field(out, "seconds", report.seconds, /*comma=*/false);
@@ -362,35 +359,13 @@ std::string format_stats(const ServerCore::Stats& stats,
   std::string out = "{";
   append_field(out, "ok", true);
   out += "\"server\":{";
-  append_field(out, "submitted", stats.submitted);
-  append_field(out, "accepted", stats.accepted);
-  append_field(out, "completed", stats.completed);
-  append_field(out, "rejected_queue_full", stats.rejected_queue_full);
-  append_field(out, "rejected_deadline", stats.rejected_deadline);
-  append_field(out, "rejected_shutdown", stats.rejected_shutdown);
-  append_field(out, "errors", stats.errors);
-  append_field(out, "queued_now", stats.queued_now);
-  append_field(out, "running_now", stats.running_now);
-  append_field(out, "search_commits", stats.search_commits);
-  append_field(out, "commit_rescore_pairs", stats.commit_rescore_pairs);
-  append_field(out, "avg_update_nodes", stats.avg_update_nodes);
-  append_field(out, "exhaustive_searches", stats.exhaustive_searches);
-  append_field(out, "search_nodes_expanded", stats.search_nodes_expanded);
-  append_field(out, "search_subtrees_pruned", stats.search_subtrees_pruned);
-  append_field(out, "bound_tightness_sum", stats.bound_tightness_sum);
-  append_field(out, "units_issued", stats.units_issued);
-  append_field(out, "units_stolen", stats.units_stolen);
-  append_field(out, "units_reissued", stats.units_reissued);
-  append_field(out, "units_recovered", stats.units_recovered);
-  append_field(out, "incumbent_broadcasts", stats.incumbent_broadcasts);
-  append_field(out, "retried_submits", stats.retried_submits);
-  append_field(out, "reattached_submits", stats.reattached_submits);
-  append_field(out, "degraded_responses", stats.degraded_responses);
-  append_field(out, "workers_quarantined", stats.workers_quarantined);
-  append_field(out, "quarantine_probes", stats.quarantine_probes);
-  append_field(out, "faults_injected", stats.faults_injected,
-               /*comma=*/false);
-  out += "},";
+#define DOMINOSYN_STATS_FIELD(field, ...) \
+  append_field(out, #field, stats.field);
+  DOMINOSYN_SERVER_COUNTERS(DOMINOSYN_STATS_FIELD, DOMINOSYN_STATS_FIELD,
+                            DOMINOSYN_STATS_FIELD, DOMINOSYN_IGNORE)
+#undef DOMINOSYN_STATS_FIELD
+  out.back() = '}';  // the last field's comma closes the section
+  out += ',';
   // Latency histograms as sparse [bucket_index, count] pairs plus the
   // quantiles the CLI prints — bucket i covers [2^(i-1), 2^i) microseconds
   // (bucket 0 is exactly 0); see obs/metrics.hpp.

@@ -147,13 +147,13 @@ ServerResponse ok_response() {
   r.resize_moves = 3;
   r.assignment = {Phase::kPositive, Phase::kNegative, Phase::kNegative};
   r.negative_outputs = 2;
-  r.search_evaluations = 610172;
-  r.search_commits = 7;
-  r.commit_rescore_pairs = 91;
-  r.avg_update_nodes = 1234;
-  r.search_nodes_expanded = 107802;
-  r.search_subtrees_pruned = 44;
-  r.search_bound_tightness = 0.9375;
+  r.search.evaluations = 610172;
+  r.search.commits = 7;
+  r.search.commit_rescore_pairs = 91;
+  r.search.avg_update_nodes = 1234;
+  r.search.nodes_expanded = 107802;
+  r.search.subtrees_pruned = 44;
+  r.search.bound_tightness = 0.9375;
   r.used_exact_bdd = false;
   r.seconds = 0.0123;
   ServerTelemetry& t = response.telemetry;

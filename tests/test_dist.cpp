@@ -608,16 +608,19 @@ TEST(DistSearchTest, ExhaustiveBitIdenticalAcrossEveryTopology) {
         // The result is the single-process search's, bit for bit.
         EXPECT_EQ(got.assignment, reference.assignment);
         expect_cost_identical(got.cost, reference.cost);
-        EXPECT_EQ(got.bound_tightness, reference.bound_tightness);
+        EXPECT_EQ(got.counters.bound_tightness,
+                  reference.counters.bound_tightness);
 
         if (shared) continue;
         if (!baseline) {
           baseline = got;
           continue;
         }
-        EXPECT_EQ(got.evaluations, baseline->evaluations);
-        EXPECT_EQ(got.nodes_expanded, baseline->nodes_expanded);
-        EXPECT_EQ(got.subtrees_pruned, baseline->subtrees_pruned);
+        EXPECT_EQ(got.counters.evaluations, baseline->counters.evaluations);
+        EXPECT_EQ(got.counters.nodes_expanded,
+                  baseline->counters.nodes_expanded);
+        EXPECT_EQ(got.counters.subtrees_pruned,
+                  baseline->counters.subtrees_pruned);
       }
     }
   }
@@ -679,7 +682,7 @@ TEST(DistSearchTest, MinAreaAnnealingMatchesLocalRestartForRestart) {
         fabric_options(coordinator, spec, /*frontier=*/4));
     EXPECT_EQ(got.assignment, reference.assignment);
     expect_cost_identical(got.cost, reference.cost);
-    EXPECT_EQ(got.evaluations, reference.evaluations);
+    EXPECT_EQ(got.counters.evaluations, reference.counters.evaluations);
     EXPECT_EQ(coordinator.counters().units_issued, options.restarts);
   }
 
@@ -732,11 +735,11 @@ void expect_reports_identical(const FlowReport& a, const FlowReport& b,
   EXPECT_EQ(a.sim_power, b.sim_power);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.negative_outputs, b.negative_outputs);
-  EXPECT_EQ(a.search_bound_tightness, b.search_bound_tightness);
+  EXPECT_EQ(a.search.bound_tightness, b.search.bound_tightness);
   if (!counters) return;  // shared bounds: timing-dependent telemetry
-  EXPECT_EQ(a.search_evaluations, b.search_evaluations);
-  EXPECT_EQ(a.search_nodes_expanded, b.search_nodes_expanded);
-  EXPECT_EQ(a.search_subtrees_pruned, b.search_subtrees_pruned);
+  EXPECT_EQ(a.search.evaluations, b.search.evaluations);
+  EXPECT_EQ(a.search.nodes_expanded, b.search.nodes_expanded);
+  EXPECT_EQ(a.search.subtrees_pruned, b.search.subtrees_pruned);
 }
 
 TEST(DistFabric, TcpWorkersServeSubmitsBitIdenticallyToLocal) {

@@ -431,7 +431,7 @@ MinPowerResult min_power(const AssignmentEvaluator& evaluator,
     result.assignment = state.assignment();
     result.cost = cost;
     result.final_power = cost.power.total();
-    ++result.commits;
+    ++result.counters.commits;
   };
 
   if (num_pos < 2) return result;
@@ -521,7 +521,7 @@ MinPowerResult min_power(const AssignmentEvaluator& evaluator,
         for (const bool fi : {false, true})
           for (const bool fj : {false, true}) {
             const double power = measure_flips(i, fi, j, fj).power.total();
-            ++result.trials;
+            ++result.counters.evaluations;
             if (power < best_power) {
               best_power = power;
               flip_i = fi;
@@ -537,7 +537,7 @@ MinPowerResult min_power(const AssignmentEvaluator& evaluator,
     if (flip_i) { state.apply_flip(i); ++applied; }
     if (flip_j) { state.apply_flip(j); ++applied; }
     const AssignmentCost trial_cost = state.cost();
-    ++result.trials;
+    ++result.counters.evaluations;
     consumed[pick] = true;
     --remaining;
     if (trial_cost.power.total() < result.final_power - kImprovementEps) {
@@ -559,7 +559,7 @@ MinPowerResult min_power(const AssignmentEvaluator& evaluator,
       for (std::size_t i = 0; i < num_pos; ++i) {
         state.apply_flip(i);
         const AssignmentCost trial_cost = state.cost();
-        ++result.trials;
+        ++result.counters.evaluations;
         if (trial_cost.power.total() < result.final_power - kImprovementEps) {
           commit(trial_cost);
           improved = true;
@@ -606,8 +606,8 @@ TEST(MinPower, DeltaQueueMatchesSeedReferenceLoop) {
             << "mode " << static_cast<int>(mode) << " polish " << polish;
         EXPECT_EQ(actual.final_power, expected.final_power);
         EXPECT_EQ(actual.initial_power, expected.initial_power);
-        EXPECT_EQ(actual.trials, expected.trials);
-        EXPECT_EQ(actual.commits, expected.commits);
+        EXPECT_EQ(actual.counters.evaluations, expected.counters.evaluations);
+        EXPECT_EQ(actual.counters.commits, expected.counters.commits);
         expect_cost_identical(actual.cost, expected.cost);
       }
     }
@@ -635,29 +635,32 @@ TEST(MinPower, CommitsRescoreOnlyPairsTouchingFlippedOutputs) {
   options.num_threads = 1;
   const MinPowerResult result =
       min_power_assignment(evaluator, overlap, options);
-  ASSERT_GT(result.commits, 0u);
+  ASSERT_GT(result.counters.commits, 0u);
 
   // Per commit: at most 2 outputs flip; each touches P-1 pairs, minus the
   // consumed pair itself and the double-counted (i, j) pair.
   const std::size_t per_commit_bound = 2 * (num_pos - 1) - 1;
-  EXPECT_GT(result.commit_rescore_pairs, 0u);
-  EXPECT_LE(result.commit_rescore_pairs, result.commits * per_commit_bound);
+  EXPECT_GT(result.counters.commit_rescore_pairs, 0u);
+  EXPECT_LE(result.counters.commit_rescore_pairs,
+            result.counters.commits * per_commit_bound);
   // A full rebuild would have re-scored ~all surviving pairs per commit.
-  EXPECT_LT(result.commit_rescore_pairs, result.commits * all_pairs / 2);
+  EXPECT_LT(result.counters.commit_rescore_pairs,
+            result.counters.commits * all_pairs / 2);
 
   // A_i refreshes cover only the flipped outputs' cones.
   std::size_t max_cone = 0;
   for (std::size_t i = 0; i < num_pos; ++i)
     max_cone = std::max(max_cone,
                         evaluator.context()->cone_gate_count(i));
-  EXPECT_GT(result.avg_update_nodes, 0u);
-  EXPECT_LE(result.avg_update_nodes, result.commits * 2 * max_cone);
+  EXPECT_GT(result.counters.avg_update_nodes, 0u);
+  EXPECT_LE(result.counters.avg_update_nodes,
+            result.counters.commits * 2 * max_cone);
 
   // Non-cost-function guidance never re-scores pairs.
   options.guidance = GuidanceMode::kRandom;
   const MinPowerResult random =
       min_power_assignment(evaluator, overlap, options);
-  EXPECT_EQ(random.commit_rescore_pairs, 0u);
+  EXPECT_EQ(random.counters.commit_rescore_pairs, 0u);
 }
 
 TEST(Search, ExhaustiveMatchesReferenceScan) {
@@ -695,8 +698,8 @@ TEST(Search, ExhaustiveMatchesReferenceScan) {
   const SearchResult power = exhaustive_min_power(evaluator);
   EXPECT_EQ(power.cost.power.total(), best_power);
   EXPECT_EQ(power.assignment, best_power_phases);  // seed tie-break order
-  EXPECT_LE(power.evaluations, 1ULL << net.num_pos());
-  EXPECT_GT(power.nodes_expanded, 0u);
+  EXPECT_LE(power.counters.evaluations, 1ULL << net.num_pos());
+  EXPECT_GT(power.counters.nodes_expanded, 0u);
   expect_cost_identical(power.cost, evaluator.evaluate(power.assignment));
 
   const SearchResult area = exhaustive_min_area(evaluator);
@@ -706,11 +709,10 @@ TEST(Search, ExhaustiveMatchesReferenceScan) {
   EXPECT_EQ(area.assignment, best_area_phases);
 
   // The reference Gray walk visits every candidate exactly once.
-  ExhaustiveOptions gray;
-  gray.algorithm = ExhaustiveAlgorithm::kGrayWalk;
-  const SearchResult gray_power = exhaustive_min_power(evaluator, gray);
+  const SearchResult gray_power =
+      exhaustive_gray_walk(evaluator, /*by_power=*/true, ExhaustiveOptions{});
   EXPECT_EQ(gray_power.assignment, best_power_phases);
-  EXPECT_EQ(gray_power.evaluations, 1ULL << net.num_pos());
+  EXPECT_EQ(gray_power.counters.evaluations, 1ULL << net.num_pos());
   expect_cost_identical(gray_power.cost, power.cost);
 }
 
@@ -742,17 +744,18 @@ TEST(Search, ParallelExhaustiveIsThreadCountIndependent) {
   // The Gray walk visits a fixed candidate set, so even its counter is
   // identical for every thread count.
   ExhaustiveOptions gray_sequential;
-  gray_sequential.algorithm = ExhaustiveAlgorithm::kGrayWalk;
   gray_sequential.num_threads = 1;
-  const SearchResult gray_base = exhaustive_min_power(evaluator, gray_sequential);
+  const SearchResult gray_base =
+      exhaustive_gray_walk(evaluator, /*by_power=*/true, gray_sequential);
   EXPECT_EQ(gray_base.assignment, base.assignment);
   for (const unsigned threads : {2u, 5u}) {
     ExhaustiveOptions parallel = gray_sequential;
     parallel.num_threads = threads;
-    const SearchResult result = exhaustive_min_power(evaluator, parallel);
+    const SearchResult result =
+        exhaustive_gray_walk(evaluator, /*by_power=*/true, parallel);
     EXPECT_EQ(result.assignment, gray_base.assignment) << threads;
     expect_cost_identical(result.cost, gray_base.cost);
-    EXPECT_EQ(result.evaluations, gray_base.evaluations);
+    EXPECT_EQ(result.counters.evaluations, gray_base.counters.evaluations);
   }
 }
 
@@ -777,7 +780,7 @@ TEST(Search, ParallelMinAreaAnnealingIsThreadCountIndependent) {
     const SearchResult result = min_area_assignment(evaluator, parallel);
     EXPECT_EQ(result.assignment, base.assignment) << threads;
     expect_cost_identical(result.cost, base.cost);
-    EXPECT_EQ(result.evaluations, base.evaluations);
+    EXPECT_EQ(result.counters.evaluations, base.counters.evaluations);
   }
 }
 
@@ -802,11 +805,16 @@ TEST(Search, ParallelMinPowerIsThreadCountIndependent) {
         min_power_assignment(evaluator, overlap, parallel);
     EXPECT_EQ(result.assignment, base.assignment) << threads;
     EXPECT_EQ(result.final_power, base.final_power) << threads;
-    EXPECT_EQ(result.trials, base.trials) << threads;
-    EXPECT_EQ(result.commits, base.commits) << threads;
+    EXPECT_EQ(result.counters.evaluations, base.counters.evaluations)
+        << threads;
+    EXPECT_EQ(result.counters.commits, base.counters.commits) << threads;
     // Commit-path telemetry is part of the deterministic trajectory.
-    EXPECT_EQ(result.commit_rescore_pairs, base.commit_rescore_pairs) << threads;
-    EXPECT_EQ(result.avg_update_nodes, base.avg_update_nodes) << threads;
+    EXPECT_EQ(result.counters.commit_rescore_pairs,
+              base.counters.commit_rescore_pairs)
+        << threads;
+    EXPECT_EQ(result.counters.avg_update_nodes,
+              base.counters.avg_update_nodes)
+        << threads;
     expect_cost_identical(result.cost, base.cost);
   }
 }
@@ -883,7 +891,7 @@ TEST(Flow, NumThreadsProducesIdenticalReports) {
   EXPECT_EQ(parallel.assignment, base.assignment);
   EXPECT_EQ(parallel.est_power, base.est_power);
   EXPECT_EQ(parallel.sim_power, base.sim_power);
-  EXPECT_EQ(parallel.search_evaluations, base.search_evaluations);
+  EXPECT_EQ(parallel.search.evaluations, base.search.evaluations);
 }
 
 TEST(Util, ThreadPoolRunsAllIndicesAndPropagatesErrors) {

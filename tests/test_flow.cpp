@@ -104,17 +104,28 @@ TEST(Flow, TimedFlowMeetsSharedClock) {
   EXPECT_EQ(session.stats().assign_searches, 2u);
 }
 
-TEST(Flow, PinnedX1ReportFields) {
+/// Every search counter, field by field (`want` lists them in
+/// DOMINOSYN_SEARCH_COUNTERS order): a swap anywhere between the search and
+/// the report fails here, where a sum would not notice.
+void expect_counters(const SearchCounters& got, const SearchCounters& want) {
+#define EXPECT_COUNTER(rule, type, field, ...) \
+  EXPECT_EQ(got.field, want.field) << #field;
+  DOMINOSYN_SEARCH_COUNTERS(EXPECT_COUNTER)
+#undef EXPECT_COUNTER
+}
+
+TEST(Flow, PinnedReportFields) {
   // x1 (28 POs) takes the flow's two heuristic paths: its MA anneals and its
-  // MP runs the §4.1 pair search from it.  Pinning the report's numbers to
-  // the bit catches any change to the searches' cost reads, the mapper or
-  // the simulator that would move a Table 1 row.
-  const Network net = generate_benchmark(paper_spec("x1"));
+  // MP runs the §4.1 pair search from it.  frg1 (3 POs) takes MP's
+  // auto-exhaustive branch-and-bound.  Pinning the reports' numbers to the
+  // bit catches any change to the searches' cost reads, the mapper or the
+  // simulator that would move a Table 1 row — and any change to what the
+  // searches count.
   FlowOptions options;
   options.pi_prob = 0.5;
   options.sim.steps = 256;
   options.sim.warmup = 16;
-  FlowSession session(net, options);
+  FlowSession session(generate_benchmark(paper_spec("x1")), options);
 
   const FlowReport ma = session.report(PhaseMode::kMinArea);
   EXPECT_EQ(ma.est_power, 0x1.2031950e4cecep+10);
@@ -122,6 +133,7 @@ TEST(Flow, PinnedX1ReportFields) {
   EXPECT_EQ(ma.cells, 501u);
   EXPECT_EQ(ma.area, 0x1.216cccccccccap+11);
   EXPECT_EQ(ma.critical_delay, 0x1.f466666666666p+6);
+  expect_counters(ma.search, {14058, 0, 0, 0, 0, 0, 0.0});
 
   const FlowReport mp = session.report(PhaseMode::kMinPower);
   EXPECT_EQ(mp.est_power, 0x1.7ba031e480779p+9);
@@ -129,6 +141,16 @@ TEST(Flow, PinnedX1ReportFields) {
   EXPECT_EQ(mp.cells, 609u);
   EXPECT_EQ(mp.area, 0x1.433fffffffffep+11);
   EXPECT_EQ(mp.critical_delay, 0x1.1d5c28f5c28f5p+7);
+  expect_counters(mp.search, {14492, 24, 507, 4707, 0, 0, 0.0});
+
+  FlowSession frg1(generate_benchmark(paper_spec("frg1")), options);
+  const FlowReport exact = frg1.report(PhaseMode::kMinPower);
+  EXPECT_EQ(exact.est_power, 0x1.f7b97250cccccp+7);
+  EXPECT_EQ(exact.sim_power, 0x1.ceee999999a64p+7);
+  EXPECT_EQ(exact.cells, 197u);
+  EXPECT_EQ(exact.area, 0x1.a833333333335p+9);
+  EXPECT_EQ(exact.critical_delay, 0x1.7accccccccccfp+6);
+  expect_counters(exact.search, {5, 0, 0, 0, 6, 3, 0x1.a34e759b7f488p-2});
 }
 
 TEST(Flow, RawBlifStyleInputIsNormalized) {

@@ -60,7 +60,7 @@ void expect_reports_identical(const FlowReport& a, const FlowReport& b) {
   EXPECT_EQ(a.resize_moves, b.resize_moves);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.negative_outputs, b.negative_outputs);
-  EXPECT_EQ(a.search_evaluations, b.search_evaluations);
+  EXPECT_EQ(a.search.evaluations, b.search.evaluations);
   EXPECT_EQ(a.used_exact_bdd, b.used_exact_bdd);
   EXPECT_EQ(a.equivalence_ok, b.equivalence_ok);
 }
@@ -120,8 +120,8 @@ TEST(FlowSession, MinPowerSeedsFromCachedMinArea) {
   EXPECT_EQ(session.stats().assign_searches, 2u);
   options.mode = PhaseMode::kMinPower;
   const FlowReport monolithic = run_flow(net, options);
-  EXPECT_EQ(mp.search_evaluations, monolithic.search_evaluations);
-  EXPECT_GT(mp.search_evaluations, ma.search_evaluations);
+  EXPECT_EQ(mp.search.evaluations, monolithic.search.evaluations);
+  EXPECT_GT(mp.search.evaluations, ma.search.evaluations);
 }
 
 TEST(FlowSession, SetOptionsInvalidatesOnlyAffectedStages) {

@@ -278,7 +278,7 @@ TEST(MinPower, GuidanceModesAllImprove) {
     const auto result = min_power_assignment(evaluator, overlap, options);
     EXPECT_LE(result.final_power, result.initial_power + 1e-9)
         << static_cast<int>(mode);
-    EXPECT_GT(result.trials, 0u);
+    EXPECT_GT(result.counters.evaluations, 0u);
   }
 }
 
@@ -312,8 +312,8 @@ TEST(MinPower, TrajectoryBitIdenticalAcrossThreads) {
           << "mode=" << static_cast<int>(mode) << " threads=" << threads;
       EXPECT_EQ(got.final_power, reference.final_power);  // bitwise
       EXPECT_EQ(got.initial_power, reference.initial_power);
-      EXPECT_EQ(got.trials, reference.trials);
-      EXPECT_EQ(got.commits, reference.commits);
+      EXPECT_EQ(got.counters.evaluations, reference.counters.evaluations);
+      EXPECT_EQ(got.counters.commits, reference.counters.commits);
     }
   }
 }

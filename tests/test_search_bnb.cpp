@@ -84,12 +84,9 @@ TEST(SearchBnb, BitIdenticalToGrayWalkOnRandomCircuits) {
     for (const PowerModelConfig& model : model_variants()) {
       const AssignmentEvaluator evaluator = make_evaluator(net, model, 0.6);
       for (const bool by_power : {true, false}) {
-        ExhaustiveOptions gray;
-        gray.algorithm = ExhaustiveAlgorithm::kGrayWalk;
         const SearchResult reference =
-            by_power ? exhaustive_min_power(evaluator, gray)
-                     : exhaustive_min_area(evaluator, gray);
-        EXPECT_EQ(reference.evaluations, 1ULL << net.num_pos());
+            exhaustive_gray_walk(evaluator, by_power, ExhaustiveOptions{});
+        EXPECT_EQ(reference.counters.evaluations, 1ULL << net.num_pos());
 
         for (const unsigned threads : {1u, 2u, 8u}) {
           ExhaustiveOptions bnb;
@@ -241,12 +238,11 @@ TEST(SearchBnb, DegenerateModelFallsBackToFullEnumeration) {
   EXPECT_FALSE(evaluator.context()->bounds_admissible());
 
   const SearchResult pruned = exhaustive_min_power(evaluator);
-  EXPECT_EQ(pruned.nodes_expanded, 0u);  // no tree was built
-  EXPECT_EQ(pruned.evaluations, 1ULL << net.num_pos());
+  EXPECT_EQ(pruned.counters.nodes_expanded, 0u);  // no tree was built
+  EXPECT_EQ(pruned.counters.evaluations, 1ULL << net.num_pos());
 
-  ExhaustiveOptions gray;
-  gray.algorithm = ExhaustiveAlgorithm::kGrayWalk;
-  const SearchResult reference = exhaustive_min_power(evaluator, gray);
+  const SearchResult reference =
+      exhaustive_gray_walk(evaluator, /*by_power=*/true, ExhaustiveOptions{});
   EXPECT_EQ(pruned.assignment, reference.assignment);
   expect_cost_identical(pruned.cost, reference.cost);
 
@@ -264,22 +260,22 @@ TEST(SearchBnb, TelemetryIsSaneAndSequentiallyReproducible) {
   const SearchResult first = exhaustive_min_power(evaluator, sequential);
   const SearchResult second = exhaustive_min_power(evaluator, sequential);
   // Single-threaded runs see no incumbent races: every counter reproduces.
-  EXPECT_EQ(first.nodes_expanded, second.nodes_expanded);
-  EXPECT_EQ(first.subtrees_pruned, second.subtrees_pruned);
-  EXPECT_EQ(first.evaluations, second.evaluations);
-  EXPECT_EQ(first.bound_tightness, second.bound_tightness);
+  EXPECT_EQ(first.counters.nodes_expanded, second.counters.nodes_expanded);
+  EXPECT_EQ(first.counters.subtrees_pruned, second.counters.subtrees_pruned);
+  EXPECT_EQ(first.counters.evaluations, second.counters.evaluations);
+  EXPECT_EQ(first.counters.bound_tightness, second.counters.bound_tightness);
 
-  EXPECT_GT(first.nodes_expanded, 0u);
+  EXPECT_GT(first.counters.nodes_expanded, 0u);
   // The prefix tree holds 2^(P+1) - 2 internal+leaf nodes; expansions can
   // never exceed it.
-  EXPECT_LT(first.nodes_expanded, 1ULL << (net.num_pos() + 1));
-  EXPECT_GT(first.bound_tightness, 0.0);
-  EXPECT_LE(first.bound_tightness, 1.0 + 1e-9);
+  EXPECT_LT(first.counters.nodes_expanded, 1ULL << (net.num_pos() + 1));
+  EXPECT_GT(first.counters.bound_tightness, 0.0);
+  EXPECT_LE(first.counters.bound_tightness, 1.0 + 1e-9);
   // Leaves reached plus seeding evaluations; far fewer than the full walk
   // whenever anything pruned.
-  EXPECT_GT(first.evaluations, 0u);
-  EXPECT_GT(first.subtrees_pruned, 0u);
-  EXPECT_LT(first.evaluations, 1ULL << net.num_pos());
+  EXPECT_GT(first.counters.evaluations, 0u);
+  EXPECT_GT(first.counters.subtrees_pruned, 0u);
+  EXPECT_LT(first.counters.evaluations, 1ULL << net.num_pos());
 }
 
 TEST(SearchBnb, BudgetTripsAndCarriesContext) {
@@ -298,9 +294,8 @@ TEST(SearchBnb, BudgetTripsAndCarriesContext) {
 
   // The Gray walk's budget is a deterministic up-front refusal.
   ExhaustiveOptions gray;
-  gray.algorithm = ExhaustiveAlgorithm::kGrayWalk;
   gray.node_budget = 8;
-  EXPECT_THROW((void)exhaustive_min_power(evaluator, gray),
+  EXPECT_THROW((void)exhaustive_gray_walk(evaluator, /*by_power=*/true, gray),
                ExhaustiveBudgetError);
 
   // A generous budget changes nothing.
@@ -324,11 +319,11 @@ TEST(SearchBnb, MinAreaFallsBackToAnnealingOnBudgetTrip) {
   const SearchResult reference = min_area_assignment(evaluator, annealed);
   EXPECT_EQ(fallback.assignment, reference.assignment);
   expect_cost_identical(fallback.cost, reference.cost);
-  EXPECT_EQ(fallback.evaluations, reference.evaluations);
+  EXPECT_EQ(fallback.counters.evaluations, reference.counters.evaluations);
 
   // With the default budget the same circuit is solved exactly.
   const SearchResult exact = min_area_assignment(evaluator, MinAreaOptions{});
-  EXPECT_GT(exact.nodes_expanded, 0u);
+  EXPECT_GT(exact.counters.nodes_expanded, 0u);
   EXPECT_LE(exact.cost.area_cells(), reference.cost.area_cells());
 }
 
@@ -351,7 +346,7 @@ TEST(SearchBnb, FlowMinPowerFallsBackToHeuristicOnBudgetTrip) {
   options.exhaustive_pos_limit = 16;
   options.exhaustive_node_budget = 1;
   const FlowReport tripped = run_flow(net, options);
-  EXPECT_EQ(tripped.search_nodes_expanded, 0u);
+  EXPECT_EQ(tripped.search.nodes_expanded, 0u);
 
   FlowOptions heuristic = options;
   heuristic.exhaustive_pos_limit = 4;  // below #POs: heuristic from the start
@@ -359,15 +354,15 @@ TEST(SearchBnb, FlowMinPowerFallsBackToHeuristicOnBudgetTrip) {
   const FlowReport reference = run_flow(net, heuristic);
   EXPECT_EQ(tripped.assignment, reference.assignment);
   EXPECT_EQ(tripped.est_power, reference.est_power);
-  EXPECT_EQ(tripped.search_commits, reference.search_commits);
+  EXPECT_EQ(tripped.search.commits, reference.search.commits);
 
   // With a real budget the exact search runs and its telemetry reaches the
   // report.
   FlowOptions exact = options;
   exact.exhaustive_node_budget = 0;
   const FlowReport solved = run_flow(net, exact);
-  EXPECT_GT(solved.search_nodes_expanded, 0u);
-  EXPECT_GT(solved.search_bound_tightness, 0.0);
+  EXPECT_GT(solved.search.nodes_expanded, 0u);
+  EXPECT_GT(solved.search.bound_tightness, 0.0);
   EXPECT_LE(solved.est_power, reference.est_power + 1e-9);
 }
 

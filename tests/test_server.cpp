@@ -73,15 +73,15 @@ void expect_reports_identical(const FlowReport& a, const FlowReport& b) {
   EXPECT_EQ(a.critical_delay, b.critical_delay);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.negative_outputs, b.negative_outputs);
-  EXPECT_EQ(a.search_evaluations, b.search_evaluations);
-  EXPECT_EQ(a.search_commits, b.search_commits);
-  EXPECT_EQ(a.commit_rescore_pairs, b.commit_rescore_pairs);
-  EXPECT_EQ(a.avg_update_nodes, b.avg_update_nodes);
+  EXPECT_EQ(a.search.evaluations, b.search.evaluations);
+  EXPECT_EQ(a.search.commits, b.search.commits);
+  EXPECT_EQ(a.search.commit_rescore_pairs, b.search.commit_rescore_pairs);
+  EXPECT_EQ(a.search.avg_update_nodes, b.search.avg_update_nodes);
   // Branch-and-bound counters are timing-dependent across *runs*, but every
   // response served from one cached assign stage reports the same values.
-  EXPECT_EQ(a.search_nodes_expanded, b.search_nodes_expanded);
-  EXPECT_EQ(a.search_subtrees_pruned, b.search_subtrees_pruned);
-  EXPECT_EQ(a.search_bound_tightness, b.search_bound_tightness);
+  EXPECT_EQ(a.search.nodes_expanded, b.search.nodes_expanded);
+  EXPECT_EQ(a.search.subtrees_pruned, b.search.subtrees_pruned);
+  EXPECT_EQ(a.search.bound_tightness, b.search.bound_tightness);
   EXPECT_EQ(a.equivalence_ok, b.equivalence_ok);
 }
 
@@ -164,9 +164,9 @@ TEST(ServerCore, StatsAggregateCommitPathTelemetry) {
   const ServerResponse cold =
       core.submit(make_request(net, fast_options(PhaseMode::kMinPower))).get();
   ASSERT_EQ(cold.status, ServerStatus::kOk) << cold.error_message;
-  EXPECT_GT(cold.report.search_commits, 0u);
-  EXPECT_GT(cold.report.commit_rescore_pairs, 0u);
-  EXPECT_GT(cold.report.avg_update_nodes, 0u);
+  EXPECT_GT(cold.report.search.commits, 0u);
+  EXPECT_GT(cold.report.search.commit_rescore_pairs, 0u);
+  EXPECT_GT(cold.report.search.avg_update_nodes, 0u);
 
   const ServerResponse hot =
       core.submit(make_request(net, fast_options(PhaseMode::kMinPower))).get();
@@ -174,9 +174,10 @@ TEST(ServerCore, StatsAggregateCommitPathTelemetry) {
   expect_reports_identical(hot.report, cold.report);
 
   const ServerCore::Stats stats = core.stats();
-  EXPECT_EQ(stats.search_commits, 2 * cold.report.search_commits);
-  EXPECT_EQ(stats.commit_rescore_pairs, 2 * cold.report.commit_rescore_pairs);
-  EXPECT_EQ(stats.avg_update_nodes, 2 * cold.report.avg_update_nodes);
+  EXPECT_EQ(stats.search_commits, 2 * cold.report.search.commits);
+  EXPECT_EQ(stats.commit_rescore_pairs,
+            2 * cold.report.search.commit_rescore_pairs);
+  EXPECT_EQ(stats.avg_update_nodes, 2 * cold.report.search.avg_update_nodes);
   EXPECT_EQ(stats.exhaustive_searches, 0u);  // heuristic path: no pruning run
 
   // A 6-PO circuit takes the auto-exhaustive branch-and-bound path; its
@@ -186,8 +187,8 @@ TEST(ServerCore, StatsAggregateCommitPathTelemetry) {
   const ServerResponse exact_cold =
       core.submit(make_request(small, fast_options(PhaseMode::kMinPower))).get();
   ASSERT_EQ(exact_cold.status, ServerStatus::kOk) << exact_cold.error_message;
-  EXPECT_GT(exact_cold.report.search_nodes_expanded, 0u);
-  EXPECT_GT(exact_cold.report.search_bound_tightness, 0.0);
+  EXPECT_GT(exact_cold.report.search.nodes_expanded, 0u);
+  EXPECT_GT(exact_cold.report.search.bound_tightness, 0.0);
   const ServerResponse exact_hot =
       core.submit(make_request(small, fast_options(PhaseMode::kMinPower))).get();
   ASSERT_EQ(exact_hot.status, ServerStatus::kOk);
@@ -196,11 +197,11 @@ TEST(ServerCore, StatsAggregateCommitPathTelemetry) {
   const ServerCore::Stats after = core.stats();
   EXPECT_EQ(after.exhaustive_searches, 2u);
   EXPECT_EQ(after.search_nodes_expanded,
-            2 * exact_cold.report.search_nodes_expanded);
+            2 * exact_cold.report.search.nodes_expanded);
   EXPECT_EQ(after.search_subtrees_pruned,
-            2 * exact_cold.report.search_subtrees_pruned);
+            2 * exact_cold.report.search.subtrees_pruned);
   EXPECT_EQ(after.bound_tightness_sum,
-            2 * exact_cold.report.search_bound_tightness);
+            2 * exact_cold.report.search.bound_tightness);
 
   // The new counters ride the stats wire format.
   const std::string stats_json = protocol::format_stats(after, core.cache());
@@ -527,12 +528,12 @@ TEST(Protocol, ResponseRoundTripsThroughScanners) {
   response.report.cells = 42;
   response.report.sim_power = 123.4567890123456789;
   response.report.assignment = {Phase::kPositive, Phase::kNegative};
-  response.report.search_commits = 7;
-  response.report.commit_rescore_pairs = 91;
-  response.report.avg_update_nodes = 1234;
-  response.report.search_nodes_expanded = 555;
-  response.report.search_subtrees_pruned = 44;
-  response.report.search_bound_tightness = 0.9375;
+  response.report.search.commits = 7;
+  response.report.search.commit_rescore_pairs = 91;
+  response.report.search.avg_update_nodes = 1234;
+  response.report.search.nodes_expanded = 555;
+  response.report.search.subtrees_pruned = 44;
+  response.report.search.bound_tightness = 0.9375;
   response.telemetry.cache_hit = true;
   response.telemetry.rebuilt.assign_searches = 2;
   response.telemetry.queue_seconds = 0.25;
@@ -756,6 +757,124 @@ TEST(ServerCore, ProbBuildsCountedByMethod) {
       << text;
 }
 
+/// prometheus_text() less the families whose values depend on timing or on
+/// the whole process: the two latency histograms, and the process-global
+/// fault tallies and span counts.
+std::string deterministic_metrics(const ServerCore& core) {
+  std::istringstream lines(core.prometheus_text());
+  std::string out;
+  std::string line;
+  while (std::getline(lines, line)) {
+    bool keep = true;
+    for (const char* family :
+         {"dominosyn_request_queue_us", "dominosyn_request_service_us",
+          "dominosyn_faults_injected_total", "dominosyn_spans_total"})
+      keep = keep && line.find(family) == std::string::npos;
+    if (keep) out += line + '\n';
+  }
+  return out;
+}
+
+constexpr std::string_view kPinnedMetrics = R"metrics(# HELP dominosyn_avg_update_nodes_total Summed per-report average update-node counts
+# TYPE dominosyn_avg_update_nodes_total counter
+dominosyn_avg_update_nodes_total 136
+# HELP dominosyn_bound_tightness_sum Summed bound-tightness ratios (divide by exhaustive searches for the fleet average)
+# TYPE dominosyn_bound_tightness_sum counter
+dominosyn_bound_tightness_sum 0.53683686223650673
+# HELP dominosyn_commit_rescore_pairs_total Pairs rescored by the incremental commit path
+# TYPE dominosyn_commit_rescore_pairs_total counter
+dominosyn_commit_rescore_pairs_total 30
+# HELP dominosyn_exhaustive_searches_total Responses answered by the pruned exact search
+# TYPE dominosyn_exhaustive_searches_total counter
+dominosyn_exhaustive_searches_total 1
+# HELP dominosyn_prob_builds_total Signal-probability builds by method: exact BDDs within the work budget, or the approximate fallback
+# TYPE dominosyn_prob_builds_total counter
+dominosyn_prob_builds_total{method="approx"} 0
+dominosyn_prob_builds_total{method="exact"} 2
+# HELP dominosyn_requests_accepted_total Requests past admission control
+# TYPE dominosyn_requests_accepted_total counter
+dominosyn_requests_accepted_total 3
+# HELP dominosyn_requests_completed_total Requests served with status ok
+# TYPE dominosyn_requests_completed_total counter
+dominosyn_requests_completed_total 2
+# HELP dominosyn_requests_error_total Requests whose flow threw
+# TYPE dominosyn_requests_error_total counter
+dominosyn_requests_error_total 0
+# HELP dominosyn_requests_queued Admitted, not yet started
+# TYPE dominosyn_requests_queued gauge
+dominosyn_requests_queued 0
+# HELP dominosyn_requests_reattached_total Retried submits answered by attaching to the in-flight/finished job of the same rid
+# TYPE dominosyn_requests_reattached_total counter
+dominosyn_requests_reattached_total 0
+# HELP dominosyn_requests_rejected_deadline_total Rejections: deadline expired while queued
+# TYPE dominosyn_requests_rejected_deadline_total counter
+dominosyn_requests_rejected_deadline_total 1
+# HELP dominosyn_requests_rejected_queue_full_total Rejections: admission queue at capacity
+# TYPE dominosyn_requests_rejected_queue_full_total counter
+dominosyn_requests_rejected_queue_full_total 0
+# HELP dominosyn_requests_rejected_shutdown_total Rejections: submitted after or cancelled by shutdown
+# TYPE dominosyn_requests_rejected_shutdown_total counter
+dominosyn_requests_rejected_shutdown_total 0
+# HELP dominosyn_requests_retried_total Submits that arrived with a nonzero retry= attempt (client re-submissions)
+# TYPE dominosyn_requests_retried_total counter
+dominosyn_requests_retried_total 0
+# HELP dominosyn_requests_running Currently executing
+# TYPE dominosyn_requests_running gauge
+dominosyn_requests_running 0
+# HELP dominosyn_requests_submitted_total Requests ever submitted
+# TYPE dominosyn_requests_submitted_total counter
+dominosyn_requests_submitted_total 3
+# HELP dominosyn_responses_degraded_total Responses served under overload brownout (auto-exhaustive disabled)
+# TYPE dominosyn_responses_degraded_total counter
+dominosyn_responses_degraded_total 0
+# HELP dominosyn_search_commits_total Min-power commits across ok responses
+# TYPE dominosyn_search_commits_total counter
+dominosyn_search_commits_total 3
+# HELP dominosyn_search_nodes_expanded_total Branch-and-bound nodes expanded
+# TYPE dominosyn_search_nodes_expanded_total counter
+dominosyn_search_nodes_expanded_total 30
+# HELP dominosyn_search_subtrees_pruned_total Branch-and-bound subtrees pruned
+# TYPE dominosyn_search_subtrees_pruned_total counter
+dominosyn_search_subtrees_pruned_total 10
+# TYPE dominosyn_fabric_units_issued_total counter
+dominosyn_fabric_units_issued_total 0
+# TYPE dominosyn_fabric_units_stolen_total counter
+dominosyn_fabric_units_stolen_total 0
+# TYPE dominosyn_fabric_units_reissued_total counter
+dominosyn_fabric_units_reissued_total 0
+# TYPE dominosyn_fabric_incumbent_broadcasts_total counter
+dominosyn_fabric_incumbent_broadcasts_total 0
+# TYPE dominosyn_fabric_units_recovered_total counter
+dominosyn_fabric_units_recovered_total 0
+# TYPE dominosyn_fabric_workers_quarantined_total counter
+dominosyn_fabric_workers_quarantined_total 0
+# TYPE dominosyn_fabric_quarantine_probes_total counter
+dominosyn_fabric_quarantine_probes_total 0
+)metrics";
+
+TEST(ServerCore, MetricsExpositionKeepsItsBytes) {
+  // A heuristic min-power answer, an explicit exact search and a rejection
+  // move every request, search and probability series; the exposition of a
+  // fresh core that served them is pinned byte for byte.
+  ServerCore core(ServerConfig{});
+  const Network heuristic = generate_benchmark(server_spec(83, /*pos=*/12));
+  const ServerResponse mp =
+      core.submit(make_request(heuristic, fast_options())).get();
+  ASSERT_EQ(mp.status, ServerStatus::kOk) << mp.error_message;
+  const Network small = generate_benchmark(server_spec(84, /*pos=*/6));
+  const FlowOptions exhaustive = fast_options(PhaseMode::kExhaustivePower);
+  const ServerResponse exact =
+      core.submit(make_request(small, exhaustive)).get();
+  ASSERT_EQ(exact.status, ServerStatus::kOk) << exact.error_message;
+  ServerRequest late = make_request(small, fast_options());
+  late.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  EXPECT_EQ(core.submit(std::move(late)).get().status,
+            ServerStatus::kRejectedDeadline);
+  core.shutdown();  // settles the queue and running gauges
+
+  EXPECT_EQ(deterministic_metrics(core), kPinnedMetrics);
+}
+
 TEST(Transport, MetricsVerbServesPrometheusText) {
   ServerCore core(ServerConfig{});
   TransportConfig transport;
@@ -894,14 +1013,14 @@ TEST(ServerCore, BrownoutDegradesQueuedMinPowerToHeuristic) {
   const ServerResponse first = exhaustive.get();
   ASSERT_EQ(first.status, ServerStatus::kOk) << first.error_message;
   EXPECT_FALSE(first.telemetry.degraded);
-  EXPECT_GT(first.report.search_nodes_expanded, 0u);
+  EXPECT_GT(first.report.search.nodes_expanded, 0u);
 
   // Executed with one request still queued behind it: degraded to the
   // heuristic (no branch-and-bound nodes), flagged in the telemetry.
   const ServerResponse degraded = pressured.get();
   ASSERT_EQ(degraded.status, ServerStatus::kOk) << degraded.error_message;
   EXPECT_TRUE(degraded.telemetry.degraded);
-  EXPECT_EQ(degraded.report.search_nodes_expanded, 0u);
+  EXPECT_EQ(degraded.report.search.nodes_expanded, 0u);
 
   // Queue drained: full service again (pos=4 re-enables auto-exhaustive).
   const ServerResponse healthy = last.get();
@@ -909,6 +1028,46 @@ TEST(ServerCore, BrownoutDegradesQueuedMinPowerToHeuristic) {
   EXPECT_FALSE(healthy.telemetry.degraded);
 
   EXPECT_EQ(core.stats().degraded_responses, 1u);
+  core.shutdown();
+}
+
+TEST(ServerCore, BrownoutKeepsHotSessionsAboveTheExhaustiveLimit) {
+  // Brownout only strips the auto-exhaustive upgrade, so a circuit with more
+  // POs than the limit has nothing to degrade: under queue pressure its hot
+  // session answers from the cache, undegraded, instead of rebuilding every
+  // stage for an identical answer.
+  const Network net = generate_benchmark(server_spec(83, /*pos=*/12));
+  ServerConfig config;
+  config.num_workers = 1;
+  config.brownout_high_water = 1;
+  ServerCore core(config);
+  const ServerResponse cold =
+      core.submit(make_request(net, fast_options())).get();
+  ASSERT_EQ(cold.status, ServerStatus::kOk) << cold.error_message;
+  wait_until([&] { return core.stats().running_now == 0; });
+
+  // Park the key so submits pile up behind the first request deterministically.
+  SessionCache::Lease hold = core.cache().lease(net.name(), net, fast_options());
+  auto first = core.submit(make_request(net, fast_options()));
+  wait_until([&] { return core.stats().running_now == 1; });
+  auto pressured = core.submit(make_request(net, fast_options()));
+  auto last = core.submit(make_request(net, fast_options()));
+  hold.release();
+
+  // `pressured` runs with `last` still queued, i.e. under brownout.
+  for (auto* future : {&first, &pressured, &last}) {
+    const ServerResponse response = future->get();
+    ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+    EXPECT_FALSE(response.telemetry.degraded);
+    EXPECT_TRUE(response.telemetry.cache_hit);
+    const FlowSession::Stats& rebuilt = response.telemetry.rebuilt;
+    for (const std::size_t builds :
+         {rebuilt.synth_builds, rebuilt.prob_builds, rebuilt.context_builds,
+          rebuilt.assign_searches, rebuilt.map_runs, rebuilt.measure_runs})
+      EXPECT_EQ(builds, 0u);
+    expect_reports_identical(response.report, cold.report);
+  }
+  EXPECT_EQ(core.stats().degraded_responses, 0u);
   core.shutdown();
 }
 
