@@ -1,11 +1,13 @@
 /// \file micro_incremental.cpp
-/// Wall-time comparison of the three evaluation strategies for the §4.1
+/// Wall-time comparison of the evaluation strategies for the §4.1
 /// min-power search and the exhaustive 2^P search:
 ///   * full       — the seed's code path: every candidate re-scored with
 ///                  AssignmentEvaluator::evaluate(), O(nodes) per trial
 ///                  (a faithful local copy of the pre-engine search loop),
 ///   * incremental — EvalState::apply_flip/undo, O(|cone|) per trial,
-///   * parallel   — incremental plus the thread-parallel search layer.
+///   * parallel   — incremental plus the thread-parallel search layer
+///                  (exhaustive search and the batched sweep only; §4.1
+///                  runs on one thread).
 /// The commit_path section isolates the §4.1 commit cost: the seed's
 /// from-scratch A walk + full K-queue rebuild vs the maintained averages +
 /// delta-rescored lazy-deletion heap (docs/commit_path.md).
@@ -301,22 +303,11 @@ int main(int argc, char** argv) {
   const MinPowerResult full = seed_full_reeval_min_power(evaluator, overlap);
   const double full_search_seconds = stopwatch.seconds();
 
-  MinPowerOptions sequential;
-  sequential.num_threads = 1;
   stopwatch.restart();
-  const MinPowerResult incremental =
-      min_power_assignment(evaluator, overlap, sequential);
+  const MinPowerResult incremental = min_power_assignment(evaluator, overlap);
   const double incremental_search_seconds = stopwatch.seconds();
 
-  MinPowerOptions threaded;
-  threaded.num_threads = num_threads;
-  stopwatch.restart();
-  const MinPowerResult parallel =
-      min_power_assignment(evaluator, overlap, threaded);
-  const double parallel_search_seconds = stopwatch.seconds();
-
-  if (incremental.final_power != full.final_power ||
-      parallel.final_power != incremental.final_power) {
+  if (incremental.final_power != full.final_power) {
     std::cerr << "FATAL: search arms disagree on the final power\n";
     return 1;
   }
@@ -744,7 +735,7 @@ int main(int argc, char** argv) {
   }
 
   // -- tracing overhead -------------------------------------------------------
-  // The §4.1 sequential commit-path search re-run with spans runtime-enabled
+  // The §4.1 commit-path search re-run with spans runtime-enabled
   // vs runtime-disabled, arms interleaved, best-of-9 wall times compared
   // (the search is ~1 ms, so a single sample is at the mercy of scheduler
   // jitter — the interleaved minimum converges on the true floor of each
@@ -754,16 +745,16 @@ int main(int argc, char** argv) {
   double traced_seconds = std::numeric_limits<double>::infinity();
   double untraced_seconds = std::numeric_limits<double>::infinity();
   MinPowerResult traced_result, untraced_result;
-  (void)min_power_assignment(evaluator, overlap, sequential);  // warm caches
+  (void)min_power_assignment(evaluator, overlap);  // warm caches
   const std::uint64_t spans_before = obs::total_spans();
   for (int rep = 0; rep < 9; ++rep) {
     obs::set_tracing_enabled(true);
     stopwatch.restart();
-    traced_result = min_power_assignment(evaluator, overlap, sequential);
+    traced_result = min_power_assignment(evaluator, overlap);
     traced_seconds = std::min(traced_seconds, stopwatch.seconds());
     obs::set_tracing_enabled(false);
     stopwatch.restart();
-    untraced_result = min_power_assignment(evaluator, overlap, sequential);
+    untraced_result = min_power_assignment(evaluator, overlap);
     untraced_seconds = std::min(untraced_seconds, stopwatch.seconds());
   }
   obs::set_tracing_enabled(true);
@@ -876,12 +867,8 @@ int main(int argc, char** argv) {
             << ",\n"
             << "    \"incremental_seconds\": "
             << incremental_search_seconds << ",\n"
-            << "    \"parallel_seconds\": " << parallel_search_seconds
-            << ",\n"
             << "    \"speedup_incremental\": "
-            << full_search_seconds / incremental_search_seconds << ",\n"
-            << "    \"speedup_parallel\": "
-            << full_search_seconds / parallel_search_seconds << "\n"
+            << full_search_seconds / incremental_search_seconds << "\n"
             << "  },\n"
             << "  \"commit_path\": {\n"
             << "    \"commits\": " << incremental.counters.commits << ",\n"

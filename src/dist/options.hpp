@@ -18,10 +18,10 @@ class DistCoordinator;
 /// How a worker reconstructs the circuit a work unit refers to.  Exactly one
 /// of the three variants is used, in precedence order: explicit generator
 /// parameters (`has_bench`), verbatim BLIF text, paper-corpus name.  The
-/// worker replays the flow's own preparation (compact copy + standard
-/// synthesis + sequential probabilities) and then verifies the synthesized
-/// network's structural fingerprint against `fingerprint`, so a divergent
-/// reconstruction fails the unit instead of merging wrong numbers.
+/// worker prepares it in a FlowSession (default options plus `pi_prob` and
+/// `load_aware`) and then verifies the synthesized network's structural
+/// fingerprint against `fingerprint`, so a divergent reconstruction fails the
+/// unit instead of merging wrong numbers.
 struct CircuitSpec {
   /// paper_suite() name ("apex7", "frg1", ...); regenerated via
   /// generate_benchmark(paper_spec(corpus)).

@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "flow/batch.hpp"
+#include "network/network.hpp"
 #include "obs/trace.hpp"
 #include "phase/eval.hpp"
 #include "util/thread_pool.hpp"

@@ -11,12 +11,9 @@
 #include "benchgen/benchgen.hpp"
 #include "blif/blif.hpp"
 #include "dist/search.hpp"
-#include "flow/batch.hpp"
-#include "flow/flow.hpp"
-#include "network/synth.hpp"
+#include "flow/session.hpp"
 #include "obs/trace.hpp"
 #include "server/client.hpp"
-#include "sgraph/partition.hpp"
 #include "util/codec.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
@@ -73,12 +70,17 @@ class ClientChannel final : public IncumbentChannel {
 
 }  // namespace
 
-/// Owns the reconstructed network (AssignmentEvaluator keeps it by
-/// reference) and the evaluator built on it.
+/// One prepared circuit: the FlowSession owns the synthesized network the
+/// evaluator references.
 struct DistWorker::CachedEvaluator {
-  Network net;
-  std::uint64_t fingerprint = 0;
-  std::unique_ptr<AssignmentEvaluator> evaluator;
+  CachedEvaluator(Network net, const FlowOptions& options)
+      : session(std::move(net), options),
+        fingerprint(network_fingerprint(session.synthesized())),
+        evaluator(session.evaluator()) {}
+
+  FlowSession session;
+  std::uint64_t fingerprint;
+  const AssignmentEvaluator& evaluator;
 };
 
 DistWorker::DistWorker(WorkerConfig config) : config_(std::move(config)) {}
@@ -111,30 +113,27 @@ std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::evaluator_for(
                           codec::encode_double(circuit.pi_prob) + "/" +
                           (circuit.load_aware ? "1" : "0");
   const std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-
-  // Replay FlowSession::synthesized / probabilities / evaluator exactly, so
-  // the worker's engine state is bit-identical to the coordinator flow's.
-  // Sessions with other probability or model options never use the fabric
-  // (fabric_replays in flow/session.cpp), so defaults are all it needs.
-  auto entry = std::make_shared<CachedEvaluator>();
-  Network net = compact_copy(reconstruct_network(circuit));
-  try {
-    check_phase_ready(net);
-  } catch (const std::runtime_error&) {
-    standard_synthesis(net);
+  const auto it =
+      std::find_if(cache_.begin(), cache_.end(),
+                   [&](const auto& entry) { return entry.first == key; });
+  if (it != cache_.end()) {
+    cache_.splice(cache_.begin(), cache_, it);  // most recently used first
+    return it->second;
   }
-  entry->net = std::move(net);
-  entry->fingerprint = network_fingerprint(entry->net);
-  const std::vector<double> pi_probs(entry->net.num_pis(), circuit.pi_prob);
-  const SeqProbResult probs =
-      sequential_signal_probabilities(entry->net, pi_probs, {});
-  PowerModelConfig model = default_flow_power_model();
-  model.load_aware = circuit.load_aware;
-  entry->evaluator = std::make_unique<AssignmentEvaluator>(
-      entry->net, probs.node_probs, model);
-  cache_.emplace(key, entry);
+
+  // FlowSession's own preparation, so the worker's engine state is
+  // bit-identical to the coordinator flow's.  Sessions with other
+  // probability or model options never use the fabric (fabric_replays in
+  // flow/session.cpp), so defaults are all it needs.
+  FlowOptions options;
+  options.pi_prob = circuit.pi_prob;
+  options.model.load_aware = circuit.load_aware;
+  auto entry = std::make_shared<CachedEvaluator>(reconstruct_network(circuit),
+                                                 options);
+  cache_.emplace_front(key, entry);
+  // Units still running on an evicted circuit keep it alive by shared_ptr.
+  if (cache_.size() > kCacheCapacity) cache_.pop_back();
+  cache_entries_.store(cache_.size(), std::memory_order_relaxed);
   return entry;
 }
 
@@ -180,6 +179,8 @@ void DistWorker::thread_main(unsigned index) {
       // so the coordinator's trace shows the remote execution inline.
       const std::uint64_t span_mark = obs::thread_mark();
       try {
+        // The preparation's flow.* spans belong to the unit's trace.
+        const obs::TraceContext trace_context(unit.trace_id);
         const std::shared_ptr<CachedEvaluator> cached =
             evaluator_for(unit.circuit);
         if (unit.circuit.fingerprint != 0 &&
@@ -189,7 +190,7 @@ void DistWorker::thread_main(unsigned index) {
               std::to_string(unit.circuit.fingerprint) + ", worker " +
               std::to_string(cached->fingerprint));
         ClientChannel channel(*client, id, unit.job_id, grant->incumbent);
-        result = run_work_unit(*cached->evaluator, unit,
+        result = run_work_unit(cached->evaluator, unit,
                                unit.shared_bounds ? &channel : nullptr);
       } catch (const std::exception& error) {
         result.job_id = unit.job_id;
@@ -233,6 +234,7 @@ DistWorker::Telemetry DistWorker::telemetry() const {
   out.units_completed = units_completed_.load(std::memory_order_relaxed);
   out.units_failed = units_failed_.load(std::memory_order_relaxed);
   out.reconnects = reconnects_.load(std::memory_order_relaxed);
+  out.cached_circuits = cache_entries_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -6,23 +6,25 @@
 /// leases when the queue runs dry and reconnecting with backoff when the
 /// coordinator goes away.
 ///
-/// Workers rebuild the unit's evaluator from the shipped circuit spec by
-/// replaying FlowSession's own preparation (compact copy, standard synthesis,
-/// sequential probabilities) and verify the synthesized network's structural
-/// fingerprint before running anything — a divergent reconstruction fails the
-/// unit (the coordinator fails the job, the driver falls back locally) rather
-/// than merging wrong numbers.  Evaluators are cached per circuit so the
-/// per-unit cost is one lease round trip.
+/// Workers prepare the unit's circuit from the shipped spec in a FlowSession
+/// (the flow's own synthesis, probabilities and evaluator) and verify the
+/// synthesized network's structural fingerprint before running anything — a
+/// divergent reconstruction fails the unit (the coordinator fails the job,
+/// the driver falls back locally) rather than merging wrong numbers.
+/// Prepared circuits are cached, least recently used out past
+/// kCacheCapacity, so the per-unit cost is one lease round trip.
 
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/workunit.hpp"
@@ -57,7 +59,11 @@ class DistWorker {
     std::uint64_t units_completed = 0;
     std::uint64_t units_failed = 0;  ///< ran but reported ok=false
     std::uint64_t reconnects = 0;
+    std::uint64_t cached_circuits = 0;  ///< prepared circuits held now
   };
+
+  /// Prepared circuits kept, as many as dominod's default hot-session cache.
+  static constexpr std::size_t kCacheCapacity = 8;
 
   explicit DistWorker(WorkerConfig config);
   ~DistWorker();
@@ -86,7 +92,9 @@ class DistWorker {
   std::vector<std::thread> threads_;
 
   std::mutex cache_mutex_;
-  std::map<std::string, std::shared_ptr<CachedEvaluator>> cache_;
+  /// Most recently used first.
+  std::list<std::pair<std::string, std::shared_ptr<CachedEvaluator>>> cache_;
+  std::atomic<std::size_t> cache_entries_{0};
 
   std::atomic<std::uint64_t> units_completed_{0};
   std::atomic<std::uint64_t> units_failed_{0};

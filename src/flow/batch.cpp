@@ -2,39 +2,14 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 #include <future>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "server/core.hpp"
-#include "util/hash.hpp"
 
 namespace dominosyn {
-
-std::uint64_t network_fingerprint(const Network& net) {
-  const std::hash<std::string> str_hash;
-  std::uint64_t h = mix64(net.num_nodes());
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    h = hash_combine(h, static_cast<std::uint64_t>(net.kind(id)));
-    const auto& fanins = net.fanins(id);
-    h = hash_combine(h, fanins.size());
-    for (const NodeId fanin : fanins) h = hash_combine(h, fanin);
-  }
-  for (const NodeId pi : net.pis()) h = hash_combine(h, pi);
-  for (const Po& po : net.pos()) {
-    h = hash_combine(h, po.driver);
-    h = hash_combine(h, str_hash(po.name));
-  }
-  for (const LatchInfo& latch : net.latches()) {
-    h = hash_combine(h, latch.output);
-    h = hash_combine(h, latch.input);
-    h = hash_combine(h, static_cast<std::uint64_t>(latch.init));
-    h = hash_combine(h, str_hash(latch.name));
-  }
-  return h;
-}
 
 /// Per-key serialization state.  The slot mutex is the single-flight lock: it
 /// is held for the whole lifetime of a Lease, serializing session use and

@@ -53,11 +53,6 @@ struct FlowJob {
   FlowOptions options;
 };
 
-/// Structural fingerprint of a network (kinds, fanins, PI/PO/latch wiring and
-/// port names).  Used by SessionCache to detect that a submitted circuit
-/// changed behind its cache key.
-[[nodiscard]] std::uint64_t network_fingerprint(const Network& net);
-
 /// Bounded LRU of hot FlowSessions keyed by circuit name — the serving
 /// frontend's working set (ServerCore owns one; batches may share one across
 /// calls).

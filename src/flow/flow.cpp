@@ -1,5 +1,7 @@
 #include "flow/flow.hpp"
 
+#include <algorithm>
+
 #include "flow/session.hpp"
 #include "util/rng.hpp"
 
@@ -13,6 +15,12 @@ std::string_view to_string(PhaseMode mode) noexcept {
     case PhaseMode::kExhaustivePower: return "exhaustive-power";
   }
   return "?";
+}
+
+bool min_power_searches_exactly(const FlowOptions& options,
+                                std::size_t num_pos) noexcept {
+  return num_pos > 0 && num_pos <= std::min(options.exhaustive_pos_limit,
+                                            kMaxExhaustiveOutputs);
 }
 
 bool random_equivalent(const Network& a, const Network& b, std::size_t words,

@@ -46,21 +46,18 @@ struct FlowOptions {
   PowerModelConfig model = default_flow_power_model();
   SeqProbOptions seqprob;        ///< sequential partitioning / BDD options
   MinAreaOptions minarea;
+  /// §4.1 options.  An empty `minpower.initial` seeds the search with the
+  /// min-area stage's assignment: the paper only requires an *arbitrary*
+  /// initial assignment, and starting from [15]'s result guarantees MP never
+  /// regresses below the MA baseline.
   MinPowerOptions minpower;
-  /// Seed the min-power search with the min-area assignment (the paper only
-  /// requires an *arbitrary* initial assignment; starting from [15]'s result
-  /// guarantees MP never regresses below the MA baseline).  Ignored when
-  /// minpower.initial is set explicitly.
-  bool minpower_from_minarea = true;
   /// In kMinPower mode, search all 2^P assignments exactly when the output
-  /// count allows it — the paper's frg1 observation ("only 2^3 = 8 possible
-  /// phase assignments"); pairwise moves cannot cross duplication barriers
-  /// that a coordinated flip of 3+ overlapping outputs can.  The same value
-  /// is passed to the search as its hard limit, so the flow's threshold and
-  /// the search's refusal (ExhaustiveLimitError) can never disagree.  In
-  /// kExhaustivePower mode the cap is max(exhaustive_pos_limit,
-  /// kDefaultPrunedExhaustiveLimit), since exact search was requested
-  /// explicitly.
+  /// count allows it (min_power_searches_exactly) — the paper's frg1
+  /// observation ("only 2^3 = 8 possible phase assignments"); pairwise moves
+  /// cannot cross duplication barriers that a coordinated flip of 3+
+  /// overlapping outputs can.  In kExhaustivePower mode the cap is
+  /// max(exhaustive_pos_limit, kDefaultPrunedExhaustiveLimit), since exact
+  /// search was requested explicitly.
   std::size_t exhaustive_pos_limit = 10;
   /// Node budget of the kMinPower auto-exhaustive branch-and-bound (see
   /// ExhaustiveOptions::node_budget): when the admissible bound is too loose
@@ -70,17 +67,15 @@ struct FlowOptions {
   /// min-area search's budget is MinAreaOptions::node_budget.
   std::uint64_t exhaustive_node_budget = kDefaultExhaustiveNodeBudget;
   /// Worker threads for the phase-assignment searches (exhaustive-space
-  /// sharding, concurrent annealing restarts, speculative polish descent).
-  /// 1 = sequential, 0 = one per hardware thread.  Flow results are
-  /// identical for every value.  Overrides the minarea/minpower sub-option
-  /// thread counts.
+  /// sharding, concurrent annealing restarts).  1 = sequential, 0 = one per
+  /// hardware thread.  Flow results are identical for every value.
+  /// Overrides MinAreaOptions::num_threads.
   unsigned num_threads = 1;
   MapOptions map_options;
   double clock_period = 0.0;     ///< > 0: resize after mapping (Table 2 flow)
   double wire_cap = 0.2;
   SimPowerOptions sim;           ///< measurement settings
   bool count_clock_load = true;  ///< add mapped clock-pin energy to sim power
-  bool verify_equivalence = true;///< random-simulation check domino vs original
   /// Distributed search fabric (docs/distributed.md): when enabled with a
   /// coordinator, the exhaustive and annealing searches fan work units out to
   /// connected workers — with results bit-identical to a local run, so this
@@ -88,6 +83,12 @@ struct FlowOptions {
   /// thread counts are.
   dist::DistSearchOptions dist;
 };
+
+/// Whether kMinPower searches all 2^P assignments exactly before §4.1 (which
+/// it falls back to when the node budget trips):
+/// 0 < P ≤ min(exhaustive_pos_limit, kMaxExhaustiveOutputs).
+[[nodiscard]] bool min_power_searches_exactly(const FlowOptions& options,
+                                              std::size_t num_pos) noexcept;
 
 struct FlowReport {
   std::string circuit;

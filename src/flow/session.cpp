@@ -64,21 +64,6 @@ bool same_sim(const SimPowerOptions& a, const SimPowerOptions& b) {
          same_model(a.model, b.model);
 }
 
-/// Whether the fabric's workers score units on this session's numbers.  A
-/// worker rebuilds its evaluator from the circuit spec alone
-/// (DistWorker::evaluator_for): the spec's pi_prob, default SeqProbOptions,
-/// and the default flow model with the spec's load_aware.  Other options
-/// must search locally, or the merge would mix units scored on different
-/// probabilities or models.
-bool fabric_replays(const FlowOptions& options) {
-  const dist::CircuitSpec& circuit = options.dist.circuit;
-  PowerModelConfig replayed = default_flow_power_model();
-  replayed.load_aware = circuit.load_aware;
-  return options.pi_prob == circuit.pi_prob &&
-         same_seqprob(options.seqprob, SeqProbOptions{}) &&
-         same_model(options.model, replayed);
-}
-
 bool probs_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
   return a.pi_prob == b.pi_prob && same_seqprob(a.seqprob, b.seqprob);
 }
@@ -87,18 +72,29 @@ bool context_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
   return same_model(a.model, b.model);
 }
 
+/// Whether the fabric's workers score units on this session's numbers.  A
+/// worker prepares the spec's circuit in a FlowSession with default options
+/// plus the spec's pi_prob and load_aware (DistWorker::evaluator_for).  A
+/// session whose probabilities or model differ from that searches locally,
+/// or the merge would mix units scored on different numbers.
+bool fabric_replays(const FlowOptions& options) {
+  FlowOptions replayed;
+  replayed.pi_prob = options.dist.circuit.pi_prob;
+  replayed.model.load_aware = options.dist.circuit.load_aware;
+  return probs_inputs_equal(options, replayed) &&
+         context_inputs_equal(options, replayed);
+}
+
 bool assign_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
   return same_minarea(a.minarea, b.minarea) &&
          same_minpower(a.minpower, b.minpower) &&
-         a.minpower_from_minarea == b.minpower_from_minarea &&
          a.exhaustive_pos_limit == b.exhaustive_pos_limit &&
          a.exhaustive_node_budget == b.exhaustive_node_budget;
 }
 
 bool map_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
   return same_map_options(a.map_options, b.map_options) &&
-         a.clock_period == b.clock_period && a.wire_cap == b.wire_cap &&
-         a.verify_equivalence == b.verify_equivalence;
+         a.clock_period == b.clock_period && a.wire_cap == b.wire_cap;
 }
 
 bool measure_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
@@ -112,8 +108,10 @@ const CellLibrary& flow_library() {
 
 }  // namespace
 
-FlowSession::FlowSession(const Network& input, FlowOptions options)
-    : circuit_(input.name()), input_(input), options_(std::move(options)) {}
+FlowSession::FlowSession(Network input, FlowOptions options)
+    : circuit_(input.name()),
+      input_(std::move(input)),
+      options_(std::move(options)) {}
 
 void FlowSession::set_options(const FlowOptions& options) {
   const bool probs_stale = !probs_inputs_equal(options_, options);
@@ -198,109 +196,84 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
   if (slot) return *slot;
 
   const obs::TraceSpan span("flow.assign", obs::SpanCat::kFlow);
-  const Network& net = synthesized();
   const AssignmentEvaluator& eval = evaluator();
-  MinAreaOptions minarea = options_.minarea;
-  minarea.num_threads = options_.num_threads;
+  const std::size_t num_pos = eval.network().num_pos();
 
+  // The mode's search, its exact and min-area parts on the fabric or here.
+  const auto search = [&](bool on_fabric) {
+    const auto exact_min_power = [&](const ExhaustiveOptions& exhaustive) {
+      return on_fabric ? dist::dist_exhaustive_search(eval, /*by_power=*/true,
+                                                      exhaustive, options_.dist)
+                       : exhaustive_min_power(eval, exhaustive);
+    };
+    ExhaustiveOptions exhaustive;
+    exhaustive.num_threads = options_.num_threads;
+    switch (mode) {
+      case PhaseMode::kAllPositive:
+        break;
+      case PhaseMode::kMinArea: {
+        MinAreaOptions minarea = options_.minarea;
+        minarea.num_threads = options_.num_threads;
+        return on_fabric ? dist::dist_min_area_assignment(eval, minarea,
+                                                          options_.dist)
+                         : min_area_assignment(eval, minarea);
+      }
+      case PhaseMode::kMinPower: {
+        if (min_power_searches_exactly(options_, num_pos)) {
+          exhaustive.max_outputs = options_.exhaustive_pos_limit;
+          exhaustive.node_budget = options_.exhaustive_node_budget;
+          try {
+            return exact_min_power(exhaustive);
+          } catch (const ExhaustiveBudgetError&) {
+            // Bound too loose within the work budget: fall back to §4.1.
+          }
+        }
+        MinPowerOptions minpower = options_.minpower;
+        std::size_t seed_evals = 0;
+        if (minpower.initial.empty()) {
+          // The seeding search *is* the min-area stage: compute (or reuse)
+          // it through the cache, so MA→MP sweeps never run [15]'s search
+          // twice.
+          const AssignStage& ma = assign(PhaseMode::kMinArea);
+          minpower.initial = ma.assignment;
+          seed_evals = ma.search.evaluations;
+        }
+        const MinPowerResult heuristic =
+            min_power_assignment(eval, cone_overlap(), minpower);
+        SearchResult result{heuristic.assignment, heuristic.cost,
+                            heuristic.counters};
+        result.counters.evaluations += seed_evals;
+        return result;
+      }
+      case PhaseMode::kExhaustivePower:
+        // Explicitly-requested exact search runs unbudgeted: a silent
+        // heuristic fallback would betray the mode's contract.
+        exhaustive.max_outputs = std::max(options_.exhaustive_pos_limit,
+                                          kDefaultPrunedExhaustiveLimit);
+        return exact_min_power(exhaustive);
+    }
+    SearchResult all_positive_result;
+    all_positive_result.assignment = all_positive(eval.network());
+    return all_positive_result;
+  };
+
+  // Decided once: the fabric runs the search only when its workers replay
+  // this session's numbers.  A fabric failure (no workers, cancelled by
+  // shutdown, failed unit) reruns the identical-result local search instead
+  // of failing the flow.
+  const bool on_fabric = options_.dist.enabled &&
+                         options_.dist.coordinator != nullptr &&
+                         fabric_replays(options_);
+  SearchResult result;
+  try {
+    result = search(on_fabric);
+  } catch (const dist::DistSearchError&) {
+    result = search(false);
+  }
   AssignStage stage;
   stage.mode = mode;
-  // Distributed fabric available?  Every dist call is wrapped so a fabric
-  // failure (no workers, cancelled by shutdown, failed unit) falls back to
-  // the identical-result local search instead of failing the flow.
-  const bool dist_ready = options_.dist.enabled &&
-                          options_.dist.coordinator != nullptr &&
-                          fabric_replays(options_);
-  switch (mode) {
-    case PhaseMode::kAllPositive:
-      stage.assignment = all_positive(net);
-      break;
-    case PhaseMode::kMinArea: {
-      SearchResult search;
-      if (dist_ready) {
-        try {
-          search = dist::dist_min_area_assignment(eval, minarea, options_.dist);
-        } catch (const dist::DistSearchError&) {
-          search = min_area_assignment(eval, minarea);
-        }
-      } else {
-        search = min_area_assignment(eval, minarea);
-      }
-      stage.assignment = search.assignment;
-      stage.search = search.counters;
-      break;
-    }
-    case PhaseMode::kMinPower: {
-      // Clamp to the search's absolute ceiling so the auto-exhaustive
-      // threshold and the limit passed to the search stay one value.
-      const std::size_t auto_exhaustive_limit =
-          std::min(options_.exhaustive_pos_limit, kMaxExhaustiveOutputs);
-      bool assigned_exactly = false;
-      if (net.num_pos() <= auto_exhaustive_limit && net.num_pos() > 0) {
-        ExhaustiveOptions exhaustive;
-        exhaustive.max_outputs = auto_exhaustive_limit;
-        exhaustive.num_threads = options_.num_threads;
-        exhaustive.node_budget = options_.exhaustive_node_budget;
-        try {
-          SearchResult search;
-          if (dist_ready) {
-            try {
-              search = dist::dist_exhaustive_search(eval, /*by_power=*/true,
-                                                    exhaustive, options_.dist);
-            } catch (const dist::DistSearchError&) {
-              search = exhaustive_min_power(eval, exhaustive);
-            }
-          } else {
-            search = exhaustive_min_power(eval, exhaustive);
-          }
-          stage.assignment = search.assignment;
-          stage.search = search.counters;
-          assigned_exactly = true;
-        } catch (const ExhaustiveBudgetError&) {
-          // Bound too loose within the work budget: fall back to §4.1.
-        }
-      }
-      if (assigned_exactly) break;
-      MinPowerOptions minpower = options_.minpower;
-      minpower.num_threads = options_.num_threads;
-      std::size_t seed_evals = 0;
-      if (minpower.initial.empty() && options_.minpower_from_minarea) {
-        // The seeding search *is* the min-area stage: compute (or reuse) it
-        // through the cache, so MA→MP sweeps never run [15]'s search twice.
-        const AssignStage& ma = assign(PhaseMode::kMinArea);
-        minpower.initial = ma.assignment;
-        seed_evals = ma.search.evaluations;
-      }
-      const MinPowerResult search =
-          min_power_assignment(eval, cone_overlap(), minpower);
-      stage.assignment = search.assignment;
-      stage.search = search.counters;
-      stage.search.evaluations += seed_evals;
-      break;
-    }
-    case PhaseMode::kExhaustivePower: {
-      ExhaustiveOptions exhaustive;
-      exhaustive.max_outputs =
-          std::max(options_.exhaustive_pos_limit, kDefaultPrunedExhaustiveLimit);
-      exhaustive.num_threads = options_.num_threads;
-      // Explicitly-requested exact search runs unbudgeted: a silent
-      // heuristic fallback would betray the mode's contract.
-      SearchResult search;
-      if (dist_ready) {
-        try {
-          search = dist::dist_exhaustive_search(eval, /*by_power=*/true,
-                                                exhaustive, options_.dist);
-        } catch (const dist::DistSearchError&) {
-          search = exhaustive_min_power(eval, exhaustive);
-        }
-      } else {
-        search = exhaustive_min_power(eval, exhaustive);
-      }
-      stage.assignment = search.assignment;
-      stage.search = search.counters;
-      break;
-    }
-  }
+  stage.assignment = std::move(result.assignment);
+  stage.search = result.counters;
   for (const Phase phase : stage.assignment)
     if (phase == Phase::kNegative) ++stage.negative_outputs;
   stage.cost = eval.evaluate(stage.assignment);
@@ -321,8 +294,7 @@ const FlowSession::MapStage& FlowSession::map(PhaseMode mode) {
   MapStage stage;
   stage.mode = mode;
   const DominoSynthesisResult domino = synthesize_domino(net, assigned.assignment);
-  if (options_.verify_equivalence)
-    stage.equivalence_ok = random_equivalent(net, domino.net);
+  stage.equivalence_ok = random_equivalent(net, domino.net);
 
   MapResult mapped = map_network(domino.net, flow_library(), options_.map_options);
   if (options_.clock_period > 0.0) {

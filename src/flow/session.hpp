@@ -90,9 +90,10 @@ class FlowSession {
     std::size_t measure_runs = 0;
   };
 
-  /// The input network is copied; it is normalized lazily on first use (via
-  /// standard_synthesis if not already in 2-input AND/OR/NOT form).
-  FlowSession(const Network& input, FlowOptions options);
+  /// The session owns its copy of the input network; it is normalized lazily
+  /// on first use (via standard_synthesis if not already in 2-input
+  /// AND/OR/NOT form).
+  FlowSession(Network input, FlowOptions options);
 
   // The EvalContext references the session-owned synthesized network, so the
   // session must not move.

@@ -1,7 +1,10 @@
 #include "network/network.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
+
+#include "util/hash.hpp"
 
 namespace dominosyn {
 
@@ -144,6 +147,29 @@ void Network::validate() const {
       throw std::runtime_error("validate: PO '" + po.name + "' driver invalid");
   // topo_order throws on combinational cycles.
   (void)topo_order();
+}
+
+std::uint64_t network_fingerprint(const Network& net) {
+  const std::hash<std::string> str_hash;
+  std::uint64_t h = mix64(net.num_nodes());
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    h = hash_combine(h, static_cast<std::uint64_t>(net.kind(id)));
+    const auto& fanins = net.fanins(id);
+    h = hash_combine(h, fanins.size());
+    for (const NodeId fanin : fanins) h = hash_combine(h, fanin);
+  }
+  for (const NodeId pi : net.pis()) h = hash_combine(h, pi);
+  for (const Po& po : net.pos()) {
+    h = hash_combine(h, po.driver);
+    h = hash_combine(h, str_hash(po.name));
+  }
+  for (const LatchInfo& latch : net.latches()) {
+    h = hash_combine(h, latch.output);
+    h = hash_combine(h, latch.input);
+    h = hash_combine(h, static_cast<std::uint64_t>(latch.init));
+    h = hash_combine(h, str_hash(latch.name));
+  }
+  return h;
 }
 
 }  // namespace dominosyn

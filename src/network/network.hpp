@@ -206,6 +206,11 @@ struct NetworkStats {
 };
 [[nodiscard]] NetworkStats network_stats(const Network& net);
 
+/// Structural fingerprint of a network (kinds, fanins, PI/PO/latch wiring and
+/// port names).  The session cache detects a circuit that changed behind its
+/// key with it; fabric workers prove they rebuilt the coordinator's network.
+[[nodiscard]] std::uint64_t network_fingerprint(const Network& net);
+
 // -- cone analysis (topo.cpp) --------------------------------------------------
 
 /// Pairwise cone overlap of the paper, O(i,j) = |Di ∩ Dj| / (|Di| + |Dj|),

@@ -20,7 +20,6 @@
 /// index), the same lexicographic order the seed's full re-sort produced —
 /// with O(Δ · log C) pushes instead of an O(P·|circuit| + C·log C) rebuild.
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <queue>
@@ -32,7 +31,6 @@
 #include "phase/eval.hpp"
 #include "phase/search.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dominosyn {
 
@@ -293,63 +291,18 @@ MinPowerResult min_power_assignment(const AssignmentEvaluator& evaluator,
   }
 
   // Optional polish: greedy first-improvement descent to a local optimum.
-  if (options.polish_descent) {
-    const unsigned num_threads = ThreadPool::resolve_threads(options.num_threads);
-    if (num_threads <= 1) {
-      bool improved = true;
-      while (improved) {
-        improved = false;
-        for (std::size_t i = 0; i < num_pos; ++i) {
-          state.apply_flip(i);
-          const AssignmentCost trial_cost = state.cost();
-          ++result.counters.evaluations;
-          if (trial_cost.power.total() < result.final_power - kImprovementEps) {
-            commit(trial_cost);
-            improved = true;
-          } else {
-            state.undo();
-          }
-        }
-      }
-    } else {
-      // Speculative parallel descent: evaluate the remaining flips of the
-      // sweep from the current base, commit the first improving one, resume
-      // after it — the exact trajectory (and trial count, defined as flips
-      // measured up to the committed one) of the sequential sweep.
-      ThreadPool pool(options.num_threads);
-      std::vector<double> powers(num_pos);
-      bool improved = true;
-      while (improved) {
-        improved = false;
-        std::size_t start = 0;
-        while (start < num_pos) {
-          const std::size_t count = num_pos - start;
-          const std::size_t shards = std::min<std::size_t>(pool.size(), count);
-          pool.parallel_for(shards, [&](std::size_t shard) {
-            EvalState local = state;
-            for (std::size_t idx = shard; idx < count; idx += shards) {
-              local.apply_flip(start + idx);
-              powers[start + idx] = local.power_total();
-              local.undo();
-            }
-          });
-          std::size_t found = count;
-          for (std::size_t idx = 0; idx < count; ++idx) {
-            if (powers[start + idx] < result.final_power - kImprovementEps) {
-              found = idx;
-              break;
-            }
-          }
-          if (found == count) {
-            result.counters.evaluations += count;
-            break;
-          }
-          result.counters.evaluations += found + 1;
-          state.apply_flip(start + found);
-          commit(state.cost());
-          improved = true;
-          start += found + 1;
-        }
+  bool improved = options.polish_descent;
+  while (improved) {
+    improved = false;
+    for (std::size_t i = 0; i < num_pos; ++i) {
+      state.apply_flip(i);
+      const AssignmentCost trial_cost = state.cost();
+      ++result.counters.evaluations;
+      if (trial_cost.power.total() < result.final_power - kImprovementEps) {
+        commit(trial_cost);
+        improved = true;
+      } else {
+        state.undo();
       }
     }
   }

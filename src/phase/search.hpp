@@ -337,10 +337,6 @@ struct MinPowerOptions {
   /// cost function can be extended ... reduces to a greedily ordered
   /// exhaustive search") and costs O(#POs) measurements per round.
   bool polish_descent = true;
-  /// Worker threads for the polish descent (speculative evaluation of the
-  /// remaining flips of a sweep); 0 = one per hardware thread.  The result
-  /// and the reported trial count are identical for every value.
-  unsigned num_threads = 1;
 };
 
 struct MinPowerResult {

@@ -326,11 +326,13 @@ ServerResponse ServerCore::execute(Pending& pending) {
                                  ? pending.request.network->name()
                                  : pending.request.circuit;
     FlowOptions& options = pending.request.options;
-    const std::size_t num_pos = pending.request.network->num_pos();
+    // Answers never depend on the thread count, so more threads than the
+    // hardware has only cost pids (the searches' pools, the fabric helpers).
+    options.num_threads =
+        std::min(options.num_threads, ThreadPool::resolve_threads(0));
     if (brownout_active && options.mode == PhaseMode::kMinPower &&
-        num_pos > 0 &&
-        num_pos <= std::min(options.exhaustive_pos_limit,
-                            kMaxExhaustiveOutputs)) {
+        min_power_searches_exactly(options,
+                                   pending.request.network->num_pos())) {
       // Brownout: answer from the §4.1 heuristic alone.  Zeroing the limit
       // turns off the small-circuit auto-exhaustive upgrade (session.cpp);
       // explicit kExhaustivePower requests keep their contract.  Requests

@@ -3,10 +3,10 @@
 /// plus the closeable task queue the serving layer's workers drain.
 ///
 /// The searches partition work by *index* (exhaustive shard, annealing
-/// restart, speculative descent candidate), compute into per-index slots,
-/// and merge sequentially afterwards — so results never depend on thread
-/// count or scheduling, only on the index space.  parallel_for() is the
-/// one primitive that workflow needs.
+/// restart), compute into per-index slots, and merge sequentially
+/// afterwards — so results never depend on thread count or scheduling, only
+/// on the index space.  parallel_for() is the one primitive that workflow
+/// needs.
 ///
 /// Long-running services (server/core.hpp) instead need push/pop task
 /// handoff between producers and dedicated workers; TaskQueue provides that

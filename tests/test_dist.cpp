@@ -13,9 +13,10 @@
 ///    count and shared-bounds setting,
 ///  * the fabric end to end: dominod core + TCP transport + DistWorker
 ///    processes serving submits bit-identically to a local run, a worker
-///    dying mid-lease (re-issue + identical report), a session whose options
-///    workers cannot replay searching locally, and non-drain shutdown
-///    resolving a dist-waiting submit.
+///    dying mid-lease (re-issue + identical report), reports of a
+///    participating core pinned byte for byte, a worker's bounded circuit
+///    cache, a session whose options workers cannot replay searching
+///    locally, and non-drain shutdown resolving a dist-waiting submit.
 
 #include <gtest/gtest.h>
 
@@ -893,6 +894,106 @@ TEST(DistFabric, DeadWorkerMidLeaseIsReissuedWithIdenticalReport) {
   expect_reports_identical(response.report, reference);
   EXPECT_GE(core.stats().units_reissued, 1u);
 
+  server.stop();
+  core.shutdown();
+}
+
+/// One report as a pinned line: the assignment, est/sim power as hex-floats
+/// (every bit) and every search counter.
+std::string pinned(const FlowReport& report) {
+  std::ostringstream out;
+  out << std::hexfloat << assignment_to_string(report.assignment)
+      << " est=" << report.est_power << " sim=" << report.sim_power;
+#define DOMINOSYN_PIN_COUNTER(rule, type, field, ...) \
+  out << " " #field "=" << report.search.field;
+  DOMINOSYN_SEARCH_COUNTERS(DOMINOSYN_PIN_COUNTER)
+#undef DOMINOSYN_PIN_COUNTER
+  return out.str();
+}
+
+TEST(DistFabric, ParticipatingCoreServesPinnedReports) {
+  // What the fabric serves, pinned byte for byte: a core running units on
+  // its own threads answers dist=1 MA and MP requests on an 8-PO circuit
+  // (MA and MP both search exactly on the fabric) and a 30-PO circuit (MA
+  // anneals on the fabric, MP runs §4.1 from it).
+  struct Case {
+    BenchSpec spec;
+    PhaseMode mode;
+    bool on_fabric;  ///< the request's own search ships units
+    const char* expected;
+  };
+  const Case cases[] = {
+      {dist_spec(47, /*pos=*/8), PhaseMode::kMinArea, true,
+       "+-++++++ est=0x1.e44c000000001p+6 sim=0x1.c1ef010b7e708p+6 "
+       "evaluations=21 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
+       "nodes_expanded=28 subtrees_pruned=11 "
+       "bound_tightness=0x1.b7fd36aed8a4p-1"},
+      {dist_spec(47, /*pos=*/8), PhaseMode::kMinPower, true,
+       "---+++++ est=0x1.e22cccccccccdp+6 sim=0x1.c1917829cbbfep+6 "
+       "evaluations=27 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
+       "nodes_expanded=30 subtrees_pruned=14 "
+       "bound_tightness=0x1.20202bd23d147p-1"},
+      {dist_spec(48, /*pos=*/30, /*gates=*/300), PhaseMode::kMinArea, true,
+       "+++++++++-+++-++++++++++++++++ est=0x1.9baacccccccccp+8 "
+       "sim=0x1.7b7741691dba8p+8 evaluations=15062 commits=0 "
+       "commit_rescore_pairs=0 avg_update_nodes=0 nodes_expanded=0 "
+       "subtrees_pruned=0 bound_tightness=0x0p+0"},
+      {dist_spec(48, /*pos=*/30, /*gates=*/300), PhaseMode::kMinPower, false,
+       "-+--++--++---+++-+-++-+-++++-- est=0x1.55d6199999999p+8 "
+       "sim=0x1.4708507507396p+8 evaluations=15557 commits=16 "
+       "commit_rescore_pairs=358 avg_update_nodes=2193 nodes_expanded=0 "
+       "subtrees_pruned=0 bound_tightness=0x0p+0"},
+  };
+
+  ServerCore core(ServerConfig{});
+  for (const Case& c : cases) {
+    FlowOptions options;
+    options.mode = c.mode;
+    options.sim.steps = 400;
+    options.sim.warmup = 8;
+    options.dist.enabled = true;
+    options.dist.circuit.has_bench = true;
+    options.dist.circuit.bench = c.spec;
+    const std::uint64_t issued_before = core.stats().units_issued;
+    const ServerResponse response =
+        core.submit(dist_request(generate_benchmark(c.spec), options)).get();
+    ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+    EXPECT_EQ(pinned(response.report), c.expected)
+        << c.spec.name << " " << to_string(c.mode);
+    if (c.on_fabric) {
+      EXPECT_GT(core.stats().units_issued, issued_before) << c.spec.name;
+    }
+  }
+  core.shutdown();
+}
+
+TEST(DistFabric, WorkerKeepsOnlyItsRecentCircuits) {
+  // A long-lived worker serving distinct circuits holds at most
+  // kCacheCapacity prepared ones.
+  ServerCore core(ServerConfig{});
+  TransportConfig transport;
+  SocketServer server(core, transport);
+  WorkerConfig worker_config;
+  worker_config.port = server.port();
+  worker_config.num_threads = 1;
+  worker_config.idle_poll_ms = 5;
+  worker_config.name = "lru";
+  DistWorker worker(worker_config);
+  worker.start();
+
+  for (std::uint64_t seed = 60; seed < 60 + DistWorker::kCacheCapacity + 1;
+       ++seed) {
+    const BenchSpec spec = dist_spec(seed, /*pos=*/4, /*gates=*/40);
+    FlowOptions options = dist_flow_options(spec, false, 20'000);
+    options.dist.frontier_depth = 1;
+    const ServerResponse response =
+        core.submit(dist_request(generate_benchmark(spec), options)).get();
+    ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+  }
+  EXPECT_EQ(worker.telemetry().units_failed, 0u);
+  EXPECT_EQ(worker.telemetry().cached_circuits, DistWorker::kCacheCapacity);
+
+  worker.stop();
   server.stop();
   core.shutdown();
 }

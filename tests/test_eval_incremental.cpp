@@ -401,9 +401,7 @@ namespace reference_seed {
 /// Verbatim copy of the pre-incremental-commit-path min_power_assignment
 /// (§4.1 loop with from-scratch A refreshes, full sorted-queue rebuilds on
 /// commit, and the O(candidates) linear candidate scans), kept as the
-/// bit-identity oracle for the delta-updated K-queue implementation.  Only
-/// the sequential polish descent is reproduced (thread-count independence of
-/// the parallel descent is covered elsewhere).
+/// bit-identity oracle for the delta-updated K-queue implementation.
 MinPowerResult min_power(const AssignmentEvaluator& evaluator,
                          const ConeOverlap& overlap,
                          const MinPowerOptions& options) {
@@ -597,7 +595,6 @@ TEST(MinPower, DeltaQueueMatchesSeedReferenceLoop) {
         options.guidance = mode;
         options.polish_descent = polish;
         options.seed = 5 + circuit_seed;
-        options.num_threads = 1;
         const MinPowerResult expected =
             reference_seed::min_power(evaluator, overlap, options);
         const MinPowerResult actual =
@@ -632,7 +629,6 @@ TEST(MinPower, CommitsRescoreOnlyPairsTouchingFlippedOutputs) {
   const std::size_t all_pairs = num_pos * (num_pos - 1) / 2;
 
   MinPowerOptions options;
-  options.num_threads = 1;
   const MinPowerResult result =
       min_power_assignment(evaluator, overlap, options);
   ASSERT_GT(result.counters.commits, 0u);
@@ -781,41 +777,6 @@ TEST(Search, ParallelMinAreaAnnealingIsThreadCountIndependent) {
     EXPECT_EQ(result.assignment, base.assignment) << threads;
     expect_cost_identical(result.cost, base.cost);
     EXPECT_EQ(result.counters.evaluations, base.counters.evaluations);
-  }
-}
-
-TEST(Search, ParallelMinPowerIsThreadCountIndependent) {
-  BenchSpec spec;
-  spec.name = "par-mp";
-  spec.num_pis = 11;
-  spec.num_pos = 12;
-  spec.gate_target = 120;
-  spec.seed = 14;
-  const Network net = generate_benchmark(spec);
-  const AssignmentEvaluator evaluator = make_evaluator(net, {}, 0.65);
-  const ConeOverlap overlap(net);
-
-  MinPowerOptions sequential;
-  sequential.num_threads = 1;
-  const MinPowerResult base = min_power_assignment(evaluator, overlap, sequential);
-  for (const unsigned threads : {2u, 4u}) {
-    MinPowerOptions parallel;
-    parallel.num_threads = threads;
-    const MinPowerResult result =
-        min_power_assignment(evaluator, overlap, parallel);
-    EXPECT_EQ(result.assignment, base.assignment) << threads;
-    EXPECT_EQ(result.final_power, base.final_power) << threads;
-    EXPECT_EQ(result.counters.evaluations, base.counters.evaluations)
-        << threads;
-    EXPECT_EQ(result.counters.commits, base.counters.commits) << threads;
-    // Commit-path telemetry is part of the deterministic trajectory.
-    EXPECT_EQ(result.counters.commit_rescore_pairs,
-              base.counters.commit_rescore_pairs)
-        << threads;
-    EXPECT_EQ(result.counters.avg_update_nodes,
-              base.counters.avg_update_nodes)
-        << threads;
-    expect_cost_identical(result.cost, base.cost);
   }
 }
 

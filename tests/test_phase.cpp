@@ -282,42 +282,6 @@ TEST(MinPower, GuidanceModesAllImprove) {
   }
 }
 
-TEST(MinPower, TrajectoryBitIdenticalAcrossThreads) {
-  // The speculative parallel polish must be invisible: the §4.1 loop and
-  // the polish descent walk the exact same trajectory — assignment, power,
-  // trial and commit counts — at every thread count as the single-threaded
-  // run.
-  BenchSpec spec;
-  spec.name = "mplanes";
-  spec.num_pis = 10;
-  spec.num_pos = 9;
-  spec.gate_target = 110;
-  spec.seed = 21;
-  const Network net = generate_benchmark(spec);
-  const auto evaluator = make_evaluator(net, 0.6);
-  const ConeOverlap overlap(net);
-
-  for (const GuidanceMode mode :
-       {GuidanceMode::kCostFunction, GuidanceMode::kMeasureAll}) {
-    MinPowerOptions sequential;
-    sequential.guidance = mode;
-    sequential.num_threads = 1;
-    const auto reference = min_power_assignment(evaluator, overlap, sequential);
-
-    for (const unsigned threads : {2u, 3u, 8u}) {
-      MinPowerOptions threaded = sequential;
-      threaded.num_threads = threads;
-      const auto got = min_power_assignment(evaluator, overlap, threaded);
-      EXPECT_EQ(got.assignment, reference.assignment)
-          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
-      EXPECT_EQ(got.final_power, reference.final_power);  // bitwise
-      EXPECT_EQ(got.initial_power, reference.initial_power);
-      EXPECT_EQ(got.counters.evaluations, reference.counters.evaluations);
-      EXPECT_EQ(got.counters.commits, reference.counters.commits);
-    }
-  }
-}
-
 TEST(MinArea, AnnealingBitIdenticalAcrossThreads) {
   // Same contract for the annealing + greedy-descent fallback: the seeded
   // walk commits the same flips on any number of restart workers.

@@ -8,7 +8,8 @@
 ///    deadlines are rejected without running, shutdown drains in-flight
 ///    work (and non-drain shutdown cancels queued work cleanly),
 ///  * the wire protocol parses/formats round-trip, and a UNIX-socket
-///    daemon serves real clients end to end.
+///    daemon serves real clients end to end,
+///  * a request's thread count is clamped to the hardware's.
 
 #include <gtest/gtest.h>
 
@@ -1068,6 +1069,23 @@ TEST(ServerCore, BrownoutKeepsHotSessionsAboveTheExhaustiveLimit) {
     expect_reports_identical(response.report, cold.report);
   }
   EXPECT_EQ(core.stats().degraded_responses, 0u);
+  core.shutdown();
+}
+
+TEST(ServerCore, ClampsRequestThreadsToTheHardware) {
+  // A request's thread count only costs pids past the hardware's (answers
+  // never depend on it), so the core serves it with at most that many.
+  const unsigned hardware = ThreadPool::resolve_threads(0);
+  const Network net = generate_benchmark(server_spec(85));
+  FlowOptions options = fast_options();
+  options.num_threads = hardware + 1;
+  ServerCore core(ServerConfig{});
+  const ServerResponse response =
+      core.submit(make_request(net, options)).get();
+  ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+  const auto session = core.cache().peek(net.name());
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->options().num_threads, hardware);
   core.shutdown();
 }
 
