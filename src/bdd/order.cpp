@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 
 namespace dominosyn {
@@ -82,7 +83,7 @@ std::vector<std::uint32_t> fanout_cone_sizes(const Network& net,
       }
       std::uint32_t count = 0;
       for (std::size_t w = 0; w < words; ++w)
-        count += static_cast<std::uint32_t>(__builtin_popcountll(row[w]));
+        count += popcount64(row[w]);
       sizes[id] = count;
     }
   } else {

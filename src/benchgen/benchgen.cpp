@@ -1,6 +1,8 @@
 #include "benchgen/benchgen.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include "network/synth.hpp"
@@ -192,6 +194,17 @@ const BenchSpec& paper_spec(const std::string& name) {
   for (const auto& spec : paper_suite())
     if (spec.name == name) return spec;
   throw std::runtime_error("paper_spec: unknown circuit '" + name + "'");
+}
+
+std::shared_ptr<const Network> paper_network(const std::string& name) {
+  static std::mutex mutex;
+  static std::map<std::string, std::shared_ptr<const Network>> built;
+  const BenchSpec& spec = paper_spec(name);
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::shared_ptr<const Network>& net = built[spec.name];
+  if (net == nullptr)
+    net = std::make_shared<const Network>(generate_benchmark(spec));
+  return net;
 }
 
 Network make_figure3_circuit() {

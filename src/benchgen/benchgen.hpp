@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,12 @@ struct BenchSpec {
 /// Looks up a paper_suite spec by name ("apex7", "frg1", "x1", "x3",
 /// "Industry 1", "Industry 2", "Industry 3").  Throws if unknown.
 [[nodiscard]] const BenchSpec& paper_spec(const std::string& name);
+
+/// The generated circuit of paper_spec(name), built once per process on
+/// first use (under a lock) and shared read-only by every later call.
+/// Throws like paper_spec if the name is unknown.
+[[nodiscard]] std::shared_ptr<const Network> paper_network(
+    const std::string& name);
 
 /// Figure 3: f = !((a+b) + (c·d)), g = (a+b) + (c·!d) — the inverter-removal
 /// walkthrough pair.

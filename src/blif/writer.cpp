@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "blif/blif.hpp"
+#include "util/bits.hpp"
 
 namespace dominosyn::blif {
 
@@ -88,7 +89,7 @@ void write(const Network& net, std::ostream& out) {
         if (n > 16) throw std::runtime_error("blif::write: XOR fanin too wide");
         // Odd-parity on-set cover.
         for (std::size_t bits = 0; bits < (1ULL << n); ++bits) {
-          if (__builtin_popcountll(bits) % 2 == 0) continue;
+          if (popcount64(bits) % 2 == 0) continue;
           std::string cube(n, '0');
           for (std::size_t i = 0; i < n; ++i)
             if ((bits >> i) & 1ULL) cube[i] = '1';

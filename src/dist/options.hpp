@@ -23,8 +23,8 @@ class DistCoordinator;
 /// fingerprint against `fingerprint`, so a divergent reconstruction fails the
 /// unit instead of merging wrong numbers.
 struct CircuitSpec {
-  /// paper_suite() name ("apex7", "frg1", ...); regenerated via
-  /// generate_benchmark(paper_spec(corpus)).
+  /// paper_suite() name ("apex7", "frg1", ...); the worker copies the
+  /// process-wide paper_network(corpus), built once on first use.
   std::string corpus;
   /// Explicit generator parameters — covers circuits outside the paper
   /// corpus without relying on a BLIF round trip.

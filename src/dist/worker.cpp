@@ -24,12 +24,12 @@ namespace dominosyn::dist {
 namespace {
 
 /// The circuit a unit refers to, rebuilt from its spec (precedence:
-/// generator parameters, verbatim BLIF, paper-corpus name).
+/// generator parameters, verbatim BLIF, paper-corpus name).  A corpus circuit
+/// is copied from the process-wide paper_network.
 Network reconstruct_network(const CircuitSpec& circuit) {
   if (circuit.has_bench) return generate_benchmark(circuit.bench);
   if (!circuit.blif_text.empty()) return blif::read_string(circuit.blif_text);
-  if (!circuit.corpus.empty())
-    return generate_benchmark(paper_spec(circuit.corpus));
+  if (!circuit.corpus.empty()) return *paper_network(circuit.corpus);
   throw std::runtime_error("work unit carries no circuit spec");
 }
 

@@ -179,8 +179,7 @@ Command parse_submit(const std::vector<std::string_view>& tokens,
     command.request.blif_text = text;
   } else {
     try {
-      command.request.network = std::make_shared<const Network>(
-          generate_benchmark(paper_spec(corpus)));
+      command.request.network = paper_network(corpus);
     } catch (const std::exception& e) {
       throw ProtocolError(std::string("corpus lookup failed: ") + e.what());
     }

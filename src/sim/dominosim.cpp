@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/sim.hpp"
+#include "util/bits.hpp"
 
 namespace dominosyn {
 
@@ -89,6 +90,8 @@ SimPowerResult simulate_domino_power(const Network& net,
 
   std::vector<std::uint64_t> event_counts(net.num_nodes(), 0);
   std::vector<std::uint64_t> one_counts(net.num_nodes(), 0);
+  // This step's lane count per node, shared by the role loops below.
+  std::vector<std::uint32_t> ones(net.num_nodes(), 0);
   SimPowerResult result;
   result.per_cycle = PowerBreakdown{};
 
@@ -103,22 +106,22 @@ SimPowerResult simulate_domino_power(const Network& net,
     const bool accounted = step >= options.warmup;
 
     if (accounted) {
-      for (NodeId id = 0; id < net.num_nodes(); ++id)
-        one_counts[id] +=
-            static_cast<std::uint32_t>(__builtin_popcountll(value[id]));
+      for (NodeId id = 0; id < net.num_nodes(); ++id) {
+        ones[id] = popcount64(value[id]);
+        one_counts[id] += ones[id];
+      }
       for (const DominoGate& gate : domino_gates) {
         // One discharge per lane-cycle where the output evaluates to 1.
-        const auto ones =
-            static_cast<std::uint32_t>(__builtin_popcountll(value[gate.id]));
-        event_counts[gate.id] += ones;
-        domino_energy += ones * gate.cap * gate.mult + 64.0 * gate.add;
+        const std::uint32_t discharges = ones[gate.id];
+        event_counts[gate.id] += discharges;
+        domino_energy += discharges * gate.cap * gate.mult + 64.0 * gate.add;
         clock_energy += 64.0 * model.clock_cap_per_gate;
       }
       if (have_prev) {
         // Value changes of the (static) source between consecutive cycles.
         for (const Inverter& inv : input_inverters) {
-          const auto toggles = static_cast<std::uint32_t>(
-              __builtin_popcountll(value[inv.fanin] ^ prev_value[inv.fanin]));
+          const std::uint32_t toggles =
+              popcount64(value[inv.fanin] ^ prev_value[inv.fanin]);
           event_counts[inv.id] += toggles;
           input_inv_energy += toggles * inv.cap;
         }
@@ -126,8 +129,7 @@ SimPowerResult simulate_domino_power(const Network& net,
       for (const Inverter& inv : output_inverters) {
         // The domino driver rises and is then precharged: the inverter
         // sees `domino_driven_inverter_edges` edges per discharged cycle.
-        const auto fired =
-            static_cast<std::uint32_t>(__builtin_popcountll(value[inv.fanin]));
+        const std::uint32_t fired = ones[inv.fanin];
         event_counts[inv.id] += fired;
         output_inv_energy +=
             model.domino_driven_inverter_edges * fired * inv.cap;

@@ -13,7 +13,9 @@
 ///    The netlist is compiled once per call (CompiledNetwork: gates in
 ///    topological order, fanins in CSR form) and every step evaluates into
 ///    two swapped value buffers; each node's role, cap and penalty are
-///    looked up once, before the step loop.
+///    looked up once, before the step loop.  Each accounted step counts every
+///    node's 1-lanes once, through popcount64 (util/bits.hpp), into a reused
+///    buffer that the domino-gate and output-inverter sums read.
 ///  * EventSim / measure_static_glitching — single-pattern event-driven
 ///    simulation with per-gate delays for *static* CMOS realizations; counts
 ///    real transitions including glitches (the effect domino logic is immune

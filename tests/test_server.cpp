@@ -9,13 +9,15 @@
 ///    work (and non-drain shutdown cancels queued work cleanly),
 ///  * the wire protocol parses/formats round-trip, and a UNIX-socket
 ///    daemon serves real clients end to end,
-///  * a request's thread count is clamped to the hardware's.
+///  * a request's thread count is clamped to the hardware's,
+///  * corpus submits share one immutable network per name, across threads.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -456,6 +458,53 @@ TEST(Protocol, ParsesPercentEncodedCorpusAndCircuitNames) {
   EXPECT_EQ(command->request.network->name(), "Industry 1");
   EXPECT_EQ(command->request.corpus, "Industry 1");
   EXPECT_EQ(command->request.circuit, "my key");
+}
+
+TEST(Protocol, CorpusSubmitsShareOneImmutableNetwork) {
+  const auto parse_network =
+      [](const std::string& corpus) -> std::shared_ptr<const Network> {
+    std::istringstream in("submit corpus=" + corpus + " mode=mp\n");
+    const auto command = protocol::read_command(in);
+    return command ? command->request.network : nullptr;
+  };
+  const std::shared_ptr<const Network> first = parse_network("x1");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(parse_network("x1"), first);
+  EXPECT_EQ(network_fingerprint(*first),
+            network_fingerprint(generate_benchmark(paper_spec("x1"))));
+
+  try {
+    (void)parse_network("nope");
+    ADD_FAILURE() << "an unknown corpus name parsed";
+  } catch (const protocol::ProtocolError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("corpus lookup failed: ", 0), 0u)
+        << error.what();
+  }
+
+  // Concurrent parses share one network per name: 4 threads x 25 parses.
+  struct Seen {
+    std::set<const Network*> x1, x3;
+  };
+  std::vector<Seen> seen(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 25; ++i) {
+        const bool want_x3 = (i + t) % 2 == 0;
+        (want_x3 ? seen[t].x3 : seen[t].x1)
+            .insert(parse_network(want_x3 ? "x3" : "x1").get());
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+  std::set<const Network*> x1;
+  std::set<const Network*> x3;
+  for (const Seen& one : seen) {
+    x1.insert(one.x1.begin(), one.x1.end());
+    x3.insert(one.x3.begin(), one.x3.end());
+  }
+  EXPECT_EQ(x1, std::set<const Network*>{first.get()});
+  ASSERT_EQ(x3.size(), 1u);
+  EXPECT_NE(*x3.begin(), nullptr);
 }
 
 TEST(Protocol, ParsesSubmitWithInlineBlif) {

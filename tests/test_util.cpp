@@ -1,10 +1,12 @@
-/// Tests for the deterministic RNG and hashing utilities.
+/// Tests for the deterministic RNG, hashing and bit-counting utilities.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "util/bits.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -117,6 +119,21 @@ TEST(Hash, Mix64IsInjectiveOnSmallRange) {
 TEST(Hash, CombineOrderMatters) {
   EXPECT_NE(hash_combine(1, 2), hash_combine(2, 1));
   EXPECT_NE(hash3(1, 2, 3), hash3(3, 2, 1));
+}
+
+TEST(Bits, Popcount64MatchesBitByBitCount) {
+  const auto reference = [](std::uint64_t x) {
+    std::uint32_t count = 0;
+    for (int bit = 0; bit < 64; ++bit) count += (x >> bit) & 1;
+    return count;
+  };
+  std::vector<std::uint64_t> words = {0, ~0ULL};
+  for (int bit = 0; bit < 64; ++bit) words.push_back(1ULL << bit);
+  Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) words.push_back(rng.next());
+  for (const std::uint64_t word : words)
+    ASSERT_EQ(popcount64(word), reference(word)) << std::hex << word;
+  static_assert(popcount64(~0ULL) == 64);
 }
 
 TEST(SplitMix, KnownGolden) {
