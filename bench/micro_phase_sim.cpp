@@ -5,8 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+#include <string>
+
 #include "benchgen/benchgen.hpp"
 #include "bdd/netbdd.hpp"
+#include "flow/session.hpp"
 #include "phase/search.hpp"
 #include "sgraph/mfvs.hpp"
 #include "sgraph/partition.hpp"
@@ -107,6 +112,37 @@ void BM_DominoSimulator(benchmark::State& state) {
   state.counters["gates"] = static_cast<double>(domino.net.num_gates());
 }
 BENCHMARK(BM_DominoSimulator)->Arg(200)->Arg(800);
+
+/// The session that maps a paper circuit, built once per process: google-
+/// benchmark calls a benchmark several times, and x3's set-up alone takes
+/// about a second.
+FlowSession& paper_session(const std::string& circuit) {
+  static std::map<std::string, std::unique_ptr<FlowSession>> sessions;
+  auto& session = sessions[circuit];
+  if (!session)
+    session = std::make_unique<FlowSession>(*paper_network(circuit), FlowOptions{});
+  return *session;
+}
+
+// What a served what-if rebuild measures: the MP netlist of a paper circuit,
+// mapped and loaded as FlowSession::measure loads it, at 1024 steps.
+void BM_MeasureMappedCircuit(benchmark::State& state, const char* circuit) {
+  FlowSession& session = paper_session(circuit);
+  const MappedNetlist& mapped = session.map(PhaseMode::kMinPower).netlist;
+  SimPowerOptions options = session.options().sim;
+  options.steps = 1024;
+  options.warmup = 16;
+  options.node_caps = mapped.node_loads(0.2);
+  const std::vector<double> pi_probs(mapped.net.num_pis(), session.options().pi_prob);
+  for (auto _ : state) {
+    const auto result = simulate_domino_power(mapped.net, pi_probs, options);
+    benchmark::DoNotOptimize(result.per_cycle.domino_block);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024 * 64);
+  state.counters["gates"] = static_cast<double>(mapped.net.num_gates());
+}
+BENCHMARK_CAPTURE(BM_MeasureMappedCircuit, x1, "x1")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MeasureMappedCircuit, x3, "x3")->Unit(benchmark::kMillisecond);
 
 void BM_SequentialProbabilities(benchmark::State& state) {
   const Network net = sized_network(500, 8, /*latches=*/12);

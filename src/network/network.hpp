@@ -140,11 +140,13 @@ class Network {
 };
 
 /// Flat evaluation form of a Network for 64-way bit-parallel simulation
-/// (simulate.cpp): every gate in topological order, with its fanins in CSR
-/// form.  Compiling sorts the network once, so a caller that evaluates many
-/// 64-vector words pays for the sort once and, by passing the same value
-/// buffer back in, allocates nothing per word.  Holds no reference to the
-/// network.
+/// (simulate.cpp).  Gates are ordered by logic level, then by kind and
+/// fanin count, so they fall into runs of one kind and arity; each run is
+/// evaluated by a loop with a fixed trip count (AND/OR of 1-8 fanins and
+/// NOT), or by one generic loop for XOR and wider gates.  A caller that
+/// evaluates many 64-vector words pays for this ordering once and, by
+/// passing the same value buffer back in, allocates nothing per word.
+/// Holds no reference to the network.
 class CompiledNetwork {
  public:
   /// Throws std::runtime_error on a combinational cycle, like topo_order().
@@ -158,13 +160,25 @@ class CompiledNetwork {
                 std::vector<std::uint64_t>& value) const;
 
  private:
+  /// Evaluates `count` gates whose `arity` fanins each lie consecutively in
+  /// `fanins`, writing value[out[g]].
+  using Kernel = void (*)(const NodeId* out, const NodeId* fanins,
+                          std::size_t count, std::size_t arity,
+                          std::uint64_t* value);
+  struct Run {
+    Kernel kernel;
+    std::uint32_t first_gate;   ///< index into gates_
+    std::uint32_t num_gates;
+    std::uint32_t arity;
+    std::uint32_t first_fanin;  ///< index into fanins_
+  };
+
   std::size_t num_nodes_ = 0;
   std::vector<NodeId> pis_;
   std::vector<NodeId> latch_outputs_;
-  std::vector<NodeId> gates_;               ///< topological order
-  std::vector<NodeKind> gate_kinds_;        ///< parallel to gates_
-  std::vector<std::uint32_t> fanin_begin_;  ///< CSR offsets, gates_.size() + 1
-  std::vector<NodeId> fanins_;
+  std::vector<NodeId> gates_;   ///< by level, then kind and fanin count
+  std::vector<NodeId> fanins_;  ///< each gate's fanins, in gates_ order
+  std::vector<Run> runs_;
 };
 
 // -- transformations (transform.cpp) ------------------------------------------

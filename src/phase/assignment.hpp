@@ -50,6 +50,12 @@ struct PolarityDemand {
   [[nodiscard]] bool needs_neg(NodeId id) const { return (bits[id] & kNeg) != 0; }
 };
 
+/// Demand propagation only: the polarities `phases` requires of each node of
+/// `net` (2-input AND/OR plus NOT).  A structural walk from the PO and latch
+/// roots, so it needs no signal probabilities and no evaluator.
+[[nodiscard]] PolarityDemand polarity_demand(const Network& net,
+                                             const PhaseAssignment& phases);
+
 /// Cost summary of a candidate assignment.
 struct AssignmentCost {
   PowerBreakdown power;
@@ -94,9 +100,6 @@ class AssignmentEvaluator {
   [[nodiscard]] const std::shared_ptr<const EvalContext>& context() const noexcept {
     return ctx_;
   }
-
-  /// Demand propagation only (no power).
-  [[nodiscard]] PolarityDemand demand(const PhaseAssignment& phases) const;
 
   /// Full cost of an assignment.
   [[nodiscard]] AssignmentCost evaluate(const PhaseAssignment& phases) const;

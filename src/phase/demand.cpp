@@ -3,9 +3,9 @@
 ///
 /// AssignmentEvaluator::evaluate() is implemented as a fresh EvalState build
 /// (phase/eval.hpp), which makes it bit-identical to the incremental engine
-/// by construction.  demand() keeps the original stack-walk implementation —
-/// an independent code path that the engine's refcount-derived demand is
-/// cross-checked against in tests.
+/// by construction.  polarity_demand() keeps the original stack-walk
+/// implementation — an independent code path that the engine's
+/// refcount-derived demand is cross-checked against in tests.
 
 #include <stdexcept>
 
@@ -53,8 +53,7 @@ const PowerModelConfig& AssignmentEvaluator::config() const noexcept {
   return ctx_->config();
 }
 
-PolarityDemand AssignmentEvaluator::demand(const PhaseAssignment& phases) const {
-  const Network& net = ctx_->network();
+PolarityDemand polarity_demand(const Network& net, const PhaseAssignment& phases) {
   if (phases.size() != net.num_pos())
     throw std::runtime_error("demand: assignment size mismatch");
 

@@ -388,7 +388,7 @@ void EvalState::add_output_refs(std::size_t output, Phase phase) {
   const bool pol = root.parity != negative;
   const bool source = is_source_kind(ctx_->kind(node));
 
-  // Demand: mirrors the PO-root folding of AssignmentEvaluator::demand —
+  // Demand: mirrors the PO-root folding of polarity_demand —
   // a negative-phase source-resolved output is either a direct wire (PO = s)
   // or the shared input inverter of s (PO = !s).
   if (negative && source) {

@@ -319,7 +319,7 @@ class EvalState {
   }
 
   /// Current polarity demand, derived from the reference counts (equals
-  /// AssignmentEvaluator::demand(assignment())).
+  /// polarity_demand(network, assignment())).
   [[nodiscard]] PolarityDemand demand() const;
 
   /// §4.1 average cone probability A_i of one output under the current

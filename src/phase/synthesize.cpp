@@ -30,8 +30,7 @@ DominoSynthesisResult synthesize_domino(const Network& net,
     throw std::runtime_error("synthesize_domino: assignment size mismatch");
 
   // Compute what is needed first so we only build required instances.
-  AssignmentEvaluator evaluator(net, std::vector<double>(net.num_nodes(), 0.5));
-  const PolarityDemand dem = evaluator.demand(phases);
+  const PolarityDemand dem = polarity_demand(net, phases);
 
   DominoSynthesisResult result;
   Network& out = result.net;
@@ -92,7 +91,7 @@ DominoSynthesisResult synthesize_domino(const Network& net,
   // Primary outputs.  Negative phase: static inverter over the complement
   // implementation, shared between outputs resolving to the same instance.
   // Source-resolved negative outputs fold into the input boundary, matching
-  // AssignmentEvaluator::demand(): PO = NOT(!s) is a direct wire to s, and
+  // polarity_demand(): PO = NOT(!s) is a direct wire to s, and
   // PO = NOT(s) is the shared input inverter of s.
   std::map<std::pair<NodeId, bool>, NodeId> output_inverters;
   for (std::size_t i = 0; i < phases.size(); ++i) {

@@ -140,6 +140,13 @@ Command parse_submit_header(const std::vector<std::string_view>& tokens,
   if (corpus.empty() == !inline_blif)
     throw ProtocolError("submit needs exactly one of corpus=<name> or "
                         "blif=inline");
+  // Checked here, on the effective values, so that a request the simulator
+  // would refuse is not first synthesized, searched and mapped.
+  const SimPowerOptions& sim = request.options.sim;
+  if (sim.steps <= sim.warmup)
+    throw ProtocolError("sim_steps=" + std::to_string(sim.steps) +
+                        " must exceed sim_warmup=" +
+                        std::to_string(sim.warmup));
   return command;
 }
 

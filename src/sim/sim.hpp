@@ -10,12 +10,16 @@
 ///    appropriate signal probabilities").  Domino gates burn energy per
 ///    discharge (Property 2.1 makes zero-delay counting exact); boundary
 ///    static inverters burn per value change; optional per-gate clock load.
-///    The netlist is compiled once per call (CompiledNetwork: gates in
-///    topological order, fanins in CSR form) and every step evaluates into
-///    two swapped value buffers; each node's role, cap and penalty are
-///    looked up once, before the step loop.  Each accounted step counts every
-///    node's 1-lanes once, through popcount64 (util/bits.hpp), into a reused
-///    buffer that the domino-gate and output-inverter sums read.
+///    The netlist is compiled once per call (CompiledNetwork: runs of gates
+///    of one kind and fanin count, level by level) and every step evaluates
+///    into two swapped value buffers; each node's role, cap and penalty are
+///    looked up once, before the step loop.  An accounted step counts lanes
+///    (popcount64, util/bits.hpp) only where a sum needs them: each domino
+///    gate's 1-lanes, which are its discharges as well, each source's
+///    1-lanes, each input inverter's source toggles and each output
+///    inverter's firing driver.  An inverter's 1-lane count is derived once,
+///    at the end, from its fanin's.  The four energy sums are independent,
+///    and each adds its operands in step order, then node-id order.
 ///  * EventSim / measure_static_glitching — single-pattern event-driven
 ///    simulation with per-gate delays for *static* CMOS realizations; counts
 ///    real transitions including glitches (the effect domino logic is immune
@@ -37,15 +41,16 @@ namespace dominosyn {
 /// one stream per primary input.
 class VectorGenerator {
  public:
-  VectorGenerator(std::vector<double> pi_probs, std::uint64_t seed);
+  VectorGenerator(const std::vector<double>& pi_probs, std::uint64_t seed);
 
-  /// Next word for every PI (words[i] belongs to PI i).
+  /// Next word for every PI (words[i] belongs to PI i): exactly the words
+  /// Rng::biased_bits(pi_probs[i]) draws for i = 0, 1, ... in turn.
   void next(std::vector<std::uint64_t>& words);
 
-  [[nodiscard]] std::size_t num_inputs() const noexcept { return probs_.size(); }
+  [[nodiscard]] std::size_t num_inputs() const noexcept { return bits_.size(); }
 
  private:
-  std::vector<double> probs_;
+  std::vector<BiasedBits> bits_;
   Rng rng_;
 };
 

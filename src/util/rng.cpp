@@ -2,35 +2,22 @@
 
 namespace dominosyn {
 
-std::uint64_t Rng::biased_bits(double p) noexcept {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) return ~0ULL;
-  // Extract the leading 16 binary digits of p = 0.b1 b2 ... bn (resolution
-  // 2^-16, ample for signal-probability targets like 0.5 or 0.9).
-  unsigned digits[16];
-  int n = 0;
+BiasedBits::BiasedBits(double p) noexcept {
+  if (p <= 0.0) return;
+  if (p >= 1.0) {
+    fill_ = ~0ULL;
+    return;
+  }
   double rem = p;
-  while (n < 16) {
+  while (num_digits_ < 16) {
     rem *= 2.0;
     if (rem >= 1.0) {
-      digits[n++] = 1;
+      digits_ |= 1u << num_digits_;
       rem -= 1.0;
-    } else {
-      digits[n++] = 0;
     }
+    ++num_digits_;
     if (rem == 0.0) break;
   }
-  // Classic biased-bit construction, digits consumed least-significant first.
-  // If r currently has per-bit probability q, then with a fresh uniform word R:
-  //   digit 1:  r |= R  gives q' = 1/2 + q/2
-  //   digit 0:  r &= R  gives q' = q/2
-  // so after processing b_n..b_1 the probability is exactly 0.b1..bn.
-  std::uint64_t r = 0;
-  for (int i = n - 1; i >= 0; --i) {
-    const std::uint64_t rnd = next();
-    r = digits[i] != 0 ? (r | rnd) : (r & rnd);
-  }
-  return r;
 }
 
 }  // namespace dominosyn

@@ -80,9 +80,9 @@ class Rng {
   /// Bernoulli draw: true with probability p (clamped to [0,1]).
   [[nodiscard]] constexpr bool bernoulli(double p) noexcept { return uniform() < p; }
 
-  /// 64 independent Bernoulli(p) bits packed into one word.  This is the
-  /// workhorse of the statistical vector generator: each bit position is an
-  /// independent sample, enabling 64-way parallel logic simulation.
+  /// 64 independent Bernoulli(p) bits packed into one word: each bit
+  /// position is an independent sample, enabling 64-way parallel logic
+  /// simulation.  A stream of words for one p should hold a BiasedBits.
   [[nodiscard]] std::uint64_t biased_bits(double p) noexcept;
 
  private:
@@ -92,5 +92,40 @@ class Rng {
 
   std::uint64_t state_[4] = {};
 };
+
+/// The leading 16 binary digits of a probability p (resolution 2^-16, ample
+/// for signal-probability targets like 0.5 or 0.9), decoded once.  draw()
+/// returns what Rng::biased_bits(p) returns, from the same Rng calls; the
+/// statistical vector generator holds one per primary input so that it does
+/// not decode p again for every word.
+class BiasedBits {
+ public:
+  /// p <= 0 draws 0 and p >= 1 draws ~0, consuming no Rng words.
+  explicit BiasedBits(double p) noexcept;
+
+  /// Classic biased-bit construction, digits consumed least-significant
+  /// first.  If r currently has per-bit probability q, then with a fresh
+  /// uniform word R:
+  ///   digit 1:  r |= R  gives q' = 1/2 + q/2
+  ///   digit 0:  r &= R  gives q' = q/2
+  /// so after processing b_n..b_1 the probability is exactly 0.b1..bn.
+  [[nodiscard]] std::uint64_t draw(Rng& rng) const noexcept {
+    std::uint64_t r = fill_;
+    for (std::uint32_t i = num_digits_; i-- > 0;) {
+      const std::uint64_t rnd = rng.next();
+      r = ((digits_ >> i) & 1) != 0 ? (r | rnd) : (r & rnd);
+    }
+    return r;
+  }
+
+ private:
+  std::uint64_t fill_ = 0;        ///< ~0 when p >= 1, else 0
+  std::uint32_t digits_ = 0;      ///< bit i holds binary digit b_{i+1} of p
+  std::uint32_t num_digits_ = 0;  ///< 0 when p <= 0 or p >= 1
+};
+
+inline std::uint64_t Rng::biased_bits(double p) noexcept {
+  return BiasedBits(p).draw(*this);
+}
 
 }  // namespace dominosyn

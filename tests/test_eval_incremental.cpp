@@ -197,9 +197,10 @@ TEST_P(IncrementalEquivalence, RefcountDemandMatchesWalkDemand) {
   EvalState state(evaluator.context(), phases);
   for (int flip = 0; flip < 20; ++flip) {
     state.apply_flip(rng.below(net.num_pos()));
-    // demand() is the seed's independent stack-walk implementation; the
-    // engine derives the same bits from its reference counts.
-    EXPECT_EQ(state.demand().bits, evaluator.demand(state.assignment()).bits);
+    // polarity_demand() is the seed's independent stack-walk
+    // implementation; the engine derives the same bits from its reference
+    // counts.
+    EXPECT_EQ(state.demand().bits, polarity_demand(net, state.assignment()).bits);
   }
 }
 
@@ -208,8 +209,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
 
 TEST(Incremental, SourceResolvedAndConstantOutputs) {
   // The boundary folding cases: direct-wire POs, shared input inverters,
-  // constant drivers, NOT chains — everything demand()/evaluate() special-
-  // cases must stay exact under flips.
+  // constant drivers, NOT chains — everything polarity_demand()/evaluate()
+  // special-cases must stay exact under flips.
   Network net;
   const NodeId a = net.add_pi("a");
   const NodeId b = net.add_pi("b");
@@ -229,7 +230,7 @@ TEST(Incremental, SourceResolvedAndConstantOutputs) {
     for (std::uint64_t code = 1; code < (1ULL << net.num_pos()); ++code) {
       state.apply_flip(static_cast<std::size_t>(std::countr_zero(code)));
       expect_cost_identical(state.cost(), evaluator.evaluate(state.assignment()));
-      EXPECT_EQ(state.demand().bits, evaluator.demand(state.assignment()).bits);
+      EXPECT_EQ(state.demand().bits, polarity_demand(net, state.assignment()).bits);
     }
   }
 }

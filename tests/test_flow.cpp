@@ -143,6 +143,22 @@ TEST(Flow, PinnedReportFields) {
   EXPECT_EQ(mp.critical_delay, 0x1.1d5c28f5c28f5p+7);
   expect_counters(mp.search, {14492, 24, 507, 4707, 0, 0, 0.0});
 
+  // A clock what-if on the warm session: MP is remapped, resized to 5 %
+  // above MA's unconstrained delay and measured again.
+  options.clock_period = 1.05 * ma.critical_delay;
+  session.set_options(options);
+  const FlowReport timed = session.report(PhaseMode::kMinPower);
+  EXPECT_TRUE(timed.timing_met);
+  EXPECT_EQ(timed.resize_moves, 2u);
+  EXPECT_EQ(timed.cells, 609u);
+  EXPECT_EQ(timed.area, 0x1.43dfffffffffep+11);
+  EXPECT_EQ(timed.critical_delay, 0x1.ff2b020c49ba8p+6);
+  EXPECT_EQ(timed.sim_power, 0x1.78059867c3db9p+9);
+  EXPECT_EQ(timed.sim_breakdown.domino_block, 0x1.4d6a2c5f92a3p+8);
+  EXPECT_EQ(timed.sim_breakdown.input_inverters, 0x1.e96ec28f5c29p+7);
+  EXPECT_EQ(timed.sim_breakdown.output_inverters, 0x1.41ddddddddddep-1);
+  EXPECT_EQ(timed.sim_breakdown.clock_load, 0x1.5a916872b0219p+7);
+
   FlowSession frg1(generate_benchmark(paper_spec("frg1")), options);
   const FlowReport exact = frg1.report(PhaseMode::kMinPower);
   EXPECT_EQ(exact.est_power, 0x1.f7b97250cccccp+7);

@@ -63,7 +63,7 @@ TEST(LoadModel, DualInstancesCarrySeparateLoads) {
   net.add_po("pos", net.add_and(shared, c));   // uses shared positively
   net.add_po("neg", net.add_not(shared));      // positive phase -> needs !shared
   const auto evaluator = make_evaluator(net, true);
-  const auto dem = evaluator.demand(all_positive(net));
+  const auto dem = polarity_demand(net, all_positive(net));
   EXPECT_TRUE(dem.needs_pos(shared));
   EXPECT_TRUE(dem.needs_neg(shared));
   const auto cost = evaluator.evaluate(all_positive(net));

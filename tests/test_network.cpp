@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
+#include <string>
 
+#include "blif/blif.hpp"
 #include "network/network.hpp"
+#include "util/rng.hpp"
 
 namespace dominosyn {
 namespace {
@@ -182,6 +187,153 @@ TEST(NetworkStats, CountsPerKind) {
   EXPECT_EQ(stats.gates(), 4u);
   EXPECT_EQ(stats.pis, 2u);
   EXPECT_GE(stats.depth, 3u);
+}
+
+/// Node-by-node reference for CompiledNetwork: each node's word computed
+/// from its fanins' words by memoized recursion, in no particular order.
+std::vector<std::uint64_t> reference_words(const Network& net,
+                                           const std::vector<std::uint64_t>& pi_words,
+                                           const std::vector<std::uint64_t>& latch_words) {
+  std::vector<std::optional<std::uint64_t>> memo(net.num_nodes());
+  for (std::size_t i = 0; i < net.num_pis(); ++i) memo[net.pis()[i]] = pi_words[i];
+  for (std::size_t i = 0; i < net.num_latches(); ++i)
+    memo[net.latches()[i].output] = latch_words.empty() ? 0 : latch_words[i];
+  const std::function<std::uint64_t(NodeId)> word = [&](NodeId id) {
+    if (memo[id]) return *memo[id];
+    std::uint64_t value = 0;
+    switch (net.kind(id)) {
+      case NodeKind::kConst1:
+        value = ~0ULL;
+        break;
+      case NodeKind::kAnd:
+        value = ~0ULL;
+        for (const NodeId f : net.fanins(id)) value &= word(f);
+        break;
+      case NodeKind::kOr:
+        for (const NodeId f : net.fanins(id)) value |= word(f);
+        break;
+      case NodeKind::kXor:
+        for (const NodeId f : net.fanins(id)) value ^= word(f);
+        break;
+      case NodeKind::kNot:
+        value = ~word(net.fanins(id)[0]);
+        break;
+      default:  // kConst0
+        break;
+    }
+    memo[id] = value;
+    return value;
+  };
+  std::vector<std::uint64_t> result(net.num_nodes());
+  for (NodeId id = 0; id < net.num_nodes(); ++id) result[id] = word(id);
+  return result;
+}
+
+/// Random network with every gate shape the compiled kernels distinguish:
+/// AND/OR of 1-12 fanins (fixed-trip up to 8, generic beyond), XOR of 2-5,
+/// NOT chains, constant fanins, repeated fanins and latches.
+Network random_kernel_network(std::uint64_t seed) {
+  Rng rng(seed);
+  Network net;
+  std::vector<NodeId> pool;
+  for (int i = 0; i < 7; ++i) pool.push_back(net.add_pi("p" + std::to_string(i)));
+  std::vector<NodeId> latches;
+  for (int i = 0; i < 3; ++i) {
+    latches.push_back(net.add_latch("l" + std::to_string(i)));
+    pool.push_back(latches.back());
+  }
+  const auto pick = [&] {
+    if (rng.below(10) == 0) return rng.below(2) == 0 ? Network::const0() : Network::const1();
+    return pool[rng.below(pool.size())];
+  };
+  const auto fanins = [&](std::uint64_t lo, std::uint64_t hi) {
+    std::vector<NodeId> result(rng.range(lo, hi));
+    for (NodeId& f : result) f = pick();
+    return result;
+  };
+  for (int g = 0; g < 160; ++g) {
+    switch (rng.below(4)) {
+      case 0:
+        pool.push_back(net.add_gate(NodeKind::kAnd, fanins(1, 12)));
+        break;
+      case 1:
+        pool.push_back(net.add_gate(NodeKind::kOr, fanins(1, 12)));
+        break;
+      case 2:
+        pool.push_back(net.add_gate(NodeKind::kXor, fanins(2, 5)));
+        break;
+      default: {
+        NodeId chain = pick();
+        for (std::uint64_t k = rng.range(1, 4); k > 0; --k) chain = net.add_not(chain);
+        pool.push_back(chain);
+        break;
+      }
+    }
+  }
+  for (int i = 0; i < 6; ++i) net.add_po("o" + std::to_string(i), pick());
+  for (const NodeId latch : latches) net.set_latch_input(latch, pick());
+  net.validate();
+  return net;
+}
+
+void expect_compiled_matches_reference(const Network& net, std::uint64_t seed) {
+  const CompiledNetwork compiled(net);
+  Rng rng(seed);
+  std::vector<std::uint64_t> pi_words(net.num_pis());
+  std::vector<std::uint64_t> latch_words(net.num_latches());
+  std::vector<std::uint64_t> value;
+  for (int w = 0; w < 64; ++w) {
+    for (auto& word : pi_words) word = rng.next();
+    for (auto& word : latch_words) word = rng.next();
+    for (const bool drive_latches : {true, false}) {
+      const std::vector<std::uint64_t> latches =
+          drive_latches ? latch_words : std::vector<std::uint64_t>{};
+      compiled.simulate(pi_words, latches, value);
+      const auto expected = reference_words(net, pi_words, latches);
+      ASSERT_EQ(value.size(), expected.size());
+      for (NodeId id = 0; id < net.num_nodes(); ++id)
+        ASSERT_EQ(value[id], expected[id])
+            << "node " << id << " (" << to_string(net.kind(id)) << ", "
+            << net.fanins(id).size() << " fanins), word " << w
+            << (drive_latches ? "" : ", latches undriven");
+    }
+  }
+}
+
+TEST(CompiledNetwork, MatchesNodeByNodeReferenceOnRandomNetworks) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_compiled_matches_reference(random_kernel_network(seed), seed);
+  }
+}
+
+TEST(CompiledNetwork, MatchesNodeByNodeReferenceOnBlifWithForwardReferences) {
+  // Every .names block reads signals defined further down the file.
+  const Network net = blif::read_string(R"(.model fwd
+.inputs a b c d
+.outputs f g h
+.latch n s 1
+.names t u f
+11 1
+.names s t g
+10 1
+01 1
+.names u c d h
+1-- 1
+-11 1
+.names f a n
+0- 1
+-1 1
+.names a b t
+11 1
+.names c d s u
+1-- 1
+-0- 1
+--1 1
+.end
+)");
+  ASSERT_EQ(net.num_latches(), 1u);
+  expect_compiled_matches_reference(net, 99);
 }
 
 }  // namespace

@@ -25,8 +25,7 @@ TEST(Demand, PositivePhaseNeedsPositiveCone) {
   const NodeId b = net.add_pi("b");
   const NodeId g = net.add_and(a, b);
   net.add_po("f", g);
-  const auto evaluator = make_evaluator(net);
-  const auto dem = evaluator.demand({Phase::kPositive});
+  const auto dem = polarity_demand(net, {Phase::kPositive});
   EXPECT_TRUE(dem.needs_pos(g));
   EXPECT_FALSE(dem.needs_neg(g));
   EXPECT_FALSE(dem.needs_neg(a));
@@ -38,8 +37,7 @@ TEST(Demand, NegativePhaseDualizesCone) {
   const NodeId b = net.add_pi("b");
   const NodeId g = net.add_and(a, b);
   net.add_po("f", g);
-  const auto evaluator = make_evaluator(net);
-  const auto dem = evaluator.demand({Phase::kNegative});
+  const auto dem = polarity_demand(net, {Phase::kNegative});
   EXPECT_FALSE(dem.needs_pos(g));
   EXPECT_TRUE(dem.needs_neg(g));
   EXPECT_TRUE(dem.needs_neg(a));  // complemented PIs feed the dual
@@ -53,12 +51,11 @@ TEST(Demand, NotAbsorptionFlipsPolarity) {
   const NodeId b = net.add_pi("b");
   const NodeId g = net.add_and(a, b);
   net.add_po("f", net.add_not(g));
-  const auto evaluator = make_evaluator(net);
-  const auto dem = evaluator.demand({Phase::kPositive});
+  const auto dem = polarity_demand(net, {Phase::kPositive});
   EXPECT_TRUE(dem.needs_neg(g));
   EXPECT_FALSE(dem.needs_pos(g));
   // And in negative phase the NOT cancels: positive cone + output inverter.
-  const auto dem2 = evaluator.demand({Phase::kNegative});
+  const auto dem2 = polarity_demand(net, {Phase::kNegative});
   EXPECT_TRUE(dem2.needs_pos(g));
   EXPECT_FALSE(dem2.needs_neg(g));
 }

@@ -570,6 +570,23 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_FALSE(parse("\n\n").has_value());
 }
 
+TEST(Protocol, RejectsSimStepsNotAboveWarmup) {
+  // The simulator refuses steps <= warmup; the header check refuses it
+  // before the request reaches synthesis, search and mapping.
+  const auto parse = [](const std::string& text) {
+    std::istringstream in(text);
+    return protocol::read_command(in);
+  };
+  EXPECT_THROW((void)parse("submit corpus=frg1 sim_steps=10\n"),
+               protocol::ProtocolError);  // default warmup is 16
+  EXPECT_THROW((void)parse("submit corpus=frg1 sim_steps=16 sim_warmup=16\n"),
+               protocol::ProtocolError);
+  const auto command = parse("submit corpus=frg1 sim_warmup=3 sim_steps=4\n");
+  ASSERT_TRUE(command.has_value());
+  EXPECT_EQ(command->request.options.sim.steps, 4u);
+  EXPECT_EQ(command->request.options.sim.warmup, 3u);
+}
+
 TEST(Protocol, ResponseRoundTripsThroughScanners) {
   ServerResponse response;
   response.status = ServerStatus::kOk;

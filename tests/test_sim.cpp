@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "benchgen/benchgen.hpp"
 #include "bdd/netbdd.hpp"
@@ -13,6 +14,7 @@
 #include "network/synth.hpp"
 #include "phase/assignment.hpp"
 #include "sim/sim.hpp"
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 
 namespace dominosyn {
@@ -41,6 +43,23 @@ TEST(VectorGenerator, Deterministic) {
     a.next(wa);
     b.next(wb);
     EXPECT_EQ(wa, wb);
+  }
+}
+
+TEST(VectorGenerator, StreamsMatchBiasedBits) {
+  // The generator decodes each probability once; its words must still be
+  // exactly Rng::biased_bits's, drawn PI after PI from one stream.
+  const std::vector<double> probs = {-0.5,      0.0, 1e-6,     0.3, 1.0 / 3.0,
+                                     0.5, 0.999999, 1.0, 1.5};
+  VectorGenerator gen(probs, 2024);
+  Rng rng(2024);
+  std::vector<std::uint64_t> words;
+  for (int w = 0; w < 1000; ++w) {
+    gen.next(words);
+    ASSERT_EQ(words.size(), probs.size());
+    for (std::size_t i = 0; i < probs.size(); ++i)
+      ASSERT_EQ(words[i], rng.biased_bits(probs[i]))
+          << "p=" << probs[i] << ", word " << w;
   }
 }
 
@@ -190,6 +209,160 @@ TEST(DominoSim, PinnedBitsOnMappedSequentialCircuit) {
   for (const double o : sim.one_rate) one_rate += o;
   EXPECT_EQ(activity, 0x1.1813a8a0c3b6ap+5);
   EXPECT_EQ(one_rate, 0x1.7dfe7892c8f4cp+5);
+}
+
+/// The straightforward accounting simulate_domino_power once ran, kept as
+/// the oracle it must equal bit for bit: every node's lanes are counted
+/// every step, each domino gate's count goes to both its event and its one
+/// count, and each role's energy is summed in node-id order within a step.
+SimPowerResult reference_domino_power(const Network& net,
+                                      std::span<const double> pi_probs,
+                                      const SimPowerOptions& options) {
+  const auto roles = classify_domino_roles(net);
+  const PowerModelConfig& model = options.model;
+  const auto cap_of = [&](NodeId id, double fallback) {
+    return options.node_caps.empty() ? fallback : options.node_caps[id];
+  };
+
+  Rng rng(options.seed);
+  std::vector<std::uint64_t> pi_words(net.num_pis());
+  std::vector<std::uint64_t> latch_words(net.num_latches(), 0);
+  for (std::size_t i = 0; i < net.num_latches(); ++i)
+    if (net.latches()[i].init == LatchInit::kOne) latch_words[i] = ~0ULL;
+  std::vector<std::uint64_t> prev_value;
+
+  std::vector<std::uint64_t> event_counts(net.num_nodes(), 0);
+  std::vector<std::uint64_t> one_counts(net.num_nodes(), 0);
+  std::vector<std::uint32_t> ones(net.num_nodes(), 0);
+  double domino_energy = 0.0;
+  double input_inv_energy = 0.0;
+  double output_inv_energy = 0.0;
+  double clock_energy = 0.0;
+
+  for (std::size_t step = 0; step < options.steps; ++step) {
+    for (std::size_t i = 0; i < net.num_pis(); ++i)
+      pi_words[i] = rng.biased_bits(pi_probs[i]);
+    const std::vector<std::uint64_t> value = net.simulate(pi_words, latch_words);
+    if (step >= options.warmup) {
+      for (NodeId id = 0; id < net.num_nodes(); ++id) {
+        ones[id] = popcount64(value[id]);
+        one_counts[id] += ones[id];
+      }
+      for (NodeId id = 0; id < net.num_nodes(); ++id) {
+        if (roles[id] != DominoRole::kDominoGate) continue;
+        const bool is_and = net.kind(id) == NodeKind::kAnd;
+        const double mult = is_and ? model.penalty.and_mult : model.penalty.or_mult;
+        const double add = is_and ? model.penalty.and_add : model.penalty.or_add;
+        event_counts[id] += ones[id];
+        domino_energy += ones[id] * cap_of(id, model.gate_cap) * mult + 64.0 * add;
+        clock_energy += 64.0 * model.clock_cap_per_gate;
+      }
+      if (!prev_value.empty()) {
+        for (NodeId id = 0; id < net.num_nodes(); ++id) {
+          if (roles[id] != DominoRole::kInputInverter) continue;
+          const NodeId source = net.fanins(id)[0];
+          const std::uint32_t toggles =
+              popcount64(value[source] ^ prev_value[source]);
+          event_counts[id] += toggles;
+          input_inv_energy += toggles * cap_of(id, model.inverter_cap);
+        }
+      }
+      for (NodeId id = 0; id < net.num_nodes(); ++id) {
+        if (roles[id] != DominoRole::kOutputInverter) continue;
+        const std::uint32_t fired = ones[net.fanins(id)[0]];
+        event_counts[id] += fired;
+        output_inv_energy += model.domino_driven_inverter_edges * fired *
+                             cap_of(id, model.inverter_cap);
+      }
+    }
+    for (std::size_t i = 0; i < net.num_latches(); ++i)
+      latch_words[i] = value[net.latches()[i].input];
+    prev_value = value;
+  }
+
+  const double cycles = 64.0 * static_cast<double>(options.steps - options.warmup);
+  SimPowerResult result;
+  result.cycles = static_cast<std::size_t>(cycles);
+  result.per_cycle.domino_block = domino_energy / cycles;
+  result.per_cycle.input_inverters = input_inv_energy / cycles;
+  result.per_cycle.output_inverters = output_inv_energy / cycles;
+  result.per_cycle.clock_load = clock_energy / cycles;
+  result.activity.assign(net.num_nodes(), 0.0);
+  result.one_rate.assign(net.num_nodes(), 0.0);
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    result.activity[id] = static_cast<double>(event_counts[id]) / cycles;
+    result.one_rate[id] = static_cast<double>(one_counts[id]) / cycles;
+  }
+  return result;
+}
+
+TEST(DominoSim, MatchesReferenceAccountingBitForBit) {
+  const CellLibrary library = CellLibrary::generic();  // cells point into it
+  for (const std::size_t num_latches : {std::size_t{0}, std::size_t{4}}) {
+    BenchSpec spec;
+    spec.name = "oracle";
+    spec.num_pis = 10;
+    spec.num_pos = 7;
+    spec.num_latches = num_latches;
+    spec.gate_target = 90;
+    spec.seed = 5;
+    Network net = generate_benchmark(spec);
+    standard_synthesis(net);
+    PhaseAssignment phases(net.num_pos(), Phase::kPositive);
+    for (std::size_t i = 1; i < phases.size(); i += 2) phases[i] = Phase::kNegative;
+    const MapResult mapped =
+        map_network(synthesize_domino(net, phases).net, library, MapOptions{});
+    const Network& cells = mapped.netlist.net;
+    std::size_t role_counts[4] = {0, 0, 0, 0};
+    for (const DominoRole role : classify_domino_roles(cells))
+      ++role_counts[static_cast<std::size_t>(role)];
+    ASSERT_GT(role_counts[static_cast<std::size_t>(DominoRole::kInputInverter)], 0u);
+    ASSERT_GT(role_counts[static_cast<std::size_t>(DominoRole::kOutputInverter)], 0u);
+    if (num_latches > 0) {
+      bool starts_high = false;
+      for (const LatchInfo& latch : cells.latches())
+        starts_high |= latch.init == LatchInit::kOne;
+      ASSERT_TRUE(starts_high);
+    }
+
+    for (const std::size_t warmup : {0, 7, 16}) {
+      for (const bool mapped_loads : {false, true}) {
+        for (const bool custom_model : {false, true}) {
+          for (const double pi_prob : {0.3, 0.5, 0.6}) {
+            SCOPED_TRACE(::testing::Message()
+                         << num_latches << " latches, warmup " << warmup
+                         << ", mapped loads " << mapped_loads << ", custom model "
+                         << custom_model << ", pi_prob " << pi_prob);
+            SimPowerOptions options;
+            options.steps = 40;
+            options.warmup = warmup;
+            options.seed = 11 + warmup;
+            if (mapped_loads) options.node_caps = mapped.netlist.node_loads(0.2);
+            if (custom_model) {
+              options.model.penalty.and_mult = 1.25;
+              options.model.penalty.or_add = 0.05;
+              options.model.clock_cap_per_gate = 0.35;
+            }
+            const std::vector<double> probs(cells.num_pis(), pi_prob);
+            const SimPowerResult actual = simulate_domino_power(cells, probs, options);
+            const SimPowerResult expected = reference_domino_power(cells, probs, options);
+            EXPECT_EQ(actual.cycles, expected.cycles);
+            EXPECT_EQ(std::memcmp(&actual.per_cycle, &expected.per_cycle,
+                                  sizeof(PowerBreakdown)),
+                      0);
+            ASSERT_EQ(actual.activity.size(), expected.activity.size());
+            ASSERT_EQ(actual.one_rate.size(), expected.one_rate.size());
+            EXPECT_EQ(std::memcmp(actual.activity.data(), expected.activity.data(),
+                                  actual.activity.size() * sizeof(double)),
+                      0);
+            EXPECT_EQ(std::memcmp(actual.one_rate.data(), expected.one_rate.data(),
+                                  actual.one_rate.size() * sizeof(double)),
+                      0);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DominoSim, EstimatorAgreesOnRandomBlocks) {
