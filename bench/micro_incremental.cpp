@@ -804,7 +804,6 @@ int main(int argc, char** argv) {
         unit.frontier_depth = 5;
         unit.bound_snapshot = 100.0 + static_cast<double>(j);
         unit.node_budget = 1 << 16;
-        unit.circuit.corpus = "x1";
         unit.circuit.fingerprint = 0x1234 + j;
       }
       log.record_open(j, "bench-rid-" + std::to_string(j), 30'000, units);

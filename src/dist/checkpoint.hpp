@@ -18,6 +18,11 @@
 ///     incumbent job=<id> metric=<m>
 ///     finish job=<id> failed=0|1
 ///
+/// `unit` lines written before grants shrank to the circuit key also carry
+/// the circuit spec (`corpus`, `blif`, `bench_*`); the grant decoder ignores
+/// it, so they replay, and compaction rewrites them slim.  The circuit
+/// payload workers fetch is never journaled: an adopting job brings its own.
+///
 /// Files in the journal directory:
 ///     journal.djl    the append-only CRC-framed journal
 ///     snapshot.djl   periodic compaction of the live state

@@ -42,7 +42,10 @@ bool units_compatible(const std::vector<WorkUnit>& recovered,
 
 DistCoordinator::OpenedJob DistCoordinator::open_job(
     std::vector<WorkUnit> units, std::uint32_t lease_timeout_ms,
-    const std::string& rid) {
+    const std::string& rid, std::string circuit) {
+  auto payload = circuit.empty()
+                     ? nullptr
+                     : std::make_shared<const std::string>(std::move(circuit));
   std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) {
     std::promise<JobResult> cancelled;
@@ -56,6 +59,7 @@ DistCoordinator::OpenedJob DistCoordinator::open_job(
   job.rid = rid;
   job.lease_timeout_ms = lease_timeout_ms;
   job.units = std::move(units);
+  job.circuit = std::move(payload);
   const std::size_t count = job.units.size();
   job.in_queue.assign(count, 0);
   job.done.assign(count, 0);
@@ -177,6 +181,13 @@ bool DistCoordinator::has_recovered(const std::string& rid) const {
   for (const auto& job : recovered_)
     if (job.rid == rid) return true;
   return false;
+}
+
+std::shared_ptr<const std::string> DistCoordinator::fetch_circuit(
+    std::uint64_t job_id) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = jobs_.find(job_id);
+  return it == jobs_.end() ? nullptr : it->second.circuit;
 }
 
 DistCoordinator::Grant DistCoordinator::grant_locked(Job& job,

@@ -11,8 +11,14 @@
 /// The coordinator never inspects circuits or metrics beyond min(); all
 /// search semantics live in dist/search.cpp and the phase engines.
 ///
+/// A job also holds its circuit payload (format_circuit_payload, written
+/// once when dist/search.cpp opens the job) for exactly as long as the job
+/// lives; workers fetch it once per job instead of every grant carrying the
+/// circuit.
+///
 /// Thread-safe; embedded in ServerCore and served by the transport verbs
-/// lease_work / steal / complete_work / push_incumbent (docs/protocol.md).
+/// lease_work / steal / fetch_circuit / complete_work / push_incumbent
+/// (docs/protocol.md).
 
 #pragma once
 
@@ -22,6 +28,7 @@
 #include <future>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -91,9 +98,18 @@ class DistCoordinator {
   /// units are queued — the resume path after a daemon crash.  The identical
   /// rid can open several jobs (exhaustive then anneal fallback of one
   /// request), so adoption additionally requires the unit vectors to match.
+  ///
+  /// `circuit` is the payload fetch_circuit serves for the job; it is never
+  /// journaled (an adopting job brings its own).
   [[nodiscard]] OpenedJob open_job(std::vector<WorkUnit> units,
                                    std::uint32_t lease_timeout_ms,
-                                   const std::string& rid = {});
+                                   const std::string& rid = {},
+                                   std::string circuit = {});
+
+  /// The circuit payload of a live job; nullptr when the job is unknown,
+  /// finished, or was opened without one.
+  [[nodiscard]] std::shared_ptr<const std::string> fetch_circuit(
+      std::uint64_t job_id) const;
 
   /// Leases the next queued unit (of `job_filter`, or of the lowest-id job
   /// with queued work when 0).  nullopt when nothing is queued — idle workers
@@ -169,6 +185,8 @@ class DistCoordinator {
     std::string rid;  ///< originating request fingerprint ("" = unjournaled)
     std::uint32_t lease_timeout_ms = 0;
     std::vector<WorkUnit> units;
+    /// Shared so a fetch copies a pointer, not the payload, under mutex_.
+    std::shared_ptr<const std::string> circuit;
     std::deque<std::size_t> queue;
     std::vector<char> in_queue;
     std::vector<char> done;

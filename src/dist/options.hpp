@@ -1,5 +1,7 @@
 /// \file options.hpp
-/// Options of the distributed search fabric (docs/distributed.md), kept
+/// Options of the distributed search fabric (docs/distributed.md) and how a
+/// job names its circuit: every grant carries a CircuitKey, and the
+/// CircuitSpec travels once per job with the search's probabilities.  Kept
 /// dependency-light so FlowOptions can embed them: this header pulls in only
 /// the benchmark-generator spec (for shipping generated circuits by their
 /// generator parameters) and the standard library.
@@ -15,13 +17,29 @@ namespace dominosyn::dist {
 
 class DistCoordinator;
 
-/// How a worker reconstructs the circuit a work unit refers to.  Exactly one
-/// of the three variants is used, in precedence order: explicit generator
-/// parameters (`has_bench`), verbatim BLIF text, paper-corpus name.  The
-/// worker prepares it in a FlowSession (default options plus `pi_prob` and
-/// `load_aware`) and then verifies the synthesized network's structural
-/// fingerprint against `fingerprint`, so a divergent reconstruction fails the
-/// unit instead of merging wrong numbers.
+/// What a work unit's grant says about its circuit: which prepared circuit
+/// it runs on, and a worker's cache key.  A worker that does not hold the
+/// circuit fetches it once per job (`fetch_circuit`, docs/protocol.md).
+struct CircuitKey {
+  /// Evaluator inputs the protocol can express: the uniform PI probability
+  /// and the power model's load-awareness; everything else is the flow
+  /// default.
+  double pi_prob = 0.5;
+  bool load_aware = true;
+  /// network_fingerprint of the *synthesized* network the evaluator was
+  /// built on (filled by dist/search.cpp).
+  std::uint64_t fingerprint = 0;
+
+  bool operator==(const CircuitKey&) const = default;
+};
+
+/// The circuit a fabric job searches, as dist/search.cpp ships it once per
+/// job together with its evaluator's probabilities.  A worker rebuilds
+/// the network from exactly one of three variants, in precedence order:
+/// explicit generator parameters (`has_bench`), verbatim BLIF text,
+/// paper-corpus name.  It normalizes it in a FlowSession and verifies the
+/// synthesized network's structural fingerprint, so a divergent
+/// reconstruction fails the unit instead of merging wrong numbers.
 struct CircuitSpec {
   /// paper_suite() name ("apex7", "frg1", ...); the worker copies the
   /// process-wide paper_network(corpus), built once on first use.
@@ -32,14 +50,9 @@ struct CircuitSpec {
   BenchSpec bench;
   /// Verbatim BLIF text (what the daemon captured from `submit blif=inline`).
   std::string blif_text;
-  /// Evaluator inputs the protocol can express: the uniform PI probability
-  /// and the power model's load-awareness; everything else is the flow
-  /// default.
-  double pi_prob = 0.5;
-  bool load_aware = true;
-  /// network_fingerprint of the *synthesized* network the evaluator was
-  /// built on (filled by the search driver); 0 = unverified.
-  std::uint64_t fingerprint = 0;
+  /// pi_prob and load_aware come with the request; dist/search.cpp fills
+  /// the fingerprint.
+  CircuitKey key;
 
   [[nodiscard]] bool valid() const noexcept {
     return has_bench || !blif_text.empty() || !corpus.empty();

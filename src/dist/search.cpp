@@ -111,15 +111,17 @@ JobResult run_and_wait(const AssignmentEvaluator& evaluator,
   return result;
 }
 
-/// The circuit spec every unit of a job ships: the caller's description plus
-/// the synthesized network's fingerprint so workers verify reconstruction.
+/// The circuit a job ships: the caller's description plus the synthesized
+/// network's fingerprint so workers verify reconstruction.  Every unit names
+/// it by key; workers fetch it once, with this evaluator's probabilities
+/// (format_circuit_payload), so they score units on exactly its numbers.
 CircuitSpec stamped_circuit(const AssignmentEvaluator& evaluator,
                             const DistSearchOptions& dist) {
   if (!dist.circuit.valid())
     throw DistSearchError(
         "distributed search needs a circuit spec workers can reconstruct");
   CircuitSpec circuit = dist.circuit;
-  circuit.fingerprint = network_fingerprint(evaluator.network());
+  circuit.key.fingerprint = network_fingerprint(evaluator.network());
   return circuit;
 }
 
@@ -147,12 +149,12 @@ SearchResult dist_anneal(const AssignmentEvaluator& evaluator,
     unit.restart_index = restart;
     unit.iterations = iterations;
     unit.trace_id = obs::current_trace_id();
-    unit.circuit = circuit;
+    unit.circuit = circuit.key;
   }
 
-  DistCoordinator::OpenedJob job =
-      dist.coordinator->open_job(std::move(units), dist.lease_timeout_ms,
-                                 dist.rid);
+  DistCoordinator::OpenedJob job = dist.coordinator->open_job(
+      std::move(units), dist.lease_timeout_ms, dist.rid,
+      format_circuit_payload(circuit, evaluator.probs()));
   const JobResult outcome = run_and_wait(evaluator, *dist.coordinator, job,
                                          dist, options.num_threads);
 
@@ -266,12 +268,12 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
     unit.node_budget = options.node_budget;
     unit.shared_bounds = dist.shared_bounds;
     unit.trace_id = obs::current_trace_id();
-    unit.circuit = circuit;
+    unit.circuit = circuit.key;
   }
 
-  DistCoordinator::OpenedJob job =
-      dist.coordinator->open_job(std::move(units), dist.lease_timeout_ms,
-                                 dist.rid);
+  DistCoordinator::OpenedJob job = dist.coordinator->open_job(
+      std::move(units), dist.lease_timeout_ms, dist.rid,
+      format_circuit_payload(circuit, evaluator.probs()));
   const JobResult outcome = run_and_wait(evaluator, *dist.coordinator, job,
                                          dist, options.num_threads);
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -23,14 +24,22 @@ namespace dominosyn::dist {
 
 namespace {
 
-/// The circuit a unit refers to, rebuilt from its spec (precedence:
-/// generator parameters, verbatim BLIF, paper-corpus name).  A corpus circuit
-/// is copied from the process-wide paper_network.
+/// A job's circuit, rebuilt from its spec (precedence: generator
+/// parameters, verbatim BLIF, paper-corpus name).  A corpus circuit is copied
+/// from the process-wide paper_network.
 Network reconstruct_network(const CircuitSpec& circuit) {
   if (circuit.has_bench) return generate_benchmark(circuit.bench);
   if (!circuit.blif_text.empty()) return blif::read_string(circuit.blif_text);
   if (!circuit.corpus.empty()) return *paper_network(circuit.corpus);
-  throw std::runtime_error("work unit carries no circuit spec");
+  throw std::runtime_error("circuit payload carries no circuit spec");
+}
+
+/// A circuit key as text: the worker's cache key (everything a prepared
+/// evaluator depends on) and how errors name a circuit.
+std::string describe(const CircuitKey& key) {
+  return "fingerprint " + std::to_string(key.fingerprint) + " pi_prob " +
+         codec::encode_double(key.pi_prob) + " load_aware " +
+         (key.load_aware ? "1" : "0");
 }
 
 /// Incumbent exchange over the worker's own connection: current() reads the
@@ -74,14 +83,55 @@ class ClientChannel final : public IncumbentChannel {
 /// evaluator references.
 struct DistWorker::CachedEvaluator {
   CachedEvaluator(Network net, const FlowOptions& options)
-      : session(std::move(net), options),
-        fingerprint(network_fingerprint(session.synthesized())),
-        evaluator(session.evaluator()) {}
+      : session(std::move(net), options) {}
+
+  /// Rebuilds the payload's circuit and builds its evaluator on the
+  /// coordinator's probabilities once they are shown to fit: the payload is
+  /// the unit's circuit, the rebuilt network has the coordinator's
+  /// fingerprint, and there is one probability in [0, 1] per node.  Throws,
+  /// naming the first misfit.
+  static std::shared_ptr<CachedEvaluator> prepare(const CircuitKey& key,
+                                                  CircuitPayload payload);
 
   FlowSession session;
-  std::uint64_t fingerprint;
-  const AssignmentEvaluator& evaluator;
+  std::optional<AssignmentEvaluator> evaluator;
 };
+
+std::shared_ptr<DistWorker::CachedEvaluator>
+DistWorker::CachedEvaluator::prepare(const CircuitKey& key,
+                                     CircuitPayload payload) {
+  if (payload.circuit.key != key)
+    throw std::runtime_error("circuit payload for another circuit: unit " +
+                             describe(key) + ", payload " +
+                             describe(payload.circuit.key));
+  // The model FlowSession::evaluator() would use.  Sessions with other
+  // probability or model options never use the fabric (fabric_replays in
+  // flow/session.cpp), so defaults plus the key are all it needs.
+  FlowOptions options;
+  options.pi_prob = key.pi_prob;
+  options.model.load_aware = key.load_aware;
+  auto entry = std::make_shared<CachedEvaluator>(
+      reconstruct_network(payload.circuit), options);
+  const Network& net = entry->session.synthesized();
+  const std::uint64_t fingerprint = network_fingerprint(net);
+  if (fingerprint != key.fingerprint)
+    throw std::runtime_error("circuit fingerprint mismatch: coordinator " +
+                             std::to_string(key.fingerprint) + ", worker " +
+                             std::to_string(fingerprint));
+  const std::vector<double>& probs = payload.probs;
+  if (probs.size() != net.num_nodes())
+    throw std::runtime_error(
+        "circuit payload has " + std::to_string(probs.size()) +
+        " probabilities for " + std::to_string(net.num_nodes()) + " nodes");
+  for (std::size_t id = 0; id < probs.size(); ++id) {
+    if (!(probs[id] >= 0.0 && probs[id] <= 1.0))  // NaN fails both
+      throw std::runtime_error("circuit payload probability " +
+                               codec::encode_double(probs[id]) + " of node " +
+                               std::to_string(id) + " is not in [0, 1]");
+  }
+  entry->evaluator.emplace(net, std::move(payload.probs), options.model);
+  return entry;
+}
 
 DistWorker::DistWorker(WorkerConfig config) : config_(std::move(config)) {}
 
@@ -105,32 +155,28 @@ void DistWorker::stop() {
   started_ = false;
 }
 
-std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::evaluator_for(
-    const CircuitSpec& circuit) {
-  // Key on everything the evaluator depends on.  The fingerprint identifies
-  // the synthesized structure; pi_prob/load_aware parameterize the engine.
-  const std::string key = std::to_string(circuit.fingerprint) + "/" +
-                          codec::encode_double(circuit.pi_prob) + "/" +
-                          (circuit.load_aware ? "1" : "0");
+std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::find_cached(
+    const CircuitKey& key) {
+  const std::string wanted = describe(key);
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it =
       std::find_if(cache_.begin(), cache_.end(),
-                   [&](const auto& entry) { return entry.first == key; });
-  if (it != cache_.end()) {
-    cache_.splice(cache_.begin(), cache_, it);  // most recently used first
-    return it->second;
-  }
+                   [&](const auto& entry) { return entry.first == wanted; });
+  if (it == cache_.end()) return nullptr;
+  cache_.splice(cache_.begin(), cache_, it);  // most recently used first
+  return it->second;
+}
 
-  // FlowSession's own preparation, so the worker's engine state is
-  // bit-identical to the coordinator flow's.  Sessions with other
-  // probability or model options never use the fabric (fabric_replays in
-  // flow/session.cpp), so defaults are all it needs.
-  FlowOptions options;
-  options.pi_prob = circuit.pi_prob;
-  options.model.load_aware = circuit.load_aware;
-  auto entry = std::make_shared<CachedEvaluator>(reconstruct_network(circuit),
-                                                 options);
-  cache_.emplace_front(key, entry);
+std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::add_cached(
+    const CircuitKey& key, std::shared_ptr<CachedEvaluator> entry) {
+  std::string wanted = describe(key);
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  // Two threads may prepare one circuit at once; the first to finish wins.
+  const auto it =
+      std::find_if(cache_.begin(), cache_.end(),
+                   [&](const auto& cached) { return cached.first == wanted; });
+  if (it != cache_.end()) return it->second;
+  cache_.emplace_front(std::move(wanted), entry);
   // Units still running on an evicted circuit keep it alive by shared_ptr.
   if (cache_.size() > kCacheCapacity) cache_.pop_back();
   cache_entries_.store(cache_.size(), std::memory_order_relaxed);
@@ -173,24 +219,29 @@ void DistWorker::thread_main(unsigned index) {
       if (fault::point("worker.unit.crash"))
         throw std::runtime_error("injected fault: worker.unit.crash");
       (void)fault::point("worker.unit.stall");
+      // A circuit this worker does not hold is fetched once per job.  The
+      // fetch is a request like the lease: a lost connection goes to the
+      // reconnect path below, while a refusal or a payload that does not
+      // fit fails the unit.
+      std::shared_ptr<CachedEvaluator> cached = find_cached(unit.circuit);
+      const std::string fetched =
+          cached ? std::string()
+                 : client->request(format_fetch_command(id, unit.job_id));
       UnitResult result;
       // Capture the spans this thread records while running the unit
       // (dist.unit, engine spans beneath it) and ship them with the result,
       // so the coordinator's trace shows the remote execution inline.
       const std::uint64_t span_mark = obs::thread_mark();
       try {
-        // The preparation's flow.* spans belong to the unit's trace.
+        // The preparation's flow.synth span belongs to the unit's trace.
         const obs::TraceContext trace_context(unit.trace_id);
-        const std::shared_ptr<CachedEvaluator> cached =
-            evaluator_for(unit.circuit);
-        if (unit.circuit.fingerprint != 0 &&
-            cached->fingerprint != unit.circuit.fingerprint)
-          throw std::runtime_error(
-              "circuit fingerprint mismatch: coordinator " +
-              std::to_string(unit.circuit.fingerprint) + ", worker " +
-              std::to_string(cached->fingerprint));
+        if (!cached)
+          cached = add_cached(
+              unit.circuit,
+              CachedEvaluator::prepare(unit.circuit,
+                                       parse_circuit_payload(fetched)));
         ClientChannel channel(*client, id, unit.job_id, grant->incumbent);
-        result = run_work_unit(cached->evaluator, unit,
+        result = run_work_unit(*cached->evaluator, unit,
                                unit.shared_bounds ? &channel : nullptr);
       } catch (const std::exception& error) {
         result.job_id = unit.job_id;

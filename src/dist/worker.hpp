@@ -6,13 +6,19 @@
 /// leases when the queue runs dry and reconnecting with backoff when the
 /// coordinator goes away.
 ///
-/// Workers prepare the unit's circuit from the shipped spec in a FlowSession
-/// (the flow's own synthesis, probabilities and evaluator) and verify the
-/// synthesized network's structural fingerprint before running anything — a
-/// divergent reconstruction fails the unit (the coordinator fails the job,
-/// the driver falls back locally) rather than merging wrong numbers.
-/// Prepared circuits are cached, least recently used out past
-/// kCacheCapacity, so the per-unit cost is one lease round trip.
+/// A grant names its circuit by CircuitKey only.  A worker that does not
+/// hold that circuit fetches the job's payload once (`fetch_circuit`): the
+/// spec plus the coordinator evaluator's per-node probabilities.  It rebuilds
+/// and normalizes the network in a FlowSession (the flow's own synthesis),
+/// verifies the synthesized network's structural fingerprint and the
+/// probabilities against it, and builds its evaluator on those
+/// probabilities — no worker builds a BDD, and every unit is scored on the
+/// coordinator's numbers.  A payload that does not fit fails the unit (the
+/// coordinator fails the job, the submitting flow reruns the search
+/// locally) rather than merging wrong numbers.  Prepared circuits are
+/// cached, least recently used out past kCacheCapacity, so the per-unit cost
+/// is one lease round trip; the cache lock is never held while a circuit is
+/// fetched or prepared.
 
 #pragma once
 
@@ -83,8 +89,13 @@ class DistWorker {
   struct CachedEvaluator;
 
   void thread_main(unsigned index);
-  [[nodiscard]] std::shared_ptr<CachedEvaluator> evaluator_for(
-      const CircuitSpec& circuit);
+  /// The cached circuit for `key` (now most recently used), or nullptr.
+  [[nodiscard]] std::shared_ptr<CachedEvaluator> find_cached(
+      const CircuitKey& key);
+  /// Caches `entry` under `key` unless another thread cached that circuit
+  /// first; returns the entry the cache keeps.
+  [[nodiscard]] std::shared_ptr<CachedEvaluator> add_cached(
+      const CircuitKey& key, std::shared_ptr<CachedEvaluator> entry);
 
   WorkerConfig config_;
   std::atomic<bool> stop_{false};

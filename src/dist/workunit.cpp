@@ -16,17 +16,30 @@ namespace {
 std::uint64_t require_u64(const std::string& json, std::string_view key) {
   const auto value = codec::find_uint64(json, key);
   if (!value)
-    throw codec::Error("work grant is missing uint64 field '" +
-                       std::string(key) + "'");
+    throw codec::Error("missing uint64 field '" + std::string(key) + "'");
   return *value;
 }
 
 double require_double(const std::string& json, std::string_view key) {
   const auto value = codec::find_number(json, key);
   if (!value)
-    throw codec::Error("work grant is missing number field '" +
-                       std::string(key) + "'");
+    throw codec::Error("missing number field '" + std::string(key) + "'");
   return *value;
+}
+
+/// The key fields, in the order grants and circuit payloads write them.
+void append_circuit_key(std::string& out, const CircuitKey& key) {
+  append_field(out, "pi_prob", key.pi_prob);
+  append_field(out, "load_aware", key.load_aware);
+  append_field(out, "fingerprint", key.fingerprint);
+}
+
+CircuitKey parse_circuit_key(const std::string& json) {
+  CircuitKey key;
+  key.pi_prob = require_double(json, "pi_prob");
+  key.load_aware = codec::find_bool(json, "load_aware").value_or(true);
+  key.fingerprint = require_u64(json, "fingerprint");
+  return key;
 }
 
 }  // namespace
@@ -64,6 +77,12 @@ std::string format_push_command(const std::string& worker,
   return "push_incumbent worker=" + percent_encode(worker) +
          " job=" + std::to_string(job_id) +
          " metric=" + codec::encode_double(metric);
+}
+
+std::string format_fetch_command(const std::string& worker,
+                                 std::uint64_t job_id) {
+  return "fetch_circuit worker=" + percent_encode(worker) +
+         " job=" + std::to_string(job_id);
 }
 
 UnitResult parse_complete_tokens(const std::vector<std::string_view>& tokens) {
@@ -133,31 +152,7 @@ std::string format_work_grant(const WorkUnit& unit, double incumbent) {
   append_field(out, "shared", unit.shared_bounds);
   // Optional: absent for untraced requests, ignored by older workers.
   if (unit.trace_id != 0) append_field(out, "trace", unit.trace_id);
-  const CircuitSpec& circuit = unit.circuit;
-  append_field(out, "pi_prob", circuit.pi_prob);
-  append_field(out, "load_aware", circuit.load_aware);
-  append_field(out, "fingerprint", circuit.fingerprint);
-  if (!circuit.corpus.empty())
-    append_field(out, "corpus", std::string_view(circuit.corpus));
-  if (!circuit.blif_text.empty())
-    append_field(out, "blif", std::string_view(circuit.blif_text));
-  append_field(out, "bench", circuit.has_bench);
-  if (circuit.has_bench) {
-    const BenchSpec& bench = circuit.bench;
-    append_field(out, "bench_name", std::string_view(bench.name));
-    append_field(out, "bench_desc", std::string_view(bench.description));
-    append_field(out, "bench_pis", bench.num_pis);
-    append_field(out, "bench_pos", bench.num_pos);
-    append_field(out, "bench_latches", bench.num_latches);
-    append_field(out, "bench_gates", bench.gate_target);
-    append_field(out, "bench_seed", bench.seed);
-    append_field(out, "bench_not", bench.not_prob);
-    append_field(out, "bench_and", bench.and_bias);
-    append_field(out, "bench_loc", bench.locality);
-    append_field(out, "bench_dnf", bench.dnf_width);
-    append_field(out, "bench_cnf", bench.cnf_width);
-    append_field(out, "bench_sup", bench.support_lo);
-  }
+  append_circuit_key(out, unit.circuit);
   append_field(out, "incumbent", incumbent, /*comma=*/false);
   out += '}';
   return out;
@@ -207,10 +202,72 @@ std::optional<ParsedGrant> parse_work_grant(const std::string& json) {
   unit.shared_bounds = codec::find_bool(json, "shared").value_or(false);
   unit.trace_id = codec::find_uint64(json, "trace").value_or(0);
 
-  CircuitSpec& circuit = unit.circuit;
-  circuit.pi_prob = require_double(json, "pi_prob");
-  circuit.load_aware = codec::find_bool(json, "load_aware").value_or(true);
-  circuit.fingerprint = require_u64(json, "fingerprint");
+  // Looked up by key: the circuit spec that older grants and journal unit
+  // lines carry is ignored.
+  unit.circuit = parse_circuit_key(json);
+  grant.incumbent = require_double(json, "incumbent");
+  return grant;
+}
+
+double parse_incumbent(const std::string& json) {
+  return codec::find_number(json, "incumbent")
+      .value_or(std::numeric_limits<double>::infinity());
+}
+
+std::string format_circuit_payload(const CircuitSpec& circuit,
+                                   const std::vector<double>& probs) {
+  std::string out = "{";
+  append_field(out, "ok", true);
+  append_circuit_key(out, circuit.key);
+  if (!circuit.corpus.empty())
+    append_field(out, "corpus", std::string_view(circuit.corpus));
+  if (!circuit.blif_text.empty())
+    append_field(out, "blif", std::string_view(circuit.blif_text));
+  append_field(out, "bench", circuit.has_bench);
+  if (circuit.has_bench) {
+    const BenchSpec& bench = circuit.bench;
+    append_field(out, "bench_name", std::string_view(bench.name));
+    append_field(out, "bench_desc", std::string_view(bench.description));
+    append_field(out, "bench_pis", bench.num_pis);
+    append_field(out, "bench_pos", bench.num_pos);
+    append_field(out, "bench_latches", bench.num_latches);
+    append_field(out, "bench_gates", bench.gate_target);
+    append_field(out, "bench_seed", bench.seed);
+    append_field(out, "bench_not", bench.not_prob);
+    append_field(out, "bench_and", bench.and_bias);
+    append_field(out, "bench_loc", bench.locality);
+    append_field(out, "bench_dnf", bench.dnf_width);
+    append_field(out, "bench_cnf", bench.cnf_width);
+    append_field(out, "bench_sup", bench.support_lo);
+  }
+  std::string list;
+  list.reserve(probs.size() * 20);
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    if (i != 0) list += ',';
+    list += codec::encode_double(probs[i]);
+  }
+  append_field(out, "probs", std::string_view(list), /*comma=*/false);
+  out += '}';
+  return out;
+}
+
+std::string format_no_circuit(std::uint64_t job_id) {
+  std::string out = "{";
+  append_field(out, "ok", false);
+  append_field(out, "error",
+               "no circuit for job " + std::to_string(job_id) +
+                   ": unknown or finished",
+               /*comma=*/false);
+  out += '}';
+  return out;
+}
+
+CircuitPayload parse_circuit_payload(const std::string& json) {
+  if (!codec::find_bool(json, "ok").value_or(false))
+    throw codec::Error("circuit fetch refused: " + json);
+  CircuitPayload payload;
+  CircuitSpec& circuit = payload.circuit;
+  circuit.key = parse_circuit_key(json);
   circuit.corpus = codec::find_string(json, "corpus").value_or("");
   circuit.blif_text = codec::find_string(json, "blif").value_or("");
   circuit.has_bench = codec::find_bool(json, "bench").value_or(false);
@@ -230,13 +287,21 @@ std::optional<ParsedGrant> parse_work_grant(const std::string& json) {
     bench.cnf_width = require_u64(json, "bench_cnf");
     bench.support_lo = require_u64(json, "bench_sup");
   }
-  grant.incumbent = require_double(json, "incumbent");
-  return grant;
-}
-
-double parse_incumbent(const std::string& json) {
-  return codec::find_number(json, "incumbent")
-      .value_or(std::numeric_limits<double>::infinity());
+  const auto list = codec::find_string(json, "probs");
+  if (!list) throw codec::Error("circuit payload is missing 'probs'");
+  if (!list->empty()) {
+    const std::vector<std::string_view> fields =
+        codec::split_positional(*list, ',');
+    payload.probs.reserve(fields.size());
+    for (const std::string_view field : fields) {
+      const auto value = codec::parse_double(field);
+      if (!value)
+        throw codec::Error("bad probability '" + std::string(field) +
+                           "' at node " + std::to_string(payload.probs.size()));
+      payload.probs.push_back(*value);
+    }
+  }
+  return payload;
 }
 
 }  // namespace dominosyn::dist

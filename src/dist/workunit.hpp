@@ -13,14 +13,20 @@
 /// (metric, code/assignment) pair plus telemetry; the coordinator merges them
 /// in unit order with the exact single-process tie-break.
 ///
+/// A grant names its circuit only by CircuitKey.  The circuit itself — its
+/// spec plus the coordinator evaluator's per-node probabilities — travels
+/// once per job and worker, as the reply to `fetch_circuit`, so workers
+/// score units on the coordinator's numbers without building BDDs.
+///
 /// Wire encoding (util/codec.hpp; docs/protocol.md, "Encodings"):
 /// worker->coordinator messages are single-line `key=value` commands
-/// (`lease_work`, `steal`, `complete_work`, `push_incumbent`);
-/// coordinator->worker responses are one-line flat JSON.  uint64 payloads
-/// (task bits, assignment codes, fingerprints) are written and scanned as
-/// exact decimal text — never through a double, which loses precision past
-/// 2^53.  Metrics are doubles formatted shortest-round-trip; the infinities
-/// a fully-pruned subtree reports are the literal `inf` (quoted in JSON).
+/// (`lease_work`, `steal`, `fetch_circuit`, `complete_work`,
+/// `push_incumbent`); coordinator->worker responses are one-line flat JSON.
+/// uint64 payloads (task bits, assignment codes, fingerprints) are written
+/// and scanned as exact decimal text — never through a double, which loses
+/// precision past 2^53.  Metrics and probabilities are doubles formatted
+/// shortest-round-trip; the infinities a fully-pruned subtree reports are
+/// the literal `inf` (quoted in JSON).
 
 #pragma once
 
@@ -68,7 +74,7 @@ struct WorkUnit {
   /// spans land on the same cross-process timeline.  Pure observation: never
   /// part of the unit's result function.
   std::uint64_t trace_id = 0;
-  CircuitSpec circuit;
+  CircuitKey circuit;
 };
 
 struct UnitResult {
@@ -102,6 +108,10 @@ struct UnitResult {
 [[nodiscard]] std::string format_push_command(const std::string& worker,
                                               std::uint64_t job_id,
                                               double metric);
+/// `fetch_circuit worker=W job=J`: the job's circuit, for a worker that does
+/// not hold the circuit its grant names.
+[[nodiscard]] std::string format_fetch_command(const std::string& worker,
+                                               std::uint64_t job_id);
 
 /// Parses the `key=value` tail of a complete_work command (tokens[0] is the
 /// verb, as codec::split_tokens returns it).  Throws codec::Error on
@@ -134,5 +144,25 @@ struct ParsedGrant {
 
 /// Extracts `"incumbent"` from an acknowledgement (+inf when absent/"inf").
 [[nodiscard]] double parse_incumbent(const std::string& json);
+
+/// A job's circuit as `fetch_circuit` serves it: the spec, fingerprint
+/// included, and the per-node signal probabilities of the coordinator's
+/// evaluator (AssignmentEvaluator::probs()).
+struct CircuitPayload {
+  CircuitSpec circuit;
+  std::vector<double> probs;
+};
+
+/// `{"ok":true,...spec fields...,"probs":"p0,p1,..."}`, the probabilities
+/// shortest-round-trip so they decode bit-exact.  dist/search.cpp formats it
+/// once per job; the coordinator serves the bytes as they are.
+[[nodiscard]] std::string format_circuit_payload(
+    const CircuitSpec& circuit, const std::vector<double>& probs);
+/// `{"ok":false,"error":...}` naming a job that is unknown or finished.
+[[nodiscard]] std::string format_no_circuit(std::uint64_t job_id);
+/// Parses a fetch_circuit reply.  Throws codec::Error on a refusal (with
+/// the coordinator's answer) or a malformed payload.  Only decodes: the
+/// worker checks the probabilities against the network it rebuilds.
+[[nodiscard]] CircuitPayload parse_circuit_payload(const std::string& json);
 
 }  // namespace dominosyn::dist

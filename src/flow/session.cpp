@@ -79,8 +79,8 @@ bool context_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
 /// or the merge would mix units scored on different numbers.
 bool fabric_replays(const FlowOptions& options) {
   FlowOptions replayed;
-  replayed.pi_prob = options.dist.circuit.pi_prob;
-  replayed.model.load_aware = options.dist.circuit.load_aware;
+  replayed.pi_prob = options.dist.circuit.key.pi_prob;
+  replayed.model.load_aware = options.dist.circuit.key.load_aware;
   return probs_inputs_equal(options, replayed) &&
          context_inputs_equal(options, replayed);
 }

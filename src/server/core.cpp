@@ -351,8 +351,8 @@ ServerResponse ServerCore::execute(Pending& pending) {
       if (!options.dist.circuit.valid()) {
         options.dist.circuit.corpus = pending.request.corpus;
         options.dist.circuit.blif_text = pending.request.blif_text;
-        options.dist.circuit.pi_prob = options.pi_prob;
-        options.dist.circuit.load_aware = options.model.load_aware;
+        options.dist.circuit.key.pi_prob = options.pi_prob;
+        options.dist.circuit.key.load_aware = options.model.load_aware;
       }
       if (!options.dist.circuit.valid()) options.dist.enabled = false;
     }

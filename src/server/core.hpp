@@ -298,7 +298,8 @@ class ServerCore {
   [[nodiscard]] std::string prometheus_text() const;
   [[nodiscard]] SessionCache& cache() noexcept { return *cache_; }
   /// The core's distributed-search coordinator; the transport serves its
-  /// lease_work / steal / complete_work / push_incumbent verbs against it.
+  /// lease_work / steal / fetch_circuit / complete_work / push_incumbent
+  /// verbs against it.
   [[nodiscard]] dist::DistCoordinator& coordinator() noexcept {
     return coordinator_;
   }

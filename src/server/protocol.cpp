@@ -201,18 +201,20 @@ Command parse_dist_verb(const std::vector<std::string_view>& tokens) {
   Command command;
   command.kind = verb == "lease_work"      ? CommandKind::kLeaseWork
                  : verb == "steal"         ? CommandKind::kStealWork
+                 : verb == "fetch_circuit" ? CommandKind::kFetchCircuit
                  : verb == "complete_work" ? CommandKind::kCompleteWork
                                            : CommandKind::kPushIncumbent;
   if (command.kind == CommandKind::kCompleteWork)
     command.unit_result = dist::parse_complete_tokens(tokens);
+  const bool takes_job = command.kind == CommandKind::kPushIncumbent ||
+                         command.kind == CommandKind::kFetchCircuit;
   bool saw_job = false;
   bool saw_metric = false;
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const codec::Field field = codec::split_field(verb, tokens[i]);
     if (field.key == "worker") {
       command.worker = codec::percent_decode(field.value);
-    } else if (command.kind == CommandKind::kPushIncumbent &&
-               field.key == "job") {
+    } else if (takes_job && field.key == "job") {
       command.job_id = codec::decode_u64(field);
       saw_job = true;
     } else if (command.kind == CommandKind::kPushIncumbent &&
@@ -228,6 +230,8 @@ Command parse_dist_verb(const std::vector<std::string_view>& tokens) {
     throw ProtocolError("'" + std::string(verb) + "' needs worker=<id>");
   if (command.kind == CommandKind::kPushIncumbent && (!saw_job || !saw_metric))
     throw ProtocolError("push_incumbent needs job= and metric=");
+  if (command.kind == CommandKind::kFetchCircuit && !saw_job)
+    throw ProtocolError("fetch_circuit needs job=");
   return command;
 }
 
@@ -300,8 +304,8 @@ std::optional<Command> read_command(const LineSource& next_line) {
 
     const std::string_view verb = tokens[0];
     if (verb == "submit") return parse_submit(tokens, next_line);
-    if (verb == "lease_work" || verb == "steal" || verb == "complete_work" ||
-        verb == "push_incumbent")
+    if (verb == "lease_work" || verb == "steal" || verb == "fetch_circuit" ||
+        verb == "complete_work" || verb == "push_incumbent")
       return parse_dist_verb(tokens);
     if (verb == "job_status") {
       Command command;

@@ -27,11 +27,12 @@
 ///
 ///   lease_work worker=<id>
 ///   steal worker=<id>
+///   fetch_circuit worker=<id> job=<n>
 ///   complete_work worker=<id> job=<n> unit=<n> ok=0|1 metric=<m> ...
 ///   push_incumbent worker=<id> job=<n> metric=<m>
 ///
 /// The transport answers them from ServerCore::coordinator() with the
-/// one-line JSON grants/acks of dist/workunit.hpp.
+/// one-line JSON grants, circuit payloads and acks of dist/workunit.hpp.
 ///
 /// Every response is a single JSON line with an "ok" field; submit responses
 /// carry the full FlowReport plus serving telemetry (cache hit, stage
@@ -94,6 +95,7 @@ enum class CommandKind : std::uint8_t {
   kQuit,
   kLeaseWork,      ///< worker requests a unit
   kStealWork,      ///< idle worker requests a speculative duplicate lease
+  kFetchCircuit,   ///< worker requests a job's circuit payload
   kCompleteWork,   ///< worker reports a finished unit
   kPushIncumbent,  ///< worker broadcasts an incumbent improvement
   kJobStatus,      ///< client polls a rid's standing (docs/robustness.md)
@@ -107,7 +109,7 @@ struct Command {
   /// Populated for the distributed-fabric verbs.
   std::string worker;            ///< worker id (every dist verb)
   dist::UnitResult unit_result;  ///< kCompleteWork
-  std::uint64_t job_id = 0;      ///< kPushIncumbent
+  std::uint64_t job_id = 0;      ///< kPushIncumbent, kFetchCircuit
   double metric = 0.0;           ///< kPushIncumbent
   std::string rid;               ///< kJobStatus: request fingerprint to poll
 };

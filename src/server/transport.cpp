@@ -240,6 +240,14 @@ void SocketServer::serve_connection(int fd) {
         if (!send_line(fd, reply)) goto done;
         break;
       }
+      case protocol::CommandKind::kFetchCircuit: {
+        worker_id = command->worker;
+        const auto circuit = coordinator.fetch_circuit(command->job_id);
+        if (!send_line(fd, circuit ? *circuit
+                                   : dist::format_no_circuit(command->job_id)))
+          goto done;
+        break;
+      }
       case protocol::CommandKind::kCompleteWork: {
         worker_id = command->worker;
         // coordinator.complete.drop loses the completion *and* tears the

@@ -1,12 +1,13 @@
 /// Tests for the wire and journal codec (src/util/codec.hpp; docs/protocol.md,
 /// "Encodings"):
 ///  * golden bytes for every encoder that reaches a socket or the journal —
-///    work grants, worker commands, acks, submit/stats/job_status/error
-///    responses and the span token — exactly as earlier builds wrote them,
-///    so mixed-version fabrics and old journals keep working; each golden
-///    also decodes and re-encodes to itself,
-///  * a journal written in that format replays to the expected jobs and is
-///    compacted back to the same records,
+///    work grants, the fetch_circuit command and circuit payloads, worker
+///    commands, acks, submit/stats/job_status/error responses and the span
+///    token — so a format only changes on purpose; each golden also decodes
+///    and re-encodes to itself,
+///  * a journal written by earlier builds (whose unit lines carry the
+///    circuit spec) replays to the expected jobs and is compacted to the
+///    current records,
 ///  * strict decoding: a value decodes only as a whole token its encoder
 ///    could have written,
 ///  * a fixed-seed loop of random bytes, doubles and u64s through every
@@ -17,6 +18,7 @@
 
 #include <sys/stat.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -24,6 +26,7 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +46,44 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // -- fixed inputs -------------------------------------------------------------
 
+dist::CircuitSpec bench_circuit() {
+  dist::CircuitSpec circuit;
+  circuit.has_bench = true;
+  circuit.bench.name = "Industry 1";
+  circuit.bench.description = "Control \"Logic\"";
+  circuit.bench.num_pis = 24;
+  circuit.bench.num_pos = 28;
+  circuit.bench.gate_target = 12000;
+  circuit.bench.seed = 77;
+  circuit.bench.not_prob = 0.1;
+  circuit.bench.and_bias = 1.0 / 3.0;
+  circuit.bench.locality = 0.7;
+  circuit.key.pi_prob = 0.375;
+  circuit.key.load_aware = false;
+  circuit.key.fingerprint = (1ULL << 63) + 99;
+  return circuit;
+}
+
+/// Inline BLIF with quotes, a backslash and control bytes.
+dist::CircuitSpec blif_circuit() {
+  dist::CircuitSpec circuit;
+  circuit.blif_text =
+      ".model \"q\\\"\n.inputs a b\n.outputs f\n.names a b f\n"
+      "11 1\x01\x1f\t\r\n.end\n";
+  circuit.key.fingerprint = 5;
+  return circuit;
+}
+
+dist::CircuitSpec corpus_circuit() {
+  dist::CircuitSpec circuit;
+  circuit.corpus = "apex7";
+  circuit.key.fingerprint = 0xfeedfacecafeULL;
+  return circuit;
+}
+
+/// Probabilities whose shortest round trip is long, short and subnormal.
+const std::vector<double> kProbs = {0.0, 1.0, 0.1 + 0.2, 1.0 / 3.0, 5e-324};
+
 dist::WorkUnit bench_unit() {
   dist::WorkUnit unit;
   unit.job_id = 9;
@@ -54,23 +95,11 @@ dist::WorkUnit bench_unit() {
   unit.node_budget = 1ULL << 21;
   unit.shared_bounds = true;
   unit.trace_id = (1ULL << 53) + 9;
-  unit.circuit.has_bench = true;
-  unit.circuit.bench.name = "Industry 1";
-  unit.circuit.bench.description = "Control \"Logic\"";
-  unit.circuit.bench.num_pis = 24;
-  unit.circuit.bench.num_pos = 28;
-  unit.circuit.bench.gate_target = 12000;
-  unit.circuit.bench.seed = 77;
-  unit.circuit.bench.not_prob = 0.1;
-  unit.circuit.bench.and_bias = 1.0 / 3.0;
-  unit.circuit.bench.locality = 0.7;
-  unit.circuit.pi_prob = 0.375;
-  unit.circuit.load_aware = false;
-  unit.circuit.fingerprint = (1ULL << 63) + 99;
+  unit.circuit = bench_circuit().key;
   return unit;
 }
 
-/// Inline BLIF with quotes, a backslash and control bytes; a -inf bound.
+/// An annealing unit with a -inf bound.
 dist::WorkUnit blif_unit() {
   dist::WorkUnit unit;
   unit.job_id = 2;
@@ -79,10 +108,7 @@ dist::WorkUnit blif_unit() {
   unit.restart_index = 3;
   unit.iterations = 2000;
   unit.bound_snapshot = -kInf;
-  unit.circuit.blif_text =
-      ".model \"q\\\"\n.inputs a b\n.outputs f\n.names a b f\n"
-      "11 1\x01\x1f\t\r\n.end\n";
-  unit.circuit.fingerprint = 5;
+  unit.circuit = blif_circuit().key;
   return unit;
 }
 
@@ -93,8 +119,7 @@ dist::WorkUnit corpus_unit() {
   unit.task = 13;
   unit.frontier_depth = 4;
   unit.bound_snapshot = std::numeric_limits<double>::quiet_NaN();
-  unit.circuit.corpus = "apex7";
-  unit.circuit.fingerprint = 0xfeedfacecafeULL;
+  unit.circuit = corpus_circuit().key;
   return unit;
 }
 
@@ -166,34 +191,53 @@ ServerResponse ok_response() {
 }
 
 // -- golden bytes -------------------------------------------------------------
-// What the encoders wrote before the codec module existed; every dominod,
-// worker and journal of an older build speaks exactly this.
+// What the encoders wrote before the codec module existed — every dominod,
+// worker and journal of an older build speaks exactly this — except where a
+// comment says the format changed on purpose.
 
+// Changed on purpose: grants name their circuit by key only; the spec
+// (corpus, blif, bench_*) travels in the circuit payloads below.
 constexpr std::string_view kGrantBenchTrace =
     "{\"ok\":true,\"work\":true,\"job\":9,\"unit\":41,\"kind\":\"bnb\","
     "\"by_power\":false,\"task\":1152921504606847053,\"frontier\":6,"
     "\"bound\":98.5,\"budget\":2097152,\"aseed\":0,\"restart\":0,\"iters\":0,"
     "\"shared\":true,\"trace\":9007199254741001,\"pi_prob\":0.375,"
-    "\"load_aware\":false,\"fingerprint\":9223372036854775907,\"bench\":true,"
-    "\"bench_name\":\"Industry 1\",\"bench_desc\":\"Control \\\"Logic\\\"\","
-    "\"bench_pis\":24,\"bench_pos\":28,\"bench_latches\":0,"
-    "\"bench_gates\":12000,\"bench_seed\":77,\"bench_not\":0.1,"
-    "\"bench_and\":0.3333333333333333,\"bench_loc\":0.7,\"bench_dnf\":2,"
-    "\"bench_cnf\":4,\"bench_sup\":4,\"incumbent\":42.25}";
+    "\"load_aware\":false,\"fingerprint\":9223372036854775907,"
+    "\"incumbent\":42.25}";
 constexpr std::string_view kGrantBlifNegInf =
     "{\"ok\":true,\"work\":true,\"job\":2,\"unit\":0,\"kind\":\"anneal\","
     "\"by_power\":true,\"task\":0,\"frontier\":0,\"bound\":\"-inf\","
     "\"budget\":0,\"aseed\":11400714819323198485,\"restart\":3,\"iters\":2000,"
     "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
-    "\"blif\":\".model \\\"q\\\\\\\"\\n.inputs a b\\n.outputs f\\n.names a b "
-    "f\\n11 1\\u0001\\u001f\\t\\r\\n.end\\n\",\"bench\":false,"
     "\"incumbent\":\"inf\"}";
 constexpr std::string_view kGrantCorpusNan =
     "{\"ok\":true,\"work\":true,\"job\":7,\"unit\":3,\"kind\":\"bnb\","
     "\"by_power\":true,\"task\":13,\"frontier\":4,\"bound\":\"nan\","
     "\"budget\":0,\"aseed\":0,\"restart\":0,\"iters\":0,\"shared\":false,"
     "\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":280298068560638,"
-    "\"corpus\":\"apex7\",\"bench\":false,\"incumbent\":1}";
+    "\"incumbent\":1}";
+constexpr std::string_view kFetch = "fetch_circuit worker=w%201%3d%25 job=9";
+// The circuit payloads keep the spec encoding grants used to carry.
+constexpr std::string_view kCircuitBench =
+    "{\"ok\":true,\"pi_prob\":0.375,\"load_aware\":false,"
+    "\"fingerprint\":9223372036854775907,\"bench\":true,"
+    "\"bench_name\":\"Industry 1\",\"bench_desc\":\"Control \\\"Logic\\\"\","
+    "\"bench_pis\":24,\"bench_pos\":28,\"bench_latches\":0,"
+    "\"bench_gates\":12000,\"bench_seed\":77,\"bench_not\":0.1,"
+    "\"bench_and\":0.3333333333333333,\"bench_loc\":0.7,\"bench_dnf\":2,"
+    "\"bench_cnf\":4,\"bench_sup\":4,"
+    "\"probs\":\"0,1,0.30000000000000004,0.3333333333333333,5e-324\"}";
+constexpr std::string_view kCircuitBlif =
+    "{\"ok\":true,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
+    "\"blif\":\".model \\\"q\\\\\\\"\\n.inputs a b\\n.outputs f\\n.names a b "
+    "f\\n11 1\\u0001\\u001f\\t\\r\\n.end\\n\",\"bench\":false,"
+    "\"probs\":\"0,1,0.30000000000000004,0.3333333333333333,5e-324\"}";
+constexpr std::string_view kCircuitCorpus =
+    "{\"ok\":true,\"pi_prob\":0.5,\"load_aware\":true,"
+    "\"fingerprint\":280298068560638,\"corpus\":\"apex7\",\"bench\":false,"
+    "\"probs\":\"0.5\"}";
+constexpr std::string_view kNoCircuit =
+    "{\"ok\":false,\"error\":\"no circuit for job 12: unknown or finished\"}";
 constexpr std::string_view kCompleteOk =
     "complete_work worker=w#0 job=7 unit=4611686018427387907 ok=1 "
     "metric=123.45678901234568 code=2305843009213706297 assignment=+-+- "
@@ -285,6 +329,22 @@ constexpr std::string_view kJournal[] = {
     "error=fingerprint%20mismatch:%2050%25%20off%20%3d%20bad%0asecond%01line",
     "finish job=8 failed=0",
 };
+/// kJournal's unit lines as boot compaction rewrites them: slim grants.
+constexpr std::string_view kJournalSlimUnits[] = {
+    "unit {\"ok\":true,\"work\":true,\"job\":7,\"unit\":0,\"kind\":\"bnb\","
+    "\"by_power\":true,\"task\":13,\"frontier\":4,\"bound\":98.5,\"budget\":0,"
+    "\"aseed\":0,\"restart\":0,\"iters\":0,\"shared\":false,\"pi_prob\":0.5,"
+    "\"load_aware\":true,\"fingerprint\":280298068560638,\"incumbent\":\"inf\"}",
+    "unit {\"ok\":true,\"work\":true,\"job\":7,\"unit\":1,\"kind\":\"bnb\","
+    "\"by_power\":true,\"task\":13,\"frontier\":4,\"bound\":98.5,\"budget\":0,"
+    "\"aseed\":0,\"restart\":0,\"iters\":0,\"shared\":false,\"pi_prob\":0.5,"
+    "\"load_aware\":true,\"fingerprint\":280298068560638,\"incumbent\":\"inf\"}",
+    "unit {\"ok\":true,\"work\":true,\"job\":8,\"unit\":0,\"kind\":\"anneal\","
+    "\"by_power\":true,\"task\":0,\"frontier\":0,\"bound\":\"-inf\","
+    "\"budget\":0,\"aseed\":11400714819323198485,\"restart\":3,\"iters\":2000,"
+    "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
+    "\"incumbent\":\"inf\"}",
+};
 
 TEST(CodecGolden, WorkGrantsKeepTheirBytes) {
   EXPECT_EQ(dist::format_work_grant(bench_unit(), 42.25), kGrantBenchTrace);
@@ -297,9 +357,51 @@ TEST(CodecGolden, WorkGrantsKeepTheirBytes) {
     ASSERT_TRUE(grant.has_value()) << golden;
     EXPECT_EQ(dist::format_work_grant(grant->unit, grant->incumbent), golden);
   }
-  EXPECT_EQ(dist::parse_work_grant(std::string(kGrantBlifNegInf))
-                ->unit.circuit.blif_text,
-            blif_unit().circuit.blif_text);
+}
+
+TEST(CodecGolden, FetchCircuitKeepsItsBytes) {
+  EXPECT_EQ(dist::format_fetch_command("w 1=%", 9), kFetch);
+  EXPECT_EQ(dist::format_circuit_payload(bench_circuit(), kProbs),
+            kCircuitBench);
+  EXPECT_EQ(dist::format_circuit_payload(blif_circuit(), kProbs),
+            kCircuitBlif);
+  EXPECT_EQ(dist::format_circuit_payload(corpus_circuit(), {0.5}),
+            kCircuitCorpus);
+  EXPECT_EQ(dist::format_no_circuit(12), kNoCircuit);
+  // Each payload decodes to a spec and probabilities that encode back to
+  // the same bytes.
+  for (const std::string_view golden :
+       {kCircuitBench, kCircuitBlif, kCircuitCorpus}) {
+    const dist::CircuitPayload payload =
+        dist::parse_circuit_payload(std::string(golden));
+    EXPECT_EQ(dist::format_circuit_payload(payload.circuit, payload.probs),
+              golden);
+  }
+  EXPECT_EQ(dist::parse_circuit_payload(std::string(kCircuitBlif))
+                .circuit.blif_text,
+            blif_circuit().blif_text);
+  EXPECT_THROW((void)dist::parse_circuit_payload(std::string(kNoCircuit)),
+               codec::Error);
+  // A payload with a flipped byte decodes or is rejected; it never crashes.
+  std::mt19937_64 rng(0xfe7c);
+  for (int i = 0; i < 3000; ++i) {
+    std::string mutated(
+        std::array{kCircuitBench, kCircuitBlif, kCircuitCorpus}[i % 3]);
+    mutated[rng() % mutated.size()] = static_cast<char>(rng());
+    try {
+      (void)dist::parse_circuit_payload(mutated);
+    } catch (const codec::Error&) {
+    }
+  }
+
+  std::istringstream in(std::string(kFetch) + "\n");
+  const auto command = protocol::read_command(in);
+  ASSERT_TRUE(command.has_value());
+  EXPECT_EQ(command->kind, protocol::CommandKind::kFetchCircuit);
+  EXPECT_EQ(command->worker, "w 1=%");
+  EXPECT_EQ(command->job_id, 9u);
+  std::istringstream jobless("fetch_circuit worker=w\n");
+  EXPECT_THROW((void)protocol::read_command(jobless), protocol::ProtocolError);
 }
 
 TEST(CodecGolden, WorkerCommandsAndAcksKeepTheirBytes) {
@@ -378,7 +480,7 @@ TEST(CodecGolden, SpanTokenKeepsItsBytes) {
   EXPECT_EQ(obs::spans_to_wire(obs::spans_from_wire(kSpans)), kSpans);
 }
 
-TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheSameRecords) {
+TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheCurrentRecords) {
   const std::string dir = testing::TempDir() + "dominosyn_codec_journal";
   const auto wipe = [&dir] {
     std::remove((dir + "/journal.djl").c_str());
@@ -398,13 +500,28 @@ TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheSameRecords) {
     EXPECT_EQ(log.replay_stats().records, std::size(kJournal));
     jobs = log.take_recovered();
   }
-  // Boot compaction rewrote the replayed state as the snapshot.
+  // Boot compaction rewrote the replayed state as the snapshot: the same
+  // records, with unit lines as slim grants.  A legacy unit line decodes to
+  // exactly the unit its slim line describes; its circuit spec is ignored.
   const journal::ScanResult snapshot =
       journal::scan_file(dir + "/snapshot.djl");
   wipe();
   ASSERT_EQ(snapshot.records.size(), std::size(kJournal));
-  for (std::size_t i = 0; i < snapshot.records.size(); ++i)
-    EXPECT_EQ(snapshot.records[i], kJournal[i]) << "record " << i;
+  std::size_t slim = 0;
+  for (std::size_t i = 0; i < snapshot.records.size(); ++i) {
+    if (!kJournal[i].starts_with("unit ")) {
+      EXPECT_EQ(snapshot.records[i], kJournal[i]) << "record " << i;
+      continue;
+    }
+    ASSERT_LT(slim, std::size(kJournalSlimUnits));
+    const std::string_view expected = kJournalSlimUnits[slim++];
+    EXPECT_EQ(snapshot.records[i], expected) << "record " << i;
+    const auto legacy =
+        dist::parse_work_grant(std::string(kJournal[i].substr(5)));
+    ASSERT_TRUE(legacy.has_value()) << "record " << i;
+    EXPECT_EQ("unit " + dist::format_work_grant(legacy->unit, kInf), expected);
+  }
+  EXPECT_EQ(slim, std::size(kJournalSlimUnits));
 
   ASSERT_EQ(jobs.size(), 2u);
   const dist::checkpoint::RecoveredJob& live = jobs[0];
@@ -414,8 +531,7 @@ TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheSameRecords) {
   ASSERT_EQ(live.units.size(), 2u);
   EXPECT_EQ(live.units[1].task, 13u);
   EXPECT_EQ(live.units[1].bound_snapshot, 98.5);
-  EXPECT_EQ(live.units[1].circuit.corpus, "apex7");
-  EXPECT_EQ(live.units[1].circuit.fingerprint, 0xfeedfacecafeULL);
+  EXPECT_EQ(live.units[1].circuit, corpus_circuit().key);
   EXPECT_FALSE(live.results[0].has_value());
   ASSERT_TRUE(live.results[1].has_value());
   const dist::UnitResult& result = *live.results[1];
@@ -434,7 +550,8 @@ TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheSameRecords) {
   ASSERT_EQ(done.units.size(), 1u);
   EXPECT_EQ(done.units[0].kind, dist::UnitKind::kAnnealRestart);
   EXPECT_EQ(done.units[0].bound_snapshot, -kInf);
-  EXPECT_EQ(done.units[0].circuit.blif_text, blif_unit().circuit.blif_text);
+  EXPECT_EQ(done.units[0].anneal_seed, blif_unit().anneal_seed);
+  EXPECT_EQ(done.units[0].circuit, blif_circuit().key);
   ASSERT_TRUE(done.results[0].has_value());
   EXPECT_FALSE(done.results[0]->ok);
   EXPECT_EQ(done.results[0]->error, failed_result().error);

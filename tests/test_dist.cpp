@@ -1,11 +1,13 @@
 /// Tests for the distributed search fabric (src/dist/, docs/distributed.md):
 ///  * wire round-trips of every fabric message — exact uint64 codes past
-///    2^53, infinite metrics, percent-encoded error text, generator specs
-///    and multi-line BLIF inside one-line JSON grants,
+///    2^53, infinite metrics, percent-encoded error text, slim grants, and
+///    generator specs, multi-line BLIF and bit-exact probabilities inside
+///    one-line JSON circuit payloads,
 ///  * coordinator bookkeeping: lease/complete/merge order, steal only when
 ///    the queue is dry, keep-first duplicate resolution, deadline expiry and
 ///    disconnect re-issue, completion racing a re-queue, fail-fast on bad
-///    units, cancel_all resolving every future,
+///    units, cancel_all resolving every future, a circuit payload living
+///    exactly as long as its job,
 ///  * the determinism contract: dist_exhaustive_search and
 ///    dist_min_area_assignment return the single-process search's
 ///    bit-identical (cost, assignment) — and, without shared bounds,
@@ -14,22 +16,35 @@
 ///  * the fabric end to end: dominod core + TCP transport + DistWorker
 ///    processes serving submits bit-identically to a local run, a worker
 ///    dying mid-lease (re-issue + identical report), reports of a
-///    participating core pinned byte for byte, a worker's bounded circuit
-///    cache, a session whose options workers cannot replay searching
-///    locally, and non-drain shutdown resolving a dist-waiting submit.
+///    participating core and of remote workers pinned byte for byte (the
+///    workers shipping no probability stage), a two-thread worker serving
+///    two jobs while one of its fetches is held, circuit payloads that do
+///    not fit failing the unit by name while the submit serves the local
+///    report, fetch_circuit refusing unknown and finished jobs, a worker's
+///    bounded circuit cache, a session whose options workers cannot replay
+///    searching locally, and non-drain shutdown resolving a dist-waiting
+///    submit.
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -119,9 +134,7 @@ void expect_cost_identical(const AssignmentCost& a, const AssignmentCost& b) {
 using codec::split_tokens;
 
 std::vector<WorkUnit> trivial_units(std::size_t count) {
-  std::vector<WorkUnit> units(count);
-  for (WorkUnit& unit : units) unit.circuit.corpus = "frg1";
-  return units;
+  return std::vector<WorkUnit>(count);
 }
 
 void wait_until(const std::function<bool()>& done) {
@@ -181,7 +194,7 @@ TEST(DistWire, CompleteCommandRoundTripsExactly) {
                std::runtime_error);  // job=/unit= are mandatory
 }
 
-TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
+TEST(DistWire, WorkGrantRoundTripsUnitFieldsAndCircuitKey) {
   WorkUnit unit;
   unit.job_id = 9;
   unit.unit_id = 41;
@@ -192,14 +205,15 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
   unit.bound_snapshot = 98.5;
   unit.node_budget = 1ULL << 21;
   unit.shared_bounds = true;
-  unit.circuit.has_bench = true;
-  unit.circuit.bench = dist_spec(5, 10, 120);
-  unit.circuit.bench.name = "Industry 1";  // corpus names contain spaces
   unit.circuit.pi_prob = 0.375;
   unit.circuit.load_aware = false;
   unit.circuit.fingerprint = (1ULL << 63) + 99;
 
-  const auto grant = parse_work_grant(format_work_grant(unit, 42.25));
+  const std::string text = format_work_grant(unit, 42.25);
+  // The grant names its circuit by key; the circuit travels once per job.
+  for (const char* absent : {"\"corpus\"", "\"blif\"", "\"bench"})
+    EXPECT_EQ(text.find(absent), std::string::npos) << absent;
+  const auto grant = parse_work_grant(text);
   ASSERT_TRUE(grant.has_value());
   EXPECT_EQ(grant->incumbent, 42.25);
   const WorkUnit& got = grant->unit;
@@ -212,18 +226,9 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
   EXPECT_EQ(got.bound_snapshot, unit.bound_snapshot);
   EXPECT_EQ(got.node_budget, unit.node_budget);
   EXPECT_TRUE(got.shared_bounds);
-  ASSERT_TRUE(got.circuit.has_bench);
-  EXPECT_EQ(got.circuit.bench.name, unit.circuit.bench.name);
-  EXPECT_EQ(got.circuit.bench.num_pis, unit.circuit.bench.num_pis);
-  EXPECT_EQ(got.circuit.bench.num_pos, unit.circuit.bench.num_pos);
-  EXPECT_EQ(got.circuit.bench.gate_target, unit.circuit.bench.gate_target);
-  EXPECT_EQ(got.circuit.bench.seed, unit.circuit.bench.seed);
-  EXPECT_EQ(got.circuit.pi_prob, unit.circuit.pi_prob);
-  EXPECT_EQ(got.circuit.load_aware, unit.circuit.load_aware);
-  EXPECT_EQ(got.circuit.fingerprint, unit.circuit.fingerprint);
+  EXPECT_EQ(got.circuit, unit.circuit);
 
-  // An annealing unit shipping verbatim BLIF (quotes, newlines) and an
-  // infinite bound snapshot.
+  // An annealing unit with an infinite bound snapshot.
   WorkUnit anneal;
   anneal.job_id = 2;
   anneal.unit_id = 0;
@@ -231,8 +236,6 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
   anneal.anneal_seed = 0x9e3779b97f4a7c15ULL;
   anneal.restart_index = 3;
   anneal.iterations = 2000;
-  anneal.circuit.blif_text =
-      ".model \"q\"\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
   const auto regrant = parse_work_grant(
       format_work_grant(anneal, std::numeric_limits<double>::infinity()));
   ASSERT_TRUE(regrant.has_value());
@@ -241,7 +244,7 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
   EXPECT_EQ(regrant->unit.anneal_seed, anneal.anneal_seed);
   EXPECT_EQ(regrant->unit.restart_index, anneal.restart_index);
   EXPECT_EQ(regrant->unit.iterations, anneal.iterations);
-  EXPECT_EQ(regrant->unit.circuit.blif_text, anneal.circuit.blif_text);
+  EXPECT_EQ(regrant->unit.circuit, anneal.circuit);
   EXPECT_TRUE(std::isinf(regrant->unit.bound_snapshot));
   // A 32-bit field past 2^32 is no grant rather than a truncated one.
   for (const auto& [field, wide] :
@@ -254,6 +257,50 @@ TEST(DistWire, WorkGrantRoundTripsGeneratorSpecAndBlif) {
 
   EXPECT_FALSE(parse_work_grant(format_no_work()).has_value());
   EXPECT_THROW((void)parse_work_grant("{\"ok\":false}"), std::runtime_error);
+}
+
+TEST(DistWire, CircuitPayloadRoundTripsGeneratorSpecBlifAndProbabilities) {
+  CircuitSpec bench;
+  bench.has_bench = true;
+  bench.bench = dist_spec(5, 10, 120);
+  bench.bench.name = "Industry 1";  // corpus names contain spaces
+  bench.key.pi_prob = 0.375;
+  bench.key.load_aware = false;
+  bench.key.fingerprint = (1ULL << 63) + 99;
+  // Shortest-round-trip decimals: every probability decodes bit-exact.
+  const std::vector<double> probs = {0.0, 1.0, 0.1 + 0.2, 1.0 / 3.0,
+                                     std::nextafter(1.0, 0.0), 5e-324};
+  const CircuitPayload got =
+      parse_circuit_payload(format_circuit_payload(bench, probs));
+  ASSERT_TRUE(got.circuit.has_bench);
+  EXPECT_EQ(got.circuit.bench.name, bench.bench.name);
+  EXPECT_EQ(got.circuit.bench.num_pis, bench.bench.num_pis);
+  EXPECT_EQ(got.circuit.bench.num_pos, bench.bench.num_pos);
+  EXPECT_EQ(got.circuit.bench.gate_target, bench.bench.gate_target);
+  EXPECT_EQ(got.circuit.bench.seed, bench.bench.seed);
+  EXPECT_EQ(got.circuit.key, bench.key);
+  ASSERT_EQ(got.probs.size(), probs.size());
+  EXPECT_EQ(std::memcmp(got.probs.data(), probs.data(),
+                        probs.size() * sizeof(double)),
+            0);
+
+  // Verbatim BLIF (quotes, newlines) inside the one-line JSON reply.
+  CircuitSpec blif;
+  blif.blif_text =
+      ".model \"q\"\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
+  const CircuitPayload reblif =
+      parse_circuit_payload(format_circuit_payload(blif, {0.5}));
+  EXPECT_EQ(reblif.circuit.blif_text, blif.blif_text);
+  EXPECT_FALSE(reblif.circuit.has_bench);
+  EXPECT_EQ(reblif.probs, std::vector<double>{0.5});
+
+  // A refusal names the job; a probability no encoder writes is no payload.
+  const std::string refusal = format_no_circuit(12);
+  EXPECT_NE(refusal.find("job 12"), std::string::npos) << refusal;
+  EXPECT_THROW((void)parse_circuit_payload(refusal), codec::Error);
+  std::string junk = format_circuit_payload(blif, {0.5, 0.25});
+  junk.replace(junk.find("0.25"), 4, "0.2x");
+  EXPECT_THROW((void)parse_circuit_payload(junk), codec::Error);
 }
 
 TEST(DistWire, CompleteCommandRejectsTextNoEncoderWrites) {
@@ -289,7 +336,6 @@ TEST(DistWire, TraceIdAndSpansRideTheFabricVerbs) {
   WorkUnit unit;
   unit.job_id = 3;
   unit.unit_id = 14;
-  unit.circuit.corpus = "frg1";
   unit.trace_id = (1ULL << 53) + 9;  // ids are exact uint64, not doubles
   auto grant = parse_work_grant(format_work_grant(unit, 1.0));
   ASSERT_TRUE(grant.has_value());
@@ -579,6 +625,38 @@ TEST(DistCoordinatorTest, QuarantineCountsFailedUnitsAndCanBeDisabled) {
   coordinator.set_quarantine({/*threshold=*/0, /*probe_every=*/8});
   (void)coordinator.open_job(trivial_units(1), 60'000);
   EXPECT_TRUE(coordinator.lease("A").has_value());
+}
+
+TEST(DistCoordinatorTest, CircuitPayloadLivesExactlyAsLongAsItsJob) {
+  DistCoordinator coordinator;
+  auto job = coordinator.open_job(trivial_units(1), 60'000, "", "payload");
+  const auto payload = coordinator.fetch_circuit(job.job_id);
+  ASSERT_NE(payload, nullptr);
+  EXPECT_EQ(*payload, "payload");
+  EXPECT_EQ(coordinator.fetch_circuit(job.job_id + 1), nullptr);  // unknown
+  ASSERT_TRUE(coordinator.lease("A").has_value());
+  UnitResult done;
+  done.job_id = job.job_id;
+  done.unit_id = 0;
+  done.metric = 1.0;
+  EXPECT_TRUE(coordinator.complete("A", done).accepted);
+  EXPECT_EQ(coordinator.fetch_circuit(job.job_id), nullptr);  // finished
+
+  // A failed job and a cancelled one drop their payloads too; a job opened
+  // without one has none.
+  auto failing = coordinator.open_job(trivial_units(1), 60'000, "", "x");
+  ASSERT_TRUE(coordinator.lease("A").has_value());
+  UnitResult bad;
+  bad.job_id = failing.job_id;
+  bad.unit_id = 0;
+  bad.ok = false;
+  (void)coordinator.complete("A", bad);
+  EXPECT_EQ(coordinator.fetch_circuit(failing.job_id), nullptr);
+  auto bare = coordinator.open_job(trivial_units(1), 60'000);
+  EXPECT_EQ(coordinator.fetch_circuit(bare.job_id), nullptr);
+  auto cancelled = coordinator.open_job(trivial_units(1), 60'000, "", "y");
+  coordinator.cancel_all();
+  EXPECT_EQ(coordinator.fetch_circuit(cancelled.job_id), nullptr);
 }
 
 // -- determinism of the distributed searches ----------------------------------
@@ -964,6 +1042,379 @@ TEST(DistFabric, ParticipatingCoreServesPinnedReports) {
       EXPECT_GT(core.stats().units_issued, issued_before) << c.spec.name;
     }
   }
+  core.shutdown();
+}
+
+/// Sits between DistWorkers and a daemon's TCP port, one thread per worker
+/// connection: forwards each request line and its reply, passes the
+/// replies to fetch_circuit through `rewrite`, can hold the next such reply
+/// until release(), and keeps the errors workers report on complete_work.
+class FabricProxy {
+ public:
+  using Rewrite = std::function<std::string(std::string)>;
+
+  explicit FabricProxy(std::uint16_t upstream, Rewrite rewrite = {})
+      : upstream_(upstream), rewrite_(std::move(rewrite)) {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t length = sizeof(addr);
+    if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), length) != 0 ||
+        ::listen(listener_, 8) != 0 ||
+        ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr),
+                      &length) != 0) {
+      ::close(listener_);
+      throw std::runtime_error("proxy listen failed");
+    }
+    port_ = ntohs(addr.sin_port);
+    accept_thread_ = std::thread([this] { accept_loop(); });
+  }
+
+  ~FabricProxy() {
+    release();
+    ::shutdown(listener_, SHUT_RDWR);
+    accept_thread_.join();
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
+    }
+    for (std::thread& thread : threads_) thread.join();
+    ::close(listener_);
+  }
+
+  FabricProxy(const FabricProxy&) = delete;
+  FabricProxy& operator=(const FabricProxy&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  void hold_next_fetch() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    hold_ = true;
+  }
+
+  void release() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    hold_ = false;
+    released_ = true;
+    released_cv_.notify_all();
+  }
+
+  [[nodiscard]] std::vector<std::string> unit_errors() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return errors_;
+  }
+
+ private:
+  void accept_loop() {
+    for (;;) {
+      const int fd = ::accept(listener_, nullptr, nullptr);
+      if (fd < 0) return;
+      const std::lock_guard<std::mutex> lock(mutex_);
+      fds_.push_back(fd);
+      threads_.emplace_back([this, fd] { serve(fd); });
+    }
+  }
+
+  void serve(int fd) {
+    try {
+      Client upstream = Client::connect_tcp("127.0.0.1", upstream_);
+      std::string buffer;
+      for (;;) {
+        std::size_t newline;
+        while ((newline = buffer.find('\n')) == std::string::npos) {
+          char chunk[4096];
+          const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+          if (got <= 0) throw std::runtime_error("worker closed");
+          buffer.append(chunk, static_cast<std::size_t>(got));
+        }
+        const std::string line = buffer.substr(0, newline);
+        buffer.erase(0, newline + 1);
+        std::string reply = upstream.request(line);
+        if (line.starts_with("fetch_circuit")) {
+          if (rewrite_) reply = rewrite_(std::move(reply));
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (hold_) {
+            hold_ = false;
+            released_cv_.wait(lock, [this] { return released_; });
+          }
+        } else if (line.starts_with("complete_work")) {
+          const UnitResult result = parse_complete_tokens(split_tokens(line));
+          const std::lock_guard<std::mutex> lock(mutex_);
+          if (!result.ok) errors_.push_back(result.error);
+        }
+        reply += '\n';
+        for (std::string_view rest = reply; !rest.empty();) {
+          const ssize_t sent =
+              ::send(fd, rest.data(), rest.size(), MSG_NOSIGNAL);
+          if (sent <= 0) throw std::runtime_error("worker gone");
+          rest.remove_prefix(static_cast<std::size_t>(sent));
+        }
+      }
+    } catch (const std::exception&) {
+      // Either side went away; the worker reconnects, the daemon re-queues.
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::erase(fds_, fd);
+    ::close(fd);
+  }
+
+  std::uint16_t upstream_;
+  Rewrite rewrite_;
+  int listener_ = -1;
+  std::uint16_t port_ = 0;
+  std::mutex mutex_;  // guards everything below but the accept thread
+  std::condition_variable released_cv_;
+  bool hold_ = false;
+  bool released_ = false;
+  std::vector<int> fds_;
+  std::vector<std::thread> threads_;
+  std::vector<std::string> errors_;
+  std::thread accept_thread_;
+};
+
+WorkerConfig worker_config_for(std::uint16_t port, const std::string& name,
+                               unsigned threads = 1) {
+  WorkerConfig config;
+  config.port = port;
+  config.num_threads = threads;
+  config.idle_poll_ms = 5;
+  config.name = name;
+  return config;
+}
+
+/// Names of the spans that remote workers shipped: events of a process
+/// other than the local one (pid 1) in obs::chrome_trace_json().
+std::multiset<std::string> remote_span_names(const std::string& json) {
+  std::multiset<std::string> names;
+  const std::string key = "{\"name\":\"";
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    const std::size_t begin = at + key.size();
+    const std::string name = json.substr(begin, json.find('"', begin) - begin);
+    const std::size_t pid = json.find("\"pid\":", begin) + 6;
+    if (name != "process_name" && json.compare(pid, 2, "1,") != 0)
+      names.insert(name);
+  }
+  return names;
+}
+
+TEST(DistFabric, RemoteWorkersServePinnedReports) {
+  // What remote workers serve, pinned byte for byte: a core that only waits
+  // hands every unit of dist=1 requests to two TCP workers — exact MA and
+  // MP on an 8-PO circuit, annealed MA on a 30-PO one.
+  struct Case {
+    BenchSpec spec;
+    PhaseMode mode;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {dist_spec(47, /*pos=*/8), PhaseMode::kMinArea,
+       "+-++++++ est=0x1.e44c000000001p+6 sim=0x1.c1ef010b7e708p+6 "
+       "evaluations=21 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
+       "nodes_expanded=28 subtrees_pruned=11 "
+       "bound_tightness=0x1.b7fd36aed8a4p-1"},
+      {dist_spec(47, /*pos=*/8), PhaseMode::kMinPower,
+       "---+++++ est=0x1.e22cccccccccdp+6 sim=0x1.c1917829cbbfep+6 "
+       "evaluations=27 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
+       "nodes_expanded=30 subtrees_pruned=14 "
+       "bound_tightness=0x1.20202bd23d147p-1"},
+      {dist_spec(48, /*pos=*/30, /*gates=*/300), PhaseMode::kMinArea,
+       "+++++++++-+++-++++++++++++++++ est=0x1.9baacccccccccp+8 "
+       "sim=0x1.7b7741691dba8p+8 evaluations=15062 commits=0 "
+       "commit_rescore_pairs=0 avg_update_nodes=0 nodes_expanded=0 "
+       "subtrees_pruned=0 bound_tightness=0x0p+0"},
+  };
+
+  obs::clear_events();
+  ServerCore core(ServerConfig{});
+  TransportConfig transport;
+  SocketServer server(core, transport);
+  std::vector<std::unique_ptr<DistWorker>> fleet;
+  for (const char* name : {"pin0", "pin1"}) {
+    fleet.push_back(
+        std::make_unique<DistWorker>(worker_config_for(server.port(), name)));
+    fleet.back()->start();
+  }
+
+  for (const Case& c : cases) {
+    FlowOptions options;
+    options.mode = c.mode;
+    options.sim.steps = 400;
+    options.sim.warmup = 8;
+    options.dist.enabled = true;
+    options.dist.participate = false;
+    options.dist.stall_takeover_ms = 20'000;
+    options.dist.circuit.has_bench = true;
+    options.dist.circuit.bench = c.spec;
+    const std::uint64_t issued_before = core.stats().units_issued;
+    const ServerResponse response =
+        core.submit(dist_request(generate_benchmark(c.spec), options)).get();
+    ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+    EXPECT_EQ(pinned(response.report), c.expected)
+        << c.spec.name << " " << to_string(c.mode);
+    EXPECT_GT(core.stats().units_issued, issued_before) << c.spec.name;
+  }
+  for (const auto& worker : fleet)
+    EXPECT_EQ(worker->telemetry().units_failed, 0u);
+
+  // The workers score units on the coordinator's probabilities: their
+  // shipped spans show units, never a probability stage.
+  if (!obs::kTracingCompiledOut) {
+    const std::multiset<std::string> remote =
+        remote_span_names(obs::chrome_trace_json());
+    EXPECT_GT(remote.count("dist.unit"), 0u);
+    EXPECT_EQ(remote.count("flow.probs"), 0u);
+  }
+
+  for (auto& worker : fleet) worker->stop();
+  server.stop();
+  core.shutdown();
+}
+
+TEST(DistFabric, ThreadedWorkerServesConcurrentJobsOnDifferentCircuits) {
+  // A two-thread worker fetches and prepares circuits outside its cache
+  // lock: while one thread waits on a fetch held at the proxy, the other
+  // still serves both concurrent jobs, each with its local answer.
+  const BenchSpec specs[] = {dist_spec(51, /*pos=*/8),
+                             dist_spec(52, /*pos=*/8)};
+  std::vector<FlowReport> references;
+  for (const BenchSpec& spec : specs) {
+    FlowOptions local_options = dist_flow_options(spec, false, 0);
+    local_options.dist = {};
+    references.push_back(run_flow(generate_benchmark(spec), local_options));
+  }
+
+  ServerConfig config;
+  config.num_workers = 2;  // both submits run at once
+  ServerCore core(config);
+  TransportConfig transport;
+  SocketServer server(core, transport);
+  FabricProxy proxy(server.port());
+  proxy.hold_next_fetch();
+  DistWorker worker(worker_config_for(proxy.port(), "pair", /*threads=*/2));
+  worker.start();
+
+  std::vector<std::future<ServerResponse>> futures;
+  for (const BenchSpec& spec : specs)
+    futures.push_back(core.submit(dist_request(
+        generate_benchmark(spec), dist_flow_options(spec, false, 20'000))));
+  bool served = true;
+  for (auto& future : futures)
+    served = served && future.wait_for(std::chrono::seconds(15)) ==
+                           std::future_status::ready;
+  proxy.release();
+  ASSERT_TRUE(served) << "a held fetch stalled the worker's other thread";
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const ServerResponse response = futures[i].get();
+    ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+    expect_reports_identical(response.report, references[i],
+                             /*counters=*/false);
+  }
+  worker.stop();
+  EXPECT_EQ(worker.telemetry().units_failed, 0u);
+  EXPECT_EQ(worker.telemetry().cached_circuits, 2u);
+  server.stop();
+  core.shutdown();
+}
+
+/// A circuit payload with its probability list edited: the first
+/// probability replaced, or the last one dropped.
+std::string with_first_prob(std::string payload, const std::string& value) {
+  const std::size_t begin = payload.find("\"probs\":\"") + 9;
+  payload.replace(begin, payload.find(',', begin) - begin, value);
+  return payload;
+}
+
+std::string without_last_prob(std::string payload) {
+  const std::size_t end = payload.rfind('"');
+  const std::size_t comma = payload.rfind(',', end);
+  payload.erase(comma, end - comma);
+  return payload;
+}
+
+std::string with_field(std::string payload, const std::string& key,
+                       const std::string& value) {
+  const std::size_t begin = payload.find("\"" + key + "\":") + key.size() + 3;
+  payload.replace(begin, payload.find(',', begin) - begin, value);
+  return payload;
+}
+
+TEST(DistFabric, WorkerRejectsPayloadsThatDoNotFitAndTheSubmitServesLocally) {
+  // A payload that does not fit the unit or the rebuilt network fails the
+  // unit with an error that names the problem; the job fails and the submit
+  // reruns locally, so it still serves the local report.
+  const BenchSpec spec = dist_spec(49, /*pos=*/8);
+  const Network net = generate_benchmark(spec);
+  FlowOptions local_options = dist_flow_options(spec, false, 0);
+  local_options.dist = {};
+  const FlowReport reference = run_flow(net, local_options);
+
+  struct Case {
+    FabricProxy::Rewrite rewrite;
+    const char* error;
+  };
+  const Case cases[] = {
+      {[](std::string p) { return without_last_prob(std::move(p)); },
+       "probabilities for"},
+      {[](std::string p) { return with_first_prob(std::move(p), "nan"); },
+       "probability nan of node 0 is not in [0, 1]"},
+      {[](std::string p) { return with_first_prob(std::move(p), "1.5"); },
+       "probability 1.5 of node 0 is not in [0, 1]"},
+      {[](std::string p) { return with_field(std::move(p), "fingerprint", "7"); },
+       "circuit payload for another circuit: unit fingerprint"},
+      {[](std::string p) { return with_field(std::move(p), "bench_seed", "50"); },
+       "circuit fingerprint mismatch: coordinator"},
+  };
+  for (const Case& c : cases) {
+    ServerCore core(ServerConfig{});
+    TransportConfig transport;
+    SocketServer server(core, transport);
+    FabricProxy proxy(server.port(), c.rewrite);
+    DistWorker worker(worker_config_for(proxy.port(), "picky"));
+    worker.start();
+
+    const ServerResponse response =
+        core.submit(dist_request(net, dist_flow_options(spec, false, 20'000)))
+            .get();
+    ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+    expect_reports_identical(response.report, reference);
+    worker.stop();
+    EXPECT_GE(worker.telemetry().units_failed, 1u) << c.error;
+    const std::vector<std::string> errors = proxy.unit_errors();
+    ASSERT_FALSE(errors.empty()) << c.error;
+    EXPECT_NE(errors.front().find(c.error), std::string::npos)
+        << errors.front();
+    server.stop();
+    core.shutdown();
+  }
+}
+
+TEST(DistFabric, FetchCircuitRefusesUnknownAndFinishedJobs) {
+  const BenchSpec spec = dist_spec(50, /*pos=*/8);
+  ServerCore core(ServerConfig{});
+  TransportConfig transport;
+  SocketServer server(core, transport);
+  DistWorker worker(worker_config_for(server.port(), "fetcher"));
+  worker.start();
+  // The core's first job is job 1; once the submit is answered it is done.
+  const ServerResponse response =
+      core.submit(dist_request(generate_benchmark(spec),
+                               dist_flow_options(spec, false, 20'000)))
+          .get();
+  ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+  ASSERT_GT(core.stats().units_issued, 0u);
+
+  Client probe = Client::connect_tcp("127.0.0.1", server.port());
+  for (const std::uint64_t job : {1u, 999u}) {
+    const std::string reply = probe.request(format_fetch_command("probe", job));
+    EXPECT_EQ(protocol::find_bool(reply, "ok"), false) << reply;
+    EXPECT_NE(reply.find("job " + std::to_string(job)), std::string::npos)
+        << reply;
+    EXPECT_THROW((void)parse_circuit_payload(reply), codec::Error);
+  }
+  worker.stop();
+  server.stop();
   core.shutdown();
 }
 

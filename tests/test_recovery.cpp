@@ -61,7 +61,6 @@ std::vector<WorkUnit> make_units(std::size_t count) {
     unit.frontier_depth = 3;
     unit.bound_snapshot = 123.5;
     unit.node_budget = 1 << 16;
-    unit.circuit.corpus = "apex7";
     unit.circuit.pi_prob = 0.5;
     unit.circuit.fingerprint = 0xfeedfacecafeULL;
   }
