@@ -798,7 +798,6 @@ int main(int argc, char** argv) {
         dist::WorkUnit& unit = units[u];
         unit.job_id = j;
         unit.unit_id = u;
-        unit.kind = dist::UnitKind::kBnbSubtree;
         unit.by_power = true;
         unit.task = (j << 10) | u;
         unit.frontier_depth = 5;

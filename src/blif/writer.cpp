@@ -26,7 +26,9 @@ std::string signal_name(const Network& net, NodeId id,
   } else if (const auto attached = net.node_name(id)) {
     name = *attached;
   } else {
-    name = "n" + std::to_string(id);
+    // A char prefix: GCC 12 at -O3 warns falsely (-Wrestrict) on
+    // `"n" + std::to_string(id)`.
+    name = 'n' + std::to_string(id);
   }
   cache[id] = name;
   return name;

@@ -5,6 +5,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -57,6 +58,15 @@ CheckpointLog::CheckpointLog(std::string dir, Options options)
   const journal::ScanResult tail = journal::scan_file(journal_path());
   for (const std::string& record : snapshot.records) replay_record(record);
   for (const std::string& record : tail.records) replay_record(record);
+  // A job whose unit lines did not all replay (an open torn before its
+  // units, or a unit kind this build does not run) can be neither resumed
+  // nor adopted.
+  std::erase_if(state_, [](const auto& entry) {
+    return std::any_of(entry.second.units.begin(), entry.second.units.end(),
+                       [&entry](const WorkUnit& unit) {
+                         return unit.job_id != entry.first;
+                       });
+  });
 
   replay_.records = snapshot.records.size() + tail.records.size();
   replay_.torn_tail = snapshot.torn_tail || tail.torn_tail;

@@ -19,9 +19,15 @@
 ///     finish job=<id> failed=0|1
 ///
 /// `unit` lines written before grants shrank to the circuit key also carry
-/// the circuit spec (`corpus`, `blif`, `bench_*`); the grant decoder ignores
-/// it, so they replay, and compaction rewrites them slim.  The circuit
-/// payload workers fetch is never journaled: an adopting job brings its own.
+/// the circuit spec (`corpus`, `blif`, `bench_*`), and older ones the unit
+/// kind and annealing fields (`kind`, `aseed`, `restart`, `iters`); the
+/// grant decoder ignores them, so a `bnb` unit replays and compaction
+/// rewrites it slim.  A job with a unit line that does not replay (an
+/// annealing restart, whose `kind` is not `bnb`, or a torn open) is dropped
+/// at replay.  Older `complete_work` records carry `evals=` (annealing
+/// results also `assignment=`), keys this build does not decode, so they
+/// are skipped and their units rerun.  The circuit payload workers fetch is
+/// never journaled: an adopting job brings its own.
 ///
 /// Files in the journal directory:
 ///     journal.djl    the append-only CRC-framed journal

@@ -13,25 +13,24 @@ namespace dominosyn::dist {
 
 namespace {
 
-/// Adoption safety: the identical rid can describe different unit sets (an
-/// exhaustive job and its anneal fallback share one request), so a recovered
-/// job is only adopted when its units are field-for-field the same search.
-/// bound_snapshot compares exactly — both sides round-tripped through the
-/// shortest-round-trip metric codec, so equality is bit-equality.
+/// Adoption safety: the identical rid need not describe the same units (a
+/// journal written by a build that split the search differently), so a
+/// recovered job is only adopted when its units are field-for-field the same
+/// search.  bound_snapshot compares exactly — both sides round-tripped
+/// through the shortest-round-trip metric codec, so equality is
+/// bit-equality.
 bool units_compatible(const std::vector<WorkUnit>& recovered,
                       const std::vector<WorkUnit>& fresh) {
   if (recovered.size() != fresh.size()) return false;
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     const WorkUnit& a = recovered[i];
     const WorkUnit& b = fresh[i];
-    if (a.kind != b.kind || a.by_power != b.by_power || a.task != b.task ||
+    if (a.by_power != b.by_power || a.task != b.task ||
         a.frontier_depth != b.frontier_depth ||
         !(a.bound_snapshot == b.bound_snapshot ||
           (a.bound_snapshot != a.bound_snapshot &&
            b.bound_snapshot != b.bound_snapshot)) ||
-        a.node_budget != b.node_budget || a.anneal_seed != b.anneal_seed ||
-        a.restart_index != b.restart_index ||
-        a.iterations != b.iterations || a.shared_bounds != b.shared_bounds ||
+        a.node_budget != b.node_budget || a.shared_bounds != b.shared_bounds ||
         a.circuit.fingerprint != b.circuit.fingerprint)
       return false;
   }

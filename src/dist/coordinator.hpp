@@ -95,9 +95,9 @@ class DistCoordinator {
   /// installed, a non-empty rid (a) journals the job shape + completions,
   /// and (b) *adopts* a matching recovered job: durable unit results are
   /// pre-marked done (counted as `units_recovered`) and only the missing
-  /// units are queued — the resume path after a daemon crash.  The identical
-  /// rid can open several jobs (exhaustive then anneal fallback of one
-  /// request), so adoption additionally requires the unit vectors to match.
+  /// units are queued — the resume path after a daemon crash.  A journal
+  /// written by another build may hold different units under the identical
+  /// rid, so adoption additionally requires the unit vectors to match.
   ///
   /// `circuit` is the payload fetch_circuit serves for the job; it is never
   /// journaled (an adopting job brings its own).

@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -59,6 +60,12 @@ struct CircuitSpec {
   }
 };
 
+/// Deepest branch-and-bound frontier a search may split at: 2^16 = 65,536
+/// units.  A job's units are built up front, at a few hundred bytes and
+/// tens of microseconds each, so an unbounded depth could exhaust the
+/// daemon's memory.  The protocol refuses deeper `dist_frontier=` requests.
+inline constexpr std::size_t kMaxFrontierDepth = 16;
+
 struct DistSearchOptions {
   /// Master switch; with a null `coordinator` the flow runs locally.
   bool enabled = false;
@@ -67,7 +74,8 @@ struct DistSearchOptions {
   /// any coordinator they run workers against.  Never serialized.
   DistCoordinator* coordinator = nullptr;
   /// Branch-and-bound frontier: the search splits into 2^frontier_depth
-  /// prefix-subtree units (clamped to the output count).
+  /// prefix-subtree units (clamped to the output count; at most
+  /// kMaxFrontierDepth).
   std::size_t frontier_depth = 6;
   /// false (default): every unit prunes only against its bound snapshot plus
   /// its own discoveries — results AND work counters are bit-identical for

@@ -131,50 +131,6 @@ SearchResult local_exhaustive(const AssignmentEvaluator& evaluator,
                   : exhaustive_min_area(evaluator, options);
 }
 
-/// Annealing-restart fan-out of dist_min_area_assignment.
-SearchResult dist_anneal(const AssignmentEvaluator& evaluator,
-                         const MinAreaOptions& options,
-                         const DistSearchOptions& dist) {
-  const std::size_t num_pos = evaluator.network().num_pos();
-  const std::size_t iterations =
-      resolve_anneal_iterations(options.anneal_iterations, num_pos);
-  const unsigned num_restarts = std::max(1u, options.restarts);
-
-  const CircuitSpec circuit = stamped_circuit(evaluator, dist);
-  std::vector<WorkUnit> units(num_restarts);
-  for (unsigned restart = 0; restart < num_restarts; ++restart) {
-    WorkUnit& unit = units[restart];
-    unit.kind = UnitKind::kAnnealRestart;
-    unit.anneal_seed = options.seed;
-    unit.restart_index = restart;
-    unit.iterations = iterations;
-    unit.trace_id = obs::current_trace_id();
-    unit.circuit = circuit.key;
-  }
-
-  DistCoordinator::OpenedJob job = dist.coordinator->open_job(
-      std::move(units), dist.lease_timeout_ms, dist.rid,
-      format_circuit_payload(circuit, evaluator.probs()));
-  const JobResult outcome = run_and_wait(evaluator, *dist.coordinator, job,
-                                         dist, options.num_threads);
-
-  // Replay the sequential merge: restart order, strict improvement on area.
-  const obs::TraceSpan merge_span("dist.merge", obs::SpanCat::kDist);
-  SearchResult best;
-  double best_metric = std::numeric_limits<double>::infinity();
-  std::size_t evaluations = 0;
-  for (const UnitResult& unit : outcome.units) {
-    evaluations += static_cast<std::size_t>(unit.evaluations);
-    if (best.assignment.empty() || unit.metric < best_metric) {
-      best_metric = unit.metric;
-      best.assignment = assignment_from_string(unit.assignment);
-    }
-  }
-  best.cost = evaluator.evaluate(best.assignment);
-  best.counters.evaluations = evaluations;
-  return best;
-}
-
 }  // namespace
 
 std::string assignment_to_string(const PhaseAssignment& phases) {
@@ -183,14 +139,6 @@ std::string assignment_to_string(const PhaseAssignment& phases) {
   for (const Phase phase : phases)
     out += phase == Phase::kPositive ? '+' : '-';
   return out;
-}
-
-PhaseAssignment assignment_from_string(const std::string& text) {
-  PhaseAssignment phases;
-  phases.reserve(text.size());
-  for (const char c : text)
-    phases.push_back(c == '-' ? Phase::kNegative : Phase::kPositive);
-  return phases;
 }
 
 UnitResult run_work_unit(const AssignmentEvaluator& evaluator,
@@ -204,29 +152,20 @@ UnitResult run_work_unit(const AssignmentEvaluator& evaluator,
   out.job_id = unit.job_id;
   out.unit_id = unit.unit_id;
   try {
-    if (unit.kind == UnitKind::kBnbSubtree) {
-      BnbSubtreeOptions options;
-      options.task = unit.task;
-      options.frontier_depth = unit.frontier_depth;
-      options.bound_snapshot = unit.bound_snapshot;
-      options.node_budget = unit.node_budget;
-      options.channel = unit.shared_bounds ? channel : nullptr;
-      const BnbSubtreeResult result =
-          run_bnb_subtree(evaluator, unit.by_power, options);
-      out.metric = result.metric;
-      out.code = result.code;
-      out.leaves = result.leaves;
-      out.nodes_expanded = result.nodes_expanded;
-      out.subtrees_pruned = result.subtrees_pruned;
-      out.budget_tripped = result.budget_tripped;
-    } else {
-      const AnnealRestartOutcome result = run_min_area_restart(
-          evaluator, unit.anneal_seed, unit.restart_index,
-          static_cast<std::size_t>(unit.iterations));
-      out.metric = static_cast<double>(result.area);
-      out.assignment = assignment_to_string(result.assignment);
-      out.evaluations = result.evaluations;
-    }
+    BnbSubtreeOptions options;
+    options.task = unit.task;
+    options.frontier_depth = unit.frontier_depth;
+    options.bound_snapshot = unit.bound_snapshot;
+    options.node_budget = unit.node_budget;
+    options.channel = unit.shared_bounds ? channel : nullptr;
+    const BnbSubtreeResult result =
+        run_bnb_subtree(evaluator, unit.by_power, options);
+    out.metric = result.metric;
+    out.code = result.code;
+    out.leaves = result.leaves;
+    out.nodes_expanded = result.nodes_expanded;
+    out.subtrees_pruned = result.subtrees_pruned;
+    out.budget_tripped = result.budget_tripped;
   } catch (const std::exception& error) {
     out.ok = false;
     out.error = error.what();
@@ -240,6 +179,11 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
                                     const DistSearchOptions& dist) {
   if (!dist.enabled || dist.coordinator == nullptr)
     throw DistSearchError("distributed search has no coordinator");
+  if (dist.frontier_depth > kMaxFrontierDepth)
+    throw DistSearchError("frontier depth " +
+                          std::to_string(dist.frontier_depth) +
+                          " exceeds the limit of " +
+                          std::to_string(kMaxFrontierDepth));
 
   // Mirror the local dispatch exactly so refusals and degenerate cases are
   // indistinguishable from a single-process run.
@@ -258,7 +202,6 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
   std::vector<WorkUnit> units(static_cast<std::size_t>(num_units));
   for (std::uint64_t task = 0; task < num_units; ++task) {
     WorkUnit& unit = units[static_cast<std::size_t>(task)];
-    unit.kind = UnitKind::kBnbSubtree;
     unit.by_power = by_power;
     unit.task = task;
     unit.frontier_depth = static_cast<std::uint32_t>(frontier);
@@ -310,32 +253,6 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
       best_metric > 0.0 ? seed.root_bound / best_metric
                         : (seed.root_bound == best_metric ? 1.0 : 0.0);
   return best;
-}
-
-SearchResult dist_min_area_assignment(const AssignmentEvaluator& evaluator,
-                                      const MinAreaOptions& options,
-                                      const DistSearchOptions& dist) {
-  if (!dist.enabled || dist.coordinator == nullptr)
-    throw DistSearchError("distributed search has no coordinator");
-  const std::size_t num_pos = evaluator.network().num_pos();
-  if (num_pos == 0) return min_area_assignment(evaluator, options);
-
-  const std::size_t exhaustive_limit =
-      std::min(options.exhaustive_limit, kMaxExhaustiveOutputs);
-  if (num_pos <= exhaustive_limit) {
-    ExhaustiveOptions exhaustive;
-    exhaustive.max_outputs = exhaustive_limit;
-    exhaustive.num_threads = options.num_threads;
-    exhaustive.node_budget = options.node_budget;
-    try {
-      return dist_exhaustive_search(evaluator, /*by_power=*/false, exhaustive,
-                                    dist);
-    } catch (const ExhaustiveBudgetError&) {
-      // Same fallback as min_area_assignment: the exact search was capped,
-      // anneal instead — but distribute the restarts too.
-    }
-  }
-  return dist_anneal(evaluator, options, dist);
 }
 
 }  // namespace dominosyn::dist

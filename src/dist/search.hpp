@@ -1,21 +1,20 @@
 /// \file search.hpp
-/// Distributed drivers of the phase-assignment searches: split a search into
-/// work units (dist/workunit.hpp), open a job on a coordinator, optionally
-/// run units on the submitting process's own threads, and merge the completed
-/// units deterministically.
+/// The distributed driver of the exact phase-assignment search: split the
+/// branch-and-bound enumeration into subtree work units (dist/workunit.hpp),
+/// open a job on a coordinator, optionally run units on the submitting
+/// process's own threads, and merge the completed units deterministically.
+/// The flow sends only its exact power searches here (mode=mp's exact search
+/// and mode=exhaustive); min-area search always runs locally.
 ///
 /// Determinism contract (docs/distributed.md): the merged (cost, assignment,
 /// tie-break) is bit-identical to the single-process search for every worker
-/// count, thread count and steal interleaving —
-///  * branch-and-bound units fix disjoint prefixes of the same plan order and
-///    prune strictly, so every leaf tied with the global optimum survives in
-///    exactly one unit; the merge takes the lexicographic (metric, code)
-///    minimum over the seed candidate and the units in unit order;
-///  * annealing units are seeded pure functions of (master seed, restart
-///    index); the merge replays the sequential first-strict-improvement rule
-///    in restart order.
-/// Without shared bounds the per-unit work counters are pure functions of the
-/// unit too, so the summed telemetry is reproducible across every topology.
+/// count, thread count and steal interleaving.  The units fix disjoint
+/// prefixes of the same plan order and prune strictly, so every leaf tied
+/// with the global optimum survives in exactly one unit; the merge takes the
+/// lexicographic (metric, code) minimum over the seed candidate and the
+/// units in unit order.  Without shared bounds the per-unit work counters
+/// are pure functions of the unit too, so the summed telemetry is
+/// reproducible across every topology.
 ///
 /// Any fabric-level failure (no coordinator, cancelled job, failed unit)
 /// throws DistSearchError; FlowSession catches it and falls back to the
@@ -33,8 +32,9 @@
 
 namespace dominosyn::dist {
 
-/// Fabric-level failure: no usable coordinator/circuit spec, job cancelled
-/// by shutdown, or a unit failed remotely.  Callers fall back locally.
+/// Fabric-level failure: no usable coordinator/circuit spec, a frontier
+/// deeper than kMaxFrontierDepth, job cancelled by shutdown, or a unit
+/// failed remotely.  Callers fall back locally.
 class DistSearchError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -49,25 +49,17 @@ class DistSearchError : public std::runtime_error {
                                        IncumbentChannel* channel = nullptr);
 
 /// Distributed exhaustive_min_power / exhaustive_min_area (by_power selects).
-/// Splits the branch-and-bound enumeration at options.frontier_depth into
-/// 2^depth subtree units.  Degenerate cases (no outputs, Gray-walk request,
-/// non-admissible bounds) run the local search directly.  Throws the same
-/// ExhaustiveLimitError / ExhaustiveBudgetError contracts as the local
-/// search, plus DistSearchError on fabric failures.
+/// Splits the branch-and-bound enumeration at dist.frontier_depth (clamped
+/// to the output count) into 2^depth subtree units; a depth above
+/// kMaxFrontierDepth throws DistSearchError before any job opens.
+/// Degenerate cases (no outputs, non-admissible bounds) run the local search
+/// directly.  Throws the same ExhaustiveLimitError / ExhaustiveBudgetError
+/// contracts as the local search, plus DistSearchError on fabric failures.
 [[nodiscard]] SearchResult dist_exhaustive_search(
     const AssignmentEvaluator& evaluator, bool by_power,
     const ExhaustiveOptions& options, const DistSearchOptions& dist);
 
-/// Distributed min_area_assignment: exact branch-and-bound units when the
-/// output count allows, annealing-restart units (one per restart) when the
-/// budget trips or the count is too large.
-[[nodiscard]] SearchResult dist_min_area_assignment(
-    const AssignmentEvaluator& evaluator, const MinAreaOptions& options,
-    const DistSearchOptions& dist);
-
-/// '+'/'-' encoding of a phase assignment (output i positive = '+'), the
-/// wire form annealing unit results carry.
+/// '+'/'-' encoding of a phase assignment (output i positive = '+').
 [[nodiscard]] std::string assignment_to_string(const PhaseAssignment& phases);
-[[nodiscard]] PhaseAssignment assignment_from_string(const std::string& text);
 
 }  // namespace dominosyn::dist

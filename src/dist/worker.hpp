@@ -1,10 +1,12 @@
 /// \file worker.hpp
 /// The worker side of the distributed search fabric (`dominod --worker`): a
-/// pool of threads that connect to a coordinator daemon, lease work units,
-/// run them on the unchanged local engines (run_bnb_subtree /
-/// run_min_area_restart) and report results — stealing speculative duplicate
+/// pool of threads that connect to a coordinator daemon, lease work units
+/// (branch-and-bound subtrees), run them on the unchanged local engine
+/// (run_bnb_subtree) and report results — stealing speculative duplicate
 /// leases when the queue runs dry and reconnecting with backoff when the
-/// coordinator goes away.
+/// coordinator goes away.  A grant that does not decode, such as an older
+/// coordinator's annealing restart, is treated like a lost connection: the
+/// thread reconnects.
 ///
 /// A grant names its circuit by CircuitKey only.  A worker that does not
 /// hold that circuit fetches the job's payload once (`fetch_circuit`): the

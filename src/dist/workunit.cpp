@@ -60,11 +60,9 @@ std::string format_complete_command(const std::string& worker,
   out += " ok=" + std::string(result.ok ? "1" : "0");
   out += " metric=" + codec::encode_double(result.metric);
   out += " code=" + std::to_string(result.code);
-  if (!result.assignment.empty()) out += " assignment=" + result.assignment;
   out += " leaves=" + std::to_string(result.leaves);
   out += " expanded=" + std::to_string(result.nodes_expanded);
   out += " pruned=" + std::to_string(result.subtrees_pruned);
-  out += " evals=" + std::to_string(result.evaluations);
   out += " tripped=" + std::string(result.budget_tripped ? "1" : "0");
   if (!result.spans_wire.empty())
     out += " spans=" + percent_encode(result.spans_wire);
@@ -106,16 +104,12 @@ UnitResult parse_complete_tokens(const std::vector<std::string_view>& tokens) {
       result.metric = codec::decode_double(field);
     } else if (key == "code") {
       result.code = codec::decode_u64(field);
-    } else if (key == "assignment") {
-      result.assignment = field.value;
     } else if (key == "leaves") {
       result.leaves = codec::decode_u64(field);
     } else if (key == "expanded") {
       result.nodes_expanded = codec::decode_u64(field);
     } else if (key == "pruned") {
       result.subtrees_pruned = codec::decode_u64(field);
-    } else if (key == "evals") {
-      result.evaluations = codec::decode_u64(field);
     } else if (key == "tripped") {
       result.budget_tripped = codec::decode_flag(field);
     } else if (key == "spans") {
@@ -138,17 +132,11 @@ std::string format_work_grant(const WorkUnit& unit, double incumbent) {
   append_field(out, "work", true);
   append_field(out, "job", unit.job_id);
   append_field(out, "unit", unit.unit_id);
-  append_field(out, "kind", std::string_view(unit.kind == UnitKind::kBnbSubtree
-                                                 ? "bnb"
-                                                 : "anneal"));
   append_field(out, "by_power", unit.by_power);
   append_field(out, "task", unit.task);
   append_field(out, "frontier", std::uint64_t{unit.frontier_depth});
   append_field(out, "bound", unit.bound_snapshot);
   append_field(out, "budget", unit.node_budget);
-  append_field(out, "aseed", unit.anneal_seed);
-  append_field(out, "restart", std::uint64_t{unit.restart_index});
-  append_field(out, "iters", unit.iterations);
   append_field(out, "shared", unit.shared_bounds);
   // Optional: absent for untraced requests, ignored by older workers.
   if (unit.trace_id != 0) append_field(out, "trace", unit.trace_id);
@@ -182,23 +170,23 @@ std::optional<ParsedGrant> parse_work_grant(const std::string& json) {
     throw codec::Error("lease failed: " + json);
   if (!codec::find_bool(json, "work").value_or(false)) return std::nullopt;
 
+  // Grants name no kind: every unit is a B&B subtree.  An older
+  // coordinator's annealing grant, run as a subtree, would answer another
+  // search, so it is no grant at all.
+  if (json.find("\"kind\":") != std::string::npos &&
+      codec::find_string(json, "kind") != "bnb")
+    throw codec::Error("work unit of a kind other than bnb: " + json);
+
   ParsedGrant grant;
   WorkUnit& unit = grant.unit;
   unit.job_id = require_u64(json, "job");
   unit.unit_id = require_u64(json, "unit");
-  unit.kind = codec::find_string(json, "kind").value_or("bnb") == "anneal"
-                  ? UnitKind::kAnnealRestart
-                  : UnitKind::kBnbSubtree;
   unit.by_power = codec::find_bool(json, "by_power").value_or(true);
   unit.task = require_u64(json, "task");
   unit.frontier_depth =
       codec::narrow_u32("frontier", require_u64(json, "frontier"));
   unit.bound_snapshot = require_double(json, "bound");
   unit.node_budget = require_u64(json, "budget");
-  unit.anneal_seed = require_u64(json, "aseed");
-  unit.restart_index =
-      codec::narrow_u32("restart", require_u64(json, "restart"));
-  unit.iterations = require_u64(json, "iters");
   unit.shared_bounds = codec::find_bool(json, "shared").value_or(false);
   unit.trace_id = codec::find_uint64(json, "trace").value_or(0);
 

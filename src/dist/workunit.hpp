@@ -2,16 +2,14 @@
 /// The work-unit model of the distributed search fabric (docs/distributed.md)
 /// and its wire encoding over the dominod line protocol.
 ///
-/// A *work unit* is a self-contained slice of one phase-assignment search:
-///   * branch-and-bound — one prefix subtree of the 2^P enumeration:
-///     (circuit, task bits, frontier depth, bound snapshot, node budget);
-///   * annealing — one restart: (circuit, master seed, restart index,
-///     resolved iteration schedule).
-/// Units run single-threaded (run_bnb_subtree / run_min_area_restart), so a
-/// unit's result — and, without shared bounds, its work counters — is a pure
-/// function of the unit description.  Completed units carry the best
-/// (metric, code/assignment) pair plus telemetry; the coordinator merges them
-/// in unit order with the exact single-process tie-break.
+/// A *work unit* is one prefix subtree of an exact branch-and-bound search
+/// over the 2^P assignments: (circuit, task bits, frontier depth, bound
+/// snapshot, node budget).  It is the fabric's one unit kind; min-area
+/// search always runs locally.  Units run single-threaded (run_bnb_subtree),
+/// so a unit's result — and, without shared bounds, its work counters — is
+/// a pure function of the unit description.  Completed units carry the best
+/// (metric, code) pair plus telemetry; the coordinator merges them in unit
+/// order with the exact single-process tie-break.
 ///
 /// A grant names its circuit only by CircuitKey.  The circuit itself — its
 /// spec plus the coordinator evaluator's per-node probabilities — travels
@@ -26,7 +24,9 @@
 /// and scanned as exact decimal text — never through a double, which loses
 /// precision past 2^53.  Metrics and probabilities are doubles formatted
 /// shortest-round-trip; the infinities a fully-pruned subtree reports are
-/// the literal `inf` (quoted in JSON).
+/// the literal `inf` (quoted in JSON).  Grants name no unit kind; a grant
+/// from an older coordinator whose `kind` is not `bnb` (an annealing
+/// restart) does not decode.
 
 #pragma once
 
@@ -41,31 +41,20 @@
 
 namespace dominosyn::dist {
 
-enum class UnitKind : std::uint8_t {
-  kBnbSubtree,     ///< one branch-and-bound prefix subtree
-  kAnnealRestart,  ///< one min-area annealing restart
-};
-
 struct WorkUnit {
   std::uint64_t job_id = 0;   ///< coordinator-assigned
   std::uint64_t unit_id = 0;  ///< index within the job (merge order)
-  UnitKind kind = UnitKind::kBnbSubtree;
-  /// B&B: the optimization metric (power vs area).
+  /// The optimization metric (power vs area).
   bool by_power = true;
-  /// B&B: owned prefix bits and their depth (run_bnb_subtree semantics).
+  /// Owned prefix bits and their depth (run_bnb_subtree semantics).
   std::uint64_t task = 0;
   std::uint32_t frontier_depth = 0;
-  /// B&B: initial incumbent (the seed metric — identical for every unit of
-  /// a job, which is what makes unit results worker-independent).
+  /// Initial incumbent (the seed metric — identical for every unit of a
+  /// job, which is what makes unit results worker-independent).
   double bound_snapshot = std::numeric_limits<double>::infinity();
-  /// B&B: per-unit node budget (the job's global budget; the driver enforces
-  /// the global sum at merge time).  0 = unlimited.
+  /// Per-unit node budget (the job's global budget; the driver enforces the
+  /// global sum at merge time).  0 = unlimited.
   std::uint64_t node_budget = 0;
-  /// Annealing: master seed, restart index and the resolved (non-zero)
-  /// iteration count.
-  std::uint64_t anneal_seed = 0;
-  std::uint32_t restart_index = 0;
-  std::uint64_t iterations = 0;
   /// Attach a live incumbent channel while running (counters become
   /// timing-dependent; the result does not).
   bool shared_bounds = false;
@@ -82,16 +71,13 @@ struct UnitResult {
   std::uint64_t unit_id = 0;
   bool ok = true;
   std::string error;  ///< set when !ok (fingerprint mismatch, engine throw)
-  /// Best complete assignment found: (metric, code) for B&B — +inf / ~0
-  /// when the whole subtree pruned — and (metric = area, assignment string
-  /// of '+'/'-') for annealing, where codes would overflow past 62 outputs.
+  /// Best complete assignment found, as (metric, code) — +inf / ~0 when
+  /// the whole subtree pruned.
   double metric = std::numeric_limits<double>::infinity();
   std::uint64_t code = std::numeric_limits<std::uint64_t>::max();
-  std::string assignment;
   std::uint64_t leaves = 0;
   std::uint64_t nodes_expanded = 0;
   std::uint64_t subtrees_pruned = 0;
-  std::uint64_t evaluations = 0;  ///< annealing candidate measurements
   bool budget_tripped = false;
   /// Trace spans the unit produced on the worker, in obs::spans_to_wire
   /// encoding (optional `spans=` key on complete_work); the coordinator
@@ -115,7 +101,8 @@ struct UnitResult {
 
 /// Parses the `key=value` tail of a complete_work command (tokens[0] is the
 /// verb, as codec::split_tokens returns it).  Throws codec::Error on
-/// malformed/missing fields.
+/// malformed/missing fields and on unknown keys, such as the `evals=` (and
+/// for annealing results `assignment=`) that older workers write.
 [[nodiscard]] UnitResult parse_complete_tokens(
     const std::vector<std::string_view>& tokens);
 
@@ -134,7 +121,7 @@ struct UnitResult {
 
 /// Parses a lease/steal response; nullopt when `"work":false`.  The second
 /// member is the job incumbent at grant time.  Throws codec::Error on
-/// malformed grants.
+/// malformed grants and on a `kind` other than `bnb`.
 struct ParsedGrant {
   WorkUnit unit;
   double incumbent = std::numeric_limits<double>::infinity();

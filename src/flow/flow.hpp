@@ -77,10 +77,11 @@ struct FlowOptions {
   SimPowerOptions sim;           ///< measurement settings
   bool count_clock_load = true;  ///< add mapped clock-pin energy to sim power
   /// Distributed search fabric (docs/distributed.md): when enabled with a
-  /// coordinator, the exhaustive and annealing searches fan work units out to
-  /// connected workers — with results bit-identical to a local run, so this
-  /// is excluded from the session's stage-invalidation equality like the
-  /// thread counts are.
+  /// coordinator, the exact power searches (kMinPower's exact search and
+  /// kExhaustivePower) fan work units out to connected workers — with
+  /// results bit-identical to a local run, so this is excluded from the
+  /// session's stage-invalidation equality like the thread counts are.
+  /// Min-area search always runs locally.
   dist::DistSearchOptions dist;
 };
 

@@ -199,7 +199,8 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
   const AssignmentEvaluator& eval = evaluator();
   const std::size_t num_pos = eval.network().num_pos();
 
-  // The mode's search, its exact and min-area parts on the fabric or here.
+  // The mode's search, its exact power searches on the fabric or here; the
+  // min-area search always runs here.
   const auto search = [&](bool on_fabric) {
     const auto exact_min_power = [&](const ExhaustiveOptions& exhaustive) {
       return on_fabric ? dist::dist_exhaustive_search(eval, /*by_power=*/true,
@@ -214,9 +215,7 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
       case PhaseMode::kMinArea: {
         MinAreaOptions minarea = options_.minarea;
         minarea.num_threads = options_.num_threads;
-        return on_fabric ? dist::dist_min_area_assignment(eval, minarea,
-                                                          options_.dist)
-                         : min_area_assignment(eval, minarea);
+        return min_area_assignment(eval, minarea);
       }
       case PhaseMode::kMinPower: {
         if (min_power_searches_exactly(options_, num_pos)) {

@@ -579,6 +579,79 @@ SearchResult exhaustive_by(const AssignmentEvaluator& evaluator, bool by_power,
   return exhaustive_branch_and_bound(evaluator, by_power, options);
 }
 
+struct AnnealRestartOutcome {
+  PhaseAssignment assignment;
+  std::size_t area = 0;
+  std::size_t evaluations = 0;
+};
+
+/// One annealing restart of the min-area search: restart `restart` under
+/// master seed `seed` (Rng seeded seed + restart * golden-ratio), metropolis
+/// walk of `iterations` steps, then the first-improvement descent.
+AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
+                                          std::uint64_t seed,
+                                          std::size_t restart,
+                                          std::size_t iterations) {
+  const obs::TraceSpan span("search.anneal", obs::SpanCat::kSearch);
+  const std::size_t num_pos = evaluator.network().num_pos();
+
+  Rng rng(seed + restart * 0x9e3779b9ULL);
+  PhaseAssignment initial(num_pos, Phase::kPositive);
+  if (restart > 0)  // diversify restarts
+    for (auto& phase : initial)
+      phase = rng.bernoulli(0.5) ? Phase::kNegative : Phase::kPositive;
+
+  EvalState state(evaluator.context(), initial);
+  std::size_t evaluations = 1;
+  double energy = static_cast<double>(state.area_cells());
+  PhaseAssignment best = state.assignment();
+  double best_energy = energy;
+
+  const double t0 = std::max(1.0, 0.05 * energy);
+  const double t_end = 0.01;
+  const double alpha =
+      std::pow(t_end / t0, 1.0 / static_cast<double>(iterations));
+  double temperature = t0;
+
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
+    state.apply_flip(rng.below(num_pos));
+    const double trial = static_cast<double>(state.area_cells());
+    ++evaluations;
+    const double delta = trial - energy;
+    if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
+      energy = trial;
+      if (energy < best_energy) {
+        best_energy = energy;
+        best = state.assignment();
+      }
+    } else {
+      state.undo();
+    }
+    temperature *= alpha;
+  }
+
+  // Greedy descent from the best annealed point.
+  state.set_assignment(best);
+  energy = best_energy;
+  bool improved = true;
+  while (improved) {
+    improved = false;
+    for (std::size_t i = 0; i < num_pos; ++i) {
+      state.apply_flip(i);
+      const double trial = static_cast<double>(state.area_cells());
+      ++evaluations;
+      if (trial < energy) {
+        energy = trial;
+        improved = true;
+      } else {
+        state.undo();
+      }
+    }
+  }
+
+  return {state.assignment(), static_cast<std::size_t>(energy), evaluations};
+}
+
 }  // namespace
 
 SearchResult exhaustive_gray_walk(const AssignmentEvaluator& evaluator,
@@ -637,10 +710,10 @@ SearchResult min_area_assignment(const AssignmentEvaluator& evaluator,
 
   // Simulated annealing over single-output flips, with restarts and a final
   // greedy descent; deterministic via the seeded per-restart RNG, so the
-  // restarts can run concurrently without changing any trajectory — and so
-  // a restart ships intact as one distributed work unit (src/dist/).
-  const std::size_t iterations =
-      resolve_anneal_iterations(options.anneal_iterations, num_pos);
+  // restarts can run concurrently without changing any trajectory.
+  const std::size_t iterations = options.anneal_iterations != 0
+                                     ? options.anneal_iterations
+                                     : 250 * num_pos;
   // At least one restart, or there would be no assignment to return.
   const unsigned num_restarts = std::max(1u, options.restarts);
   std::vector<AnnealRestartOutcome> restarts(num_restarts);
@@ -731,71 +804,6 @@ BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
   result.budget_tripped =
       shared.budget_tripped.load(std::memory_order_relaxed);
   return result;
-}
-
-AnnealRestartOutcome run_min_area_restart(const AssignmentEvaluator& evaluator,
-                                          std::uint64_t seed,
-                                          std::size_t restart_index,
-                                          std::size_t iterations) {
-  const obs::TraceSpan span("search.anneal", obs::SpanCat::kSearch);
-  const std::size_t num_pos = evaluator.network().num_pos();
-  const std::size_t restart = restart_index;
-
-  Rng rng(seed + restart * 0x9e3779b9ULL);
-  PhaseAssignment initial(num_pos, Phase::kPositive);
-  if (restart > 0)  // diversify restarts
-    for (auto& phase : initial)
-      phase = rng.bernoulli(0.5) ? Phase::kNegative : Phase::kPositive;
-
-  EvalState state(evaluator.context(), initial);
-  std::size_t evaluations = 1;
-  double energy = static_cast<double>(state.area_cells());
-  PhaseAssignment best = state.assignment();
-  double best_energy = energy;
-
-  const double t0 = std::max(1.0, 0.05 * energy);
-  const double t_end = 0.01;
-  const double alpha =
-      std::pow(t_end / t0, 1.0 / static_cast<double>(iterations));
-  double temperature = t0;
-
-  for (std::size_t iter = 0; iter < iterations; ++iter) {
-    state.apply_flip(rng.below(num_pos));
-    const double trial = static_cast<double>(state.area_cells());
-    ++evaluations;
-    const double delta = trial - energy;
-    if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
-      energy = trial;
-      if (energy < best_energy) {
-        best_energy = energy;
-        best = state.assignment();
-      }
-    } else {
-      state.undo();
-    }
-    temperature *= alpha;
-  }
-
-  // Greedy descent from the best annealed point.
-  state.set_assignment(best);
-  energy = best_energy;
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (std::size_t i = 0; i < num_pos; ++i) {
-      state.apply_flip(i);
-      const double trial = static_cast<double>(state.area_cells());
-      ++evaluations;
-      if (trial < energy) {
-        energy = trial;
-        improved = true;
-      } else {
-        state.undo();
-      }
-    }
-  }
-
-  return {state.assignment(), static_cast<std::size_t>(energy), evaluations};
 }
 
 }  // namespace dominosyn

@@ -220,11 +220,12 @@ struct MinAreaOptions {
 // `frontier_depth` phases (in the plan's largest-cone-first order) yields
 // 2^frontier_depth independent subtrees whose best leaves merge by the same
 // lexicographic (metric, code) order the single-process search uses.  The
-// entry points below expose one subtree — and one annealing restart — as a
-// self-contained unit of work so src/dist/ can ship them across machines.
-// Each unit runs single-threaded and, when `channel` is null, prunes only
-// against its bound snapshot plus its own discoveries — making the result
-// *and* the work counters pure functions of the unit description.
+// entry points below expose one subtree as a self-contained unit of work so
+// src/dist/ can ship it across machines.  Each unit runs single-threaded
+// and, when `channel` is null, prunes only against its bound snapshot plus
+// its own discoveries — making the result *and* the work counters pure
+// functions of the unit description.  Min-area search always runs locally
+// (min_area_assignment).
 
 /// Cross-process incumbent exchange for subtree units.  `current()` returns
 /// the best metric known externally (+inf when none); `publish()` reports a
@@ -292,27 +293,6 @@ struct BnbSubtreeResult {
 [[nodiscard]] BnbSubtreeResult run_bnb_subtree(const AssignmentEvaluator& evaluator,
                                                bool by_power,
                                                const BnbSubtreeOptions& options);
-
-/// One annealing restart of the min-area search, exactly as
-/// min_area_assignment runs it: restart `restart_index` under master seed
-/// `seed` (Rng seeded seed + index * golden-ratio), metropolis walk of
-/// `iterations` steps, then the first-improvement descent.
-struct AnnealRestartOutcome {
-  PhaseAssignment assignment;
-  std::size_t area = 0;
-  std::size_t evaluations = 0;
-};
-[[nodiscard]] AnnealRestartOutcome run_min_area_restart(
-    const AssignmentEvaluator& evaluator, std::uint64_t seed,
-    std::size_t restart_index, std::size_t iterations);
-
-/// The iteration count an auto (0) request resolves to — shared by
-/// min_area_assignment and the distributed annealing units so shipped units
-/// carry the exact resolved schedule.
-[[nodiscard]] constexpr std::size_t resolve_anneal_iterations(
-    std::size_t requested, std::size_t num_pos) noexcept {
-  return requested != 0 ? requested : 250 * num_pos;
-}
 
 /// Phase-code <-> assignment mapping shared by every exhaustive search:
 /// output i is negative iff bit i of the code is set.

@@ -117,8 +117,8 @@ Command parse_submit_header(const std::vector<std::string_view>& tokens,
     } else if (key == "dist") {
       request.options.dist.enabled = require_long(field, 0, 1) != 0;
     } else if (key == "dist_frontier") {
-      request.options.dist.frontier_depth =
-          static_cast<std::size_t>(require_long(field, 0, 62));
+      request.options.dist.frontier_depth = static_cast<std::size_t>(
+          require_long(field, 0, dist::kMaxFrontierDepth));
     } else if (key == "dist_shared") {
       request.options.dist.shared_bounds = require_long(field, 0, 1) != 0;
     } else if (key == "dist_participate") {

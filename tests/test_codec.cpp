@@ -4,10 +4,12 @@
 ///    work grants, the fetch_circuit command and circuit payloads, worker
 ///    commands, acks, submit/stats/job_status/error responses and the span
 ///    token — so a format only changes on purpose; each golden also decodes
-///    and re-encodes to itself,
+///    and re-encodes to itself, and an older coordinator's B&B grant decodes
+///    while its annealing grant does not,
 ///  * a journal written by earlier builds (whose unit lines carry the
-///    circuit spec) replays to the expected jobs and is compacted to the
-///    current records,
+///    circuit spec and the unit kind, and whose completions carry `evals=`)
+///    replays without error: its B&B job is compacted to the current
+///    records, its annealing job is dropped and its completions skipped,
 ///  * strict decoding: a value decodes only as a whole token its encoder
 ///    could have written,
 ///  * a fixed-seed loop of random bytes, doubles and u64s through every
@@ -99,14 +101,10 @@ dist::WorkUnit bench_unit() {
   return unit;
 }
 
-/// An annealing unit with a -inf bound.
+/// A unit with a -inf bound.
 dist::WorkUnit blif_unit() {
   dist::WorkUnit unit;
   unit.job_id = 2;
-  unit.kind = dist::UnitKind::kAnnealRestart;
-  unit.anneal_seed = 0x9e3779b97f4a7c15ULL;
-  unit.restart_index = 3;
-  unit.iterations = 2000;
   unit.bound_snapshot = -kInf;
   unit.circuit = blif_circuit().key;
   return unit;
@@ -129,11 +127,9 @@ dist::UnitResult ok_result() {
   result.unit_id = (1ULL << 62) + 3;
   result.metric = 123.4567890123456789;
   result.code = (1ULL << 61) + 12345;
-  result.assignment = "+-+-";
   result.leaves = 11;
   result.nodes_expanded = 222;
   result.subtrees_pruned = 33;
-  result.evaluations = 666;
   result.budget_tripped = true;
   result.spans_wire = "dist.unit,3,9007199254740993,1700000000000000,4321,2";
   return result;
@@ -196,26 +192,39 @@ ServerResponse ok_response() {
 // comment says the format changed on purpose.
 
 // Changed on purpose: grants name their circuit by key only; the spec
-// (corpus, blif, bench_*) travels in the circuit payloads below.
+// (corpus, blif, bench_*) travels in the circuit payloads below.  Every
+// unit is a B&B subtree, so grants carry no kind and no annealing fields.
 constexpr std::string_view kGrantBenchTrace =
+    "{\"ok\":true,\"work\":true,\"job\":9,\"unit\":41,\"by_power\":false,"
+    "\"task\":1152921504606847053,\"frontier\":6,\"bound\":98.5,"
+    "\"budget\":2097152,\"shared\":true,\"trace\":9007199254741001,"
+    "\"pi_prob\":0.375,\"load_aware\":false,"
+    "\"fingerprint\":9223372036854775907,\"incumbent\":42.25}";
+constexpr std::string_view kGrantBlifNegInf =
+    "{\"ok\":true,\"work\":true,\"job\":2,\"unit\":0,\"by_power\":true,"
+    "\"task\":0,\"frontier\":0,\"bound\":\"-inf\",\"budget\":0,"
+    "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
+    "\"incumbent\":\"inf\"}";
+constexpr std::string_view kGrantCorpusNan =
+    "{\"ok\":true,\"work\":true,\"job\":7,\"unit\":3,\"by_power\":true,"
+    "\"task\":13,\"frontier\":4,\"bound\":\"nan\",\"budget\":0,"
+    "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,"
+    "\"fingerprint\":280298068560638,\"incumbent\":1}";
+// What an older coordinator granted for bench_unit(), and for an annealing
+// restart: the first decodes to kGrantBenchTrace's unit, the second to none.
+constexpr std::string_view kLegacyGrantBnb =
     "{\"ok\":true,\"work\":true,\"job\":9,\"unit\":41,\"kind\":\"bnb\","
     "\"by_power\":false,\"task\":1152921504606847053,\"frontier\":6,"
     "\"bound\":98.5,\"budget\":2097152,\"aseed\":0,\"restart\":0,\"iters\":0,"
     "\"shared\":true,\"trace\":9007199254741001,\"pi_prob\":0.375,"
     "\"load_aware\":false,\"fingerprint\":9223372036854775907,"
     "\"incumbent\":42.25}";
-constexpr std::string_view kGrantBlifNegInf =
+constexpr std::string_view kLegacyGrantAnneal =
     "{\"ok\":true,\"work\":true,\"job\":2,\"unit\":0,\"kind\":\"anneal\","
     "\"by_power\":true,\"task\":0,\"frontier\":0,\"bound\":\"-inf\","
     "\"budget\":0,\"aseed\":11400714819323198485,\"restart\":3,\"iters\":2000,"
     "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
     "\"incumbent\":\"inf\"}";
-constexpr std::string_view kGrantCorpusNan =
-    "{\"ok\":true,\"work\":true,\"job\":7,\"unit\":3,\"kind\":\"bnb\","
-    "\"by_power\":true,\"task\":13,\"frontier\":4,\"bound\":\"nan\","
-    "\"budget\":0,\"aseed\":0,\"restart\":0,\"iters\":0,\"shared\":false,"
-    "\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":280298068560638,"
-    "\"incumbent\":1}";
 constexpr std::string_view kFetch = "fetch_circuit worker=w%201%3d%25 job=9";
 // The circuit payloads keep the spec encoding grants used to carry.
 constexpr std::string_view kCircuitBench =
@@ -238,14 +247,16 @@ constexpr std::string_view kCircuitCorpus =
     "\"probs\":\"0.5\"}";
 constexpr std::string_view kNoCircuit =
     "{\"ok\":false,\"error\":\"no circuit for job 12: unknown or finished\"}";
+// Changed on purpose: no `evals=` and no `assignment=`, the annealing
+// results' keys.
 constexpr std::string_view kCompleteOk =
     "complete_work worker=w#0 job=7 unit=4611686018427387907 ok=1 "
-    "metric=123.45678901234568 code=2305843009213706297 assignment=+-+- "
-    "leaves=11 expanded=222 pruned=33 evals=666 tripped=1 spans=dist.unit,3,"
+    "metric=123.45678901234568 code=2305843009213706297 leaves=11 "
+    "expanded=222 pruned=33 tripped=1 spans=dist.unit,3,"
     "9007199254740993,1700000000000000,4321,2";
 constexpr std::string_view kCompleteFailed =
     "complete_work worker=worker%203 job=1 unit=2 ok=0 metric=inf "
-    "code=18446744073709551615 leaves=0 expanded=0 pruned=0 evals=0 tripped=0 "
+    "code=18446744073709551615 leaves=0 expanded=0 pruned=0 tripped=0 "
     "error=fingerprint%20mismatch:%2050%25%20off%20%3d%20bad%0asecond%01line";
 constexpr std::string_view kLease = "lease_work worker=w%201%3d%25";
 constexpr std::string_view kSteal = "steal worker=w2";
@@ -329,21 +340,21 @@ constexpr std::string_view kJournal[] = {
     "error=fingerprint%20mismatch:%2050%25%20off%20%3d%20bad%0asecond%01line",
     "finish job=8 failed=0",
 };
-/// kJournal's unit lines as boot compaction rewrites them: slim grants.
-constexpr std::string_view kJournalSlimUnits[] = {
-    "unit {\"ok\":true,\"work\":true,\"job\":7,\"unit\":0,\"kind\":\"bnb\","
-    "\"by_power\":true,\"task\":13,\"frontier\":4,\"bound\":98.5,\"budget\":0,"
-    "\"aseed\":0,\"restart\":0,\"iters\":0,\"shared\":false,\"pi_prob\":0.5,"
-    "\"load_aware\":true,\"fingerprint\":280298068560638,\"incumbent\":\"inf\"}",
-    "unit {\"ok\":true,\"work\":true,\"job\":7,\"unit\":1,\"kind\":\"bnb\","
-    "\"by_power\":true,\"task\":13,\"frontier\":4,\"bound\":98.5,\"budget\":0,"
-    "\"aseed\":0,\"restart\":0,\"iters\":0,\"shared\":false,\"pi_prob\":0.5,"
-    "\"load_aware\":true,\"fingerprint\":280298068560638,\"incumbent\":\"inf\"}",
-    "unit {\"ok\":true,\"work\":true,\"job\":8,\"unit\":0,\"kind\":\"anneal\","
-    "\"by_power\":true,\"task\":0,\"frontier\":0,\"bound\":\"-inf\","
-    "\"budget\":0,\"aseed\":11400714819323198485,\"restart\":3,\"iters\":2000,"
-    "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
-    "\"incumbent\":\"inf\"}",
+/// kJournal as boot compaction rewrites it.  Job 7's unit lines become
+/// slim grants; its completion carries the annealing results' keys
+/// (`assignment=`, `evals=`), so it is skipped and unit 1 reruns.  Job 8 is
+/// an annealing restart: no unit of it replays, so the job is dropped.
+constexpr std::string_view kJournalCompacted[] = {
+    "open job=7 rid=rid%207%25%3dx lease_ms=30000 units=2",
+    "unit {\"ok\":true,\"work\":true,\"job\":7,\"unit\":0,\"by_power\":true,"
+    "\"task\":13,\"frontier\":4,\"bound\":98.5,\"budget\":0,"
+    "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,"
+    "\"fingerprint\":280298068560638,\"incumbent\":\"inf\"}",
+    "unit {\"ok\":true,\"work\":true,\"job\":7,\"unit\":1,\"by_power\":true,"
+    "\"task\":13,\"frontier\":4,\"bound\":98.5,\"budget\":0,"
+    "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,"
+    "\"fingerprint\":280298068560638,\"incumbent\":\"inf\"}",
+    "incumbent job=7 metric=42.5",
 };
 
 TEST(CodecGolden, WorkGrantsKeepTheirBytes) {
@@ -357,6 +368,14 @@ TEST(CodecGolden, WorkGrantsKeepTheirBytes) {
     ASSERT_TRUE(grant.has_value()) << golden;
     EXPECT_EQ(dist::format_work_grant(grant->unit, grant->incumbent), golden);
   }
+  // An older coordinator's B&B grant is the same unit; its annealing grant
+  // is none.
+  const auto legacy = dist::parse_work_grant(std::string(kLegacyGrantBnb));
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(dist::format_work_grant(legacy->unit, legacy->incumbent),
+            kGrantBenchTrace);
+  EXPECT_THROW((void)dist::parse_work_grant(std::string(kLegacyGrantAnneal)),
+               codec::Error);
 }
 
 TEST(CodecGolden, FetchCircuitKeepsItsBytes) {
@@ -498,32 +517,28 @@ TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheCurrentRecords) {
   {
     dist::checkpoint::CheckpointLog log(dir);
     EXPECT_EQ(log.replay_stats().records, std::size(kJournal));
+    EXPECT_EQ(log.replay_stats().jobs, 1u);
+    EXPECT_EQ(log.replay_stats().completed_units, 0u);
     jobs = log.take_recovered();
   }
-  // Boot compaction rewrote the replayed state as the snapshot: the same
-  // records, with unit lines as slim grants.  A legacy unit line decodes to
-  // exactly the unit its slim line describes; its circuit spec is ignored.
+  // Boot compaction rewrote the replayed state as the snapshot.  A legacy
+  // B&B unit line decodes to exactly the unit its slim line describes; its
+  // circuit spec, kind and annealing fields are ignored.
   const journal::ScanResult snapshot =
       journal::scan_file(dir + "/snapshot.djl");
   wipe();
-  ASSERT_EQ(snapshot.records.size(), std::size(kJournal));
-  std::size_t slim = 0;
-  for (std::size_t i = 0; i < snapshot.records.size(); ++i) {
-    if (!kJournal[i].starts_with("unit ")) {
-      EXPECT_EQ(snapshot.records[i], kJournal[i]) << "record " << i;
-      continue;
-    }
-    ASSERT_LT(slim, std::size(kJournalSlimUnits));
-    const std::string_view expected = kJournalSlimUnits[slim++];
-    EXPECT_EQ(snapshot.records[i], expected) << "record " << i;
+  ASSERT_EQ(snapshot.records.size(), std::size(kJournalCompacted));
+  for (std::size_t i = 0; i < snapshot.records.size(); ++i)
+    EXPECT_EQ(snapshot.records[i], kJournalCompacted[i]) << "record " << i;
+  for (const std::size_t i : {1, 2}) {
     const auto legacy =
         dist::parse_work_grant(std::string(kJournal[i].substr(5)));
     ASSERT_TRUE(legacy.has_value()) << "record " << i;
-    EXPECT_EQ("unit " + dist::format_work_grant(legacy->unit, kInf), expected);
+    EXPECT_EQ("unit " + dist::format_work_grant(legacy->unit, kInf),
+              kJournalCompacted[i]);
   }
-  EXPECT_EQ(slim, std::size(kJournalSlimUnits));
 
-  ASSERT_EQ(jobs.size(), 2u);
+  ASSERT_EQ(jobs.size(), 1u);
   const dist::checkpoint::RecoveredJob& live = jobs[0];
   EXPECT_EQ(live.journal_job_id, 7u);
   EXPECT_EQ(live.rid, "rid 7%=x");
@@ -532,31 +547,9 @@ TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheCurrentRecords) {
   EXPECT_EQ(live.units[1].task, 13u);
   EXPECT_EQ(live.units[1].bound_snapshot, 98.5);
   EXPECT_EQ(live.units[1].circuit, corpus_circuit().key);
-  EXPECT_FALSE(live.results[0].has_value());
-  ASSERT_TRUE(live.results[1].has_value());
-  const dist::UnitResult& result = *live.results[1];
-  EXPECT_TRUE(result.ok);
-  EXPECT_EQ(result.metric, ok_result().metric);
-  EXPECT_EQ(result.code, ok_result().code);
-  EXPECT_EQ(result.assignment, "+-+-");
-  EXPECT_EQ(result.nodes_expanded, 222u);
-  EXPECT_TRUE(result.budget_tripped);
+  EXPECT_EQ(live.completed(), 0u);
   EXPECT_EQ(live.incumbent, 42.5);
   EXPECT_FALSE(live.finished);
-
-  const dist::checkpoint::RecoveredJob& done = jobs[1];
-  EXPECT_EQ(done.journal_job_id, 8u);
-  EXPECT_EQ(done.rid, "");
-  ASSERT_EQ(done.units.size(), 1u);
-  EXPECT_EQ(done.units[0].kind, dist::UnitKind::kAnnealRestart);
-  EXPECT_EQ(done.units[0].bound_snapshot, -kInf);
-  EXPECT_EQ(done.units[0].anneal_seed, blif_unit().anneal_seed);
-  EXPECT_EQ(done.units[0].circuit, blif_circuit().key);
-  ASSERT_TRUE(done.results[0].has_value());
-  EXPECT_FALSE(done.results[0]->ok);
-  EXPECT_EQ(done.results[0]->error, failed_result().error);
-  EXPECT_TRUE(done.finished);
-  EXPECT_FALSE(done.failed);
 }
 
 // -- scalar encodings ---------------------------------------------------------

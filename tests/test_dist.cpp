@@ -8,15 +8,16 @@
 ///    disconnect re-issue, completion racing a re-queue, fail-fast on bad
 ///    units, cancel_all resolving every future, a circuit payload living
 ///    exactly as long as its job,
-///  * the determinism contract: dist_exhaustive_search and
-///    dist_min_area_assignment return the single-process search's
-///    bit-identical (cost, assignment) — and, without shared bounds,
-///    bit-identical work counters — for every frontier depth, helper thread
-///    count and shared-bounds setting,
+///  * the determinism contract: dist_exhaustive_search returns the
+///    single-process search's bit-identical (cost, assignment) — and,
+///    without shared bounds, bit-identical work counters — for every
+///    frontier depth, helper thread count and shared-bounds setting, and
+///    refuses a frontier deeper than kMaxFrontierDepth before opening a job,
 ///  * the fabric end to end: dominod core + TCP transport + DistWorker
 ///    processes serving submits bit-identically to a local run, a worker
 ///    dying mid-lease (re-issue + identical report), reports of a
-///    participating core and of remote workers pinned byte for byte (the
+///    participating core and of remote workers pinned byte for byte and
+///    equal to dist=0 reports (min-area searches issuing no units, the
 ///    workers shipping no probability stage), a two-thread worker serving
 ///    two jobs while one of its fetches is held, circuit payloads that do
 ///    not fit failing the unit by name while the submit serves the local
@@ -155,11 +156,9 @@ TEST(DistWire, CompleteCommandRoundTripsExactly) {
   result.ok = true;
   result.metric = 123.4567890123456789;
   result.code = (1ULL << 61) + 12345;  // would corrupt through a double
-  result.assignment = "+-+-";
   result.leaves = 11;
   result.nodes_expanded = 222;
   result.subtrees_pruned = 33;
-  result.evaluations = 666;
   result.budget_tripped = true;
 
   const std::string line = format_complete_command("w#0", result);
@@ -169,11 +168,9 @@ TEST(DistWire, CompleteCommandRoundTripsExactly) {
   EXPECT_EQ(parsed.ok, result.ok);
   EXPECT_EQ(parsed.metric, result.metric);  // shortest-round-trip: bit-exact
   EXPECT_EQ(parsed.code, result.code);
-  EXPECT_EQ(parsed.assignment, result.assignment);
   EXPECT_EQ(parsed.leaves, result.leaves);
   EXPECT_EQ(parsed.nodes_expanded, result.nodes_expanded);
   EXPECT_EQ(parsed.subtrees_pruned, result.subtrees_pruned);
-  EXPECT_EQ(parsed.evaluations, result.evaluations);
   EXPECT_EQ(parsed.budget_tripped, result.budget_tripped);
 
   // A fully-pruned subtree reports +inf / ~0; free-text errors survive the
@@ -198,7 +195,6 @@ TEST(DistWire, WorkGrantRoundTripsUnitFieldsAndCircuitKey) {
   WorkUnit unit;
   unit.job_id = 9;
   unit.unit_id = 41;
-  unit.kind = UnitKind::kBnbSubtree;
   unit.by_power = false;
   unit.task = (1ULL << 60) + 77;
   unit.frontier_depth = 6;
@@ -219,7 +215,6 @@ TEST(DistWire, WorkGrantRoundTripsUnitFieldsAndCircuitKey) {
   const WorkUnit& got = grant->unit;
   EXPECT_EQ(got.job_id, unit.job_id);
   EXPECT_EQ(got.unit_id, unit.unit_id);
-  EXPECT_EQ(got.kind, unit.kind);
   EXPECT_EQ(got.by_power, unit.by_power);
   EXPECT_EQ(got.task, unit.task);
   EXPECT_EQ(got.frontier_depth, unit.frontier_depth);
@@ -228,32 +223,20 @@ TEST(DistWire, WorkGrantRoundTripsUnitFieldsAndCircuitKey) {
   EXPECT_TRUE(got.shared_bounds);
   EXPECT_EQ(got.circuit, unit.circuit);
 
-  // An annealing unit with an infinite bound snapshot.
-  WorkUnit anneal;
-  anneal.job_id = 2;
-  anneal.unit_id = 0;
-  anneal.kind = UnitKind::kAnnealRestart;
-  anneal.anneal_seed = 0x9e3779b97f4a7c15ULL;
-  anneal.restart_index = 3;
-  anneal.iterations = 2000;
+  // A unit with an infinite bound snapshot.
+  WorkUnit unbounded;
+  unbounded.job_id = 2;
   const auto regrant = parse_work_grant(
-      format_work_grant(anneal, std::numeric_limits<double>::infinity()));
+      format_work_grant(unbounded, std::numeric_limits<double>::infinity()));
   ASSERT_TRUE(regrant.has_value());
   EXPECT_TRUE(std::isinf(regrant->incumbent));
-  EXPECT_EQ(regrant->unit.kind, UnitKind::kAnnealRestart);
-  EXPECT_EQ(regrant->unit.anneal_seed, anneal.anneal_seed);
-  EXPECT_EQ(regrant->unit.restart_index, anneal.restart_index);
-  EXPECT_EQ(regrant->unit.iterations, anneal.iterations);
-  EXPECT_EQ(regrant->unit.circuit, anneal.circuit);
+  EXPECT_EQ(regrant->unit.circuit, unbounded.circuit);
   EXPECT_TRUE(std::isinf(regrant->unit.bound_snapshot));
   // A 32-bit field past 2^32 is no grant rather than a truncated one.
-  for (const auto& [field, wide] :
-       {std::pair{"\"restart\":3,", "\"restart\":4294967299,"},
-        std::pair{"\"frontier\":0,", "\"frontier\":4294967296,"}}) {
-    std::string text = format_work_grant(anneal, 1.0);
-    text.replace(text.find(field), std::strlen(field), wide);
-    EXPECT_THROW((void)parse_work_grant(text), codec::Error) << text;
-  }
+  const std::string field = "\"frontier\":0,";
+  std::string wide = format_work_grant(unbounded, 1.0);
+  wide.replace(wide.find(field), field.size(), "\"frontier\":4294967296,");
+  EXPECT_THROW((void)parse_work_grant(wide), codec::Error) << wide;
 
   EXPECT_FALSE(parse_work_grant(format_no_work()).has_value());
   EXPECT_THROW((void)parse_work_grant("{\"ok\":false}"), std::runtime_error);
@@ -307,9 +290,11 @@ TEST(DistWire, CompleteCommandRejectsTextNoEncoderWrites) {
   // Flags are 0|1 and numbers are whole tokens: a peer's `ok=false` must
   // not be merged as a successful unit, nor `metric=3.5junk` as 3.5.
   const std::string head = "complete_work worker=w job=1 unit=0 ";
+  // An older worker's result keys (`evals=`, and `assignment=` on an
+  // annealing result) are no longer part of the format.
   for (const std::string tail :
        {"ok=false", "ok=true", "tripped=no", "metric=3.5junk",
-        "metric=+1", "code=12x", "leaves=-1"}) {
+        "metric=+1", "code=12x", "leaves=-1", "evals=0", "assignment=+-"}) {
     EXPECT_THROW((void)parse_complete_tokens(split_tokens(head + tail)),
                  codec::Error)
         << tail;
@@ -741,43 +726,20 @@ TEST(DistSearchTest, ExhaustiveKeepsTheLocalErrorContracts) {
                DistSearchError);
 }
 
-TEST(DistSearchTest, MinAreaAnnealingMatchesLocalRestartForRestart) {
+TEST(DistSearchTest, FrontierDeeperThanTheLimitOpensNoJob) {
+  // A job's units are built before its first lease, so the driver refuses
+  // a depth past the limit up front, whatever the output count; the flow
+  // then reruns the search locally.
   const BenchSpec spec = dist_spec(33, /*pos=*/8);
   const auto prepared = prepare(spec);
-  MinAreaOptions options;
-  options.exhaustive_limit = 0;  // force the annealing path on both sides
-  options.restarts = 3;
-  options.seed = 7;
-  options.num_threads = 1;
-  const SearchResult reference =
-      min_area_assignment(*prepared->evaluator, options);
-
-  for (const unsigned threads : {1u, 2u}) {
-    DistCoordinator coordinator;
-    MinAreaOptions dist_options = options;
-    dist_options.num_threads = threads;
-    const SearchResult got = dist_min_area_assignment(
-        *prepared->evaluator, dist_options,
-        fabric_options(coordinator, spec, /*frontier=*/4));
-    EXPECT_EQ(got.assignment, reference.assignment);
-    expect_cost_identical(got.cost, reference.cost);
-    EXPECT_EQ(got.counters.evaluations, reference.counters.evaluations);
-    EXPECT_EQ(coordinator.counters().units_issued, options.restarts);
-  }
-
-  // A starved exact budget falls back to the identical annealing merge,
-  // mirroring the local search's budget fallback.
-  MinAreaOptions starved = options;
-  starved.exhaustive_limit = kDefaultPrunedExhaustiveLimit;
-  starved.node_budget = 1;
-  const SearchResult local_fallback =
-      min_area_assignment(*prepared->evaluator, starved);
   DistCoordinator coordinator;
-  const SearchResult dist_fallback = dist_min_area_assignment(
-      *prepared->evaluator, starved,
-      fabric_options(coordinator, spec, /*frontier=*/4));
-  EXPECT_EQ(dist_fallback.assignment, local_fallback.assignment);
-  expect_cost_identical(dist_fallback.cost, local_fallback.cost);
+  EXPECT_THROW((void)dist_exhaustive_search(
+                   *prepared->evaluator, true, ExhaustiveOptions{},
+                   fabric_options(coordinator, spec, kMaxFrontierDepth + 1)),
+               DistSearchError);
+  EXPECT_EQ(coordinator.counters().units_issued, 0u);
+  // The next job the coordinator opens is its first.
+  EXPECT_EQ(coordinator.open_job(trivial_units(1), 1'000).job_id, 1u);
 }
 
 // -- the fabric end to end ----------------------------------------------------
@@ -840,7 +802,7 @@ TEST(DistFabric, TcpWorkersServeSubmitsBitIdenticallyToLocal) {
     worker_config.idle_poll_ms = 5;
     std::vector<std::unique_ptr<DistWorker>> fleet;
     for (unsigned w = 0; w < workers; ++w) {
-      worker_config.name = "w" + std::to_string(w);
+      worker_config.name = 'w' + std::to_string(w);
       fleet.push_back(std::make_unique<DistWorker>(worker_config));
       fleet.back()->start();
     }
@@ -989,11 +951,18 @@ std::string pinned(const FlowReport& report) {
   return out.str();
 }
 
+/// The report a dist=0 submit of the same request gets.
+FlowReport local_report(const BenchSpec& spec, FlowOptions options) {
+  options.dist = {};
+  return run_flow(generate_benchmark(spec), options);
+}
+
 TEST(DistFabric, ParticipatingCoreServesPinnedReports) {
   // What the fabric serves, pinned byte for byte: a core running units on
   // its own threads answers dist=1 MA and MP requests on an 8-PO circuit
-  // (MA and MP both search exactly on the fabric) and a 30-PO circuit (MA
-  // anneals on the fabric, MP runs §4.1 from it).
+  // (MP searches exactly on the fabric) and a 30-PO circuit (MP runs §4.1
+  // from MA).  Min-area searches, exact or annealed, run in the core and
+  // issue no units.  Every reply equals the request's dist=0 report.
   struct Case {
     BenchSpec spec;
     PhaseMode mode;
@@ -1001,7 +970,7 @@ TEST(DistFabric, ParticipatingCoreServesPinnedReports) {
     const char* expected;
   };
   const Case cases[] = {
-      {dist_spec(47, /*pos=*/8), PhaseMode::kMinArea, true,
+      {dist_spec(47, /*pos=*/8), PhaseMode::kMinArea, false,
        "+-++++++ est=0x1.e44c000000001p+6 sim=0x1.c1ef010b7e708p+6 "
        "evaluations=21 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
        "nodes_expanded=28 subtrees_pruned=11 "
@@ -1011,7 +980,7 @@ TEST(DistFabric, ParticipatingCoreServesPinnedReports) {
        "evaluations=27 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
        "nodes_expanded=30 subtrees_pruned=14 "
        "bound_tightness=0x1.20202bd23d147p-1"},
-      {dist_spec(48, /*pos=*/30, /*gates=*/300), PhaseMode::kMinArea, true,
+      {dist_spec(48, /*pos=*/30, /*gates=*/300), PhaseMode::kMinArea, false,
        "+++++++++-+++-++++++++++++++++ est=0x1.9baacccccccccp+8 "
        "sim=0x1.7b7741691dba8p+8 evaluations=15062 commits=0 "
        "commit_rescore_pairs=0 avg_update_nodes=0 nodes_expanded=0 "
@@ -1038,8 +1007,12 @@ TEST(DistFabric, ParticipatingCoreServesPinnedReports) {
     ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
     EXPECT_EQ(pinned(response.report), c.expected)
         << c.spec.name << " " << to_string(c.mode);
+    EXPECT_EQ(pinned(response.report), pinned(local_report(c.spec, options)))
+        << c.spec.name << " " << to_string(c.mode);
     if (c.on_fabric) {
       EXPECT_GT(core.stats().units_issued, issued_before) << c.spec.name;
+    } else {
+      EXPECT_EQ(core.stats().units_issued, issued_before) << c.spec.name;
     }
   }
   core.shutdown();
@@ -1201,25 +1174,28 @@ std::multiset<std::string> remote_span_names(const std::string& json) {
 
 TEST(DistFabric, RemoteWorkersServePinnedReports) {
   // What remote workers serve, pinned byte for byte: a core that only waits
-  // hands every unit of dist=1 requests to two TCP workers — exact MA and
-  // MP on an 8-PO circuit, annealed MA on a 30-PO one.
+  // hands every unit of dist=1 requests to two TCP workers — exact MP on an
+  // 8-PO circuit.  The min-area searches, exact on the 8-PO circuit and
+  // annealed on a 30-PO one, run in the core and issue no units.  Every
+  // reply equals the request's dist=0 report.
   struct Case {
     BenchSpec spec;
     PhaseMode mode;
+    bool on_fabric;  ///< the request's own search ships units
     const char* expected;
   };
   const Case cases[] = {
-      {dist_spec(47, /*pos=*/8), PhaseMode::kMinArea,
+      {dist_spec(47, /*pos=*/8), PhaseMode::kMinArea, false,
        "+-++++++ est=0x1.e44c000000001p+6 sim=0x1.c1ef010b7e708p+6 "
        "evaluations=21 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
        "nodes_expanded=28 subtrees_pruned=11 "
        "bound_tightness=0x1.b7fd36aed8a4p-1"},
-      {dist_spec(47, /*pos=*/8), PhaseMode::kMinPower,
+      {dist_spec(47, /*pos=*/8), PhaseMode::kMinPower, true,
        "---+++++ est=0x1.e22cccccccccdp+6 sim=0x1.c1917829cbbfep+6 "
        "evaluations=27 commits=0 commit_rescore_pairs=0 avg_update_nodes=0 "
        "nodes_expanded=30 subtrees_pruned=14 "
        "bound_tightness=0x1.20202bd23d147p-1"},
-      {dist_spec(48, /*pos=*/30, /*gates=*/300), PhaseMode::kMinArea,
+      {dist_spec(48, /*pos=*/30, /*gates=*/300), PhaseMode::kMinArea, false,
        "+++++++++-+++-++++++++++++++++ est=0x1.9baacccccccccp+8 "
        "sim=0x1.7b7741691dba8p+8 evaluations=15062 commits=0 "
        "commit_rescore_pairs=0 avg_update_nodes=0 nodes_expanded=0 "
@@ -1253,7 +1229,13 @@ TEST(DistFabric, RemoteWorkersServePinnedReports) {
     ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
     EXPECT_EQ(pinned(response.report), c.expected)
         << c.spec.name << " " << to_string(c.mode);
-    EXPECT_GT(core.stats().units_issued, issued_before) << c.spec.name;
+    EXPECT_EQ(pinned(response.report), pinned(local_report(c.spec, options)))
+        << c.spec.name << " " << to_string(c.mode);
+    if (c.on_fabric) {
+      EXPECT_GT(core.stats().units_issued, issued_before) << c.spec.name;
+    } else {
+      EXPECT_EQ(core.stats().units_issued, issued_before) << c.spec.name;
+    }
   }
   for (const auto& worker : fleet)
     EXPECT_EQ(worker->telemetry().units_failed, 0u);

@@ -174,7 +174,7 @@ TEST(Flow, RawBlifStyleInputIsNormalized) {
   // be normalized inside run_flow.
   Network net;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 5; ++i) pis.push_back(net.add_pi("p" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) pis.push_back(net.add_pi('p' + std::to_string(i)));
   const NodeId wide = net.add_gate(NodeKind::kAnd, {pis[0], pis[1], pis[2]});
   net.add_po("f", net.add_or(net.add_not(wide), net.add_xor(pis[3], pis[4])));
   FlowOptions options = fast_options();

@@ -119,7 +119,7 @@ TEST(Mapping, ArityLimitsGenerateTrees) {
   // A 10-input AND with max AND arity 4 needs a 3-cell tree.
   Network net;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 10; ++i) pis.push_back(net.add_pi("p" + std::to_string(i)));
+  for (int i = 0; i < 10; ++i) pis.push_back(net.add_pi('p' + std::to_string(i)));
   NodeId acc = pis[0];
   for (int i = 1; i < 10; ++i) acc = net.add_and(acc, pis[i]);
   net.add_po("f", acc);

@@ -236,7 +236,7 @@ Network random_kernel_network(std::uint64_t seed) {
   Rng rng(seed);
   Network net;
   std::vector<NodeId> pool;
-  for (int i = 0; i < 7; ++i) pool.push_back(net.add_pi("p" + std::to_string(i)));
+  for (int i = 0; i < 7; ++i) pool.push_back(net.add_pi('p' + std::to_string(i)));
   std::vector<NodeId> latches;
   for (int i = 0; i < 3; ++i) {
     latches.push_back(net.add_latch("l" + std::to_string(i)));

@@ -192,7 +192,7 @@ TEST(Partition, SymmetryStatsSurface) {
   Network net;
   const NodeId a = net.add_pi("a");
   std::vector<NodeId> group;
-  for (int i = 0; i < 3; ++i) group.push_back(net.add_latch("g" + std::to_string(i)));
+  for (int i = 0; i < 3; ++i) group.push_back(net.add_latch('g' + std::to_string(i)));
   const NodeId c = net.add_latch("c");
   const NodeId d = net.add_latch("d");
   // A/B/E-style: each group latch reads {c,d}; c,d read all group latches.

@@ -1,7 +1,8 @@
 /// Tests for durable job state (docs/robustness.md): the checkpoint log's
 /// replay/compaction behaviour (src/dist/checkpoint.hpp), coordinator
 /// adoption of journaled unit results (partial resume must produce the
-/// bit-identical merged result with units_recovered > 0), ServerCore
+/// bit-identical merged result with units_recovered > 0; an older build's
+/// annealing job replays without error and is never adopted), ServerCore
 /// re-attach (`retry=` submits resume instead of redo; job_status states),
 /// and the cold-cache/warm-journal restart path: one restarted daemon
 /// serving concurrent re-attaches of one rid builds its session exactly
@@ -55,7 +56,6 @@ std::vector<WorkUnit> make_units(std::size_t count) {
   std::vector<WorkUnit> units(count);
   for (std::size_t i = 0; i < count; ++i) {
     WorkUnit& unit = units[i];
-    unit.kind = UnitKind::kBnbSubtree;
     unit.by_power = true;
     unit.task = (i << 3) | 0x5;
     unit.frontier_depth = 3;
@@ -103,7 +103,6 @@ void expect_unit_results_equal(const std::vector<UnitResult>& a,
     EXPECT_EQ(a[i].unit_id, b[i].unit_id) << "unit " << i;
     EXPECT_EQ(a[i].metric, b[i].metric) << "unit " << i;
     EXPECT_EQ(a[i].code, b[i].code) << "unit " << i;
-    EXPECT_EQ(a[i].assignment, b[i].assignment) << "unit " << i;
     EXPECT_EQ(a[i].leaves, b[i].leaves) << "unit " << i;
     EXPECT_EQ(a[i].nodes_expanded, b[i].nodes_expanded) << "unit " << i;
     EXPECT_EQ(a[i].subtrees_pruned, b[i].subtrees_pruned) << "unit " << i;
@@ -337,13 +336,53 @@ TEST(Coordinator, AdoptionRequiresMatchingUnits) {
   checkpoint::CheckpointLog log(dir.path());
   DistCoordinator coordinator;
   coordinator.set_checkpoint(&log);
-  // Same rid, different unit shape (e.g. the request fell back from
-  // exhaustive to annealing): nothing may be adopted.
+  // Same rid, different unit shape (e.g. a journal written by a build that
+  // split the search differently): nothing may be adopted.
   std::vector<WorkUnit> different = make_units(4);
   for (auto& unit : different) unit.frontier_depth = 9;
   auto job = coordinator.open_job(std::move(different), 10'000, rid);
   EXPECT_EQ(coordinator.counters().units_recovered, 0u);
   EXPECT_EQ(serve_all(coordinator, "w2"), 4u);  // everything re-ran
+  EXPECT_TRUE(job.future.get().error.empty());
+}
+
+TEST(Coordinator, LegacyAnnealingJobIsNeverAdopted) {
+  // An older build fanned min-area annealing restarts out as units and
+  // journaled them with their results (`assignment=`, `evals=`).  Replay
+  // skips those records without failing, drops the job, and a fresh job
+  // under the same rid runs every unit.
+  ScratchDir dir("legacy_anneal");
+  ASSERT_EQ(::mkdir(dir.path().c_str(), 0755), 0);
+  const std::string rid = "rid-anneal";
+  {
+    std::ofstream out(dir.path() + "/journal.djl", std::ios::binary);
+    out << journal::frame_record("open job=3 rid=" + rid +
+                                 " lease_ms=10000 units=2");
+    for (const char* unit : {"0", "1"})
+      out << journal::frame_record(
+          std::string("unit {\"ok\":true,\"work\":true,\"job\":3,\"unit\":") +
+          unit +
+          ",\"kind\":\"anneal\",\"by_power\":true,\"task\":0,"
+          "\"frontier\":0,\"bound\":\"inf\",\"budget\":0,\"aseed\":1,"
+          "\"restart\":" + unit +
+          ",\"iters\":2000,\"shared\":false,\"pi_prob\":0.5,"
+          "\"load_aware\":true,\"fingerprint\":" +
+          std::to_string(0xfeedfacecafeULL) + ",\"incumbent\":\"inf\"}");
+    out << journal::frame_record(
+        "complete_work worker=journal job=3 unit=0 ok=1 metric=412 "
+        "code=18446744073709551615 assignment=+-+- leaves=0 expanded=0 "
+        "pruned=0 evals=2081 tripped=0");
+  }
+  checkpoint::CheckpointLog log(dir.path());
+  EXPECT_EQ(log.replay_stats().records, 4u);
+  EXPECT_EQ(log.replay_stats().jobs, 0u);
+  DistCoordinator coordinator;
+  coordinator.set_checkpoint(&log);
+  EXPECT_FALSE(coordinator.has_recovered(rid));
+
+  auto job = coordinator.open_job(make_units(2), 10'000, rid);
+  EXPECT_EQ(coordinator.counters().units_recovered, 0u);
+  EXPECT_EQ(serve_all(coordinator, "w"), 2u);
   EXPECT_TRUE(job.future.get().error.empty());
 }
 

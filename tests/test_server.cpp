@@ -587,6 +587,26 @@ TEST(Protocol, RejectsSimStepsNotAboveWarmup) {
   EXPECT_EQ(command->request.options.sim.warmup, 3u);
 }
 
+TEST(Protocol, RejectsDistFrontierAboveLimit) {
+  // A job's 2^N units are built up front: the header refuses a depth past
+  // dist::kMaxFrontierDepth, naming the limit, instead of letting one
+  // request exhaust the daemon's memory.
+  const auto parse = [](const std::string& text) {
+    std::istringstream in(text);
+    return protocol::read_command(in);
+  };
+  const auto command = parse("submit corpus=frg1 dist=1 dist_frontier=16\n");
+  ASSERT_TRUE(command.has_value());
+  EXPECT_EQ(command->request.options.dist.frontier_depth, 16u);
+  try {
+    (void)parse("submit corpus=frg1 dist=1 dist_frontier=17\n");
+    ADD_FAILURE() << "dist_frontier=17 parsed";
+  } catch (const protocol::ProtocolError& error) {
+    EXPECT_NE(std::string(error.what()).find("[0, 16]"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Protocol, ResponseRoundTripsThroughScanners) {
   ServerResponse response;
   response.status = ServerStatus::kOk;

@@ -94,7 +94,7 @@ TEST(Strash, KeepsDistinctFunctions) {
 TEST(DecomposeBinary, LowersWideGates) {
   Network net;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 7; ++i) pis.push_back(net.add_pi("p" + std::to_string(i)));
+  for (int i = 0; i < 7; ++i) pis.push_back(net.add_pi('p' + std::to_string(i)));
   net.add_po("f", net.add_gate(NodeKind::kAnd, {pis.begin(), pis.end()}));
   decompose_binary(net);
   for (NodeId id = 0; id < net.num_nodes(); ++id) {

@@ -60,8 +60,11 @@ void usage(const char* program) {
       << "  --deadline-ms N  reject if not started within N ms\n"
       << "  --exh-limit N    exhaustive-search PO cap (exhaustive mode\n"
       << "                   default 24)\n"
-      << "  --dist           distribute the search over connected workers\n"
-      << "  --dist-frontier N  B&B split depth (2^N work units, default 6)\n"
+      << "  --dist           distribute the exact power search (mp's exact\n"
+      << "                   search, exhaustive) over connected workers;\n"
+      << "                   min-area search always runs in the daemon\n"
+      << "  --dist-frontier N  B&B split depth (2^N work units, default 6,\n"
+      << "                   at most 16)\n"
       << "  --dist-shared    share incumbents live across workers (timing-\n"
       << "                   dependent counters; results stay deterministic)\n"
       << "  --dist-remote-only  don't run units on the daemon's own threads;\n"
