@@ -687,10 +687,8 @@ int main(int argc, char** argv) {
     dist_options.frontier_depth = kDistFrontier;
     dist_options.participate = false;  // the fabric does all the work
     dist_options.stall_takeover_ms = 60'000;
-    dist_options.circuit.has_bench = true;
-    dist_options.circuit.bench = dist_spec;
 
-    // Warm-up run: each worker synthesizes + caches its evaluator once.
+    // Warm-up run: each worker reads + caches its evaluator once.
     const SearchResult warm = dist::dist_exhaustive_search(
         *dist_prepared->evaluator, true, dist_search_options, dist_options);
     stopwatch.restart();

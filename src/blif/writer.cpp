@@ -1,12 +1,14 @@
 /// \file writer.cpp
 /// BLIF serialization.  Every gate becomes a single-output `.names` cover;
 /// signal names are preserved where the network has them and generated as
-/// n<NodeId> otherwise.
+/// n<NodeId> otherwise, or n<NodeId>_<k> when another node or output already
+/// holds n<NodeId>.
 
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "blif/blif.hpp"
 #include "util/bits.hpp"
@@ -15,7 +17,44 @@ namespace dominosyn::blif {
 
 namespace {
 
+/// The names a generated name could take ('n', then a digit) that the
+/// network already holds, each with its holder: the node an attached name
+/// names, the node that drives an output.
+using Holders = std::unordered_map<std::string, NodeId>;
+
+Holders generated_form_names(const Network& net) {
+  const auto generated_form = [](const std::string& name) {
+    return name.size() > 1 && name[0] == 'n' && name[1] >= '0' &&
+           name[1] <= '9';
+  };
+  Holders holders;
+  for (NodeId id = 0; id < net.num_nodes(); ++id)
+    if (const auto name = net.node_name(id); name && generated_form(*name))
+      holders.emplace(*name, id);
+  for (const auto& po : net.pos())
+    if (generated_form(po.name)) holders.emplace(po.name, po.driver);
+  return holders;
+}
+
+/// A name for unnamed node `id`: n<id>, or the first free n<id>_<k> when
+/// another node holds n<id> (ABC names internal signals so).  A taken name
+/// would define one signal twice, which the reader rejects.
+std::string generated_name(NodeId id, const Holders& holders) {
+  const auto taken = [&](const std::string& name) {
+    const auto holder = holders.find(name);
+    return holder != holders.end() && holder->second != id;
+  };
+  // A char prefix: GCC 12 at -O3 warns falsely (-Wrestrict) on
+  // `"n" + std::to_string(id)`.
+  const std::string base = 'n' + std::to_string(id);
+  std::string name = base;
+  for (std::size_t k = 1; taken(name); ++k)
+    name = base + '_' + std::to_string(k);
+  return name;
+}
+
 std::string signal_name(const Network& net, NodeId id,
+                        const Holders& holders,
                         std::vector<std::string>& cache) {
   if (!cache[id].empty()) return cache[id];
   std::string name;
@@ -26,9 +65,7 @@ std::string signal_name(const Network& net, NodeId id,
   } else if (const auto attached = net.node_name(id)) {
     name = *attached;
   } else {
-    // A char prefix: GCC 12 at -O3 warns falsely (-Wrestrict) on
-    // `"n" + std::to_string(id)`.
-    name = 'n' + std::to_string(id);
+    name = generated_name(id, holders);
   }
   cache[id] = name;
   return name;
@@ -38,7 +75,10 @@ std::string signal_name(const Network& net, NodeId id,
 
 void write(const Network& net, std::ostream& out) {
   std::vector<std::string> names(net.num_nodes());
-  const auto sig = [&](NodeId id) { return signal_name(net, id, names); };
+  const Holders holders = generated_form_names(net);
+  const auto sig = [&](NodeId id) {
+    return signal_name(net, id, holders, names);
+  };
 
   out << ".model " << (net.name().empty() ? "dominosyn" : net.name()) << "\n";
 

@@ -1,18 +1,15 @@
 /// \file options.hpp
 /// Options of the distributed search fabric (docs/distributed.md) and how a
 /// job names its circuit: every grant carries a CircuitKey, and the
-/// CircuitSpec travels once per job with the search's probabilities.  Kept
-/// dependency-light so FlowOptions can embed them: this header pulls in only
-/// the benchmark-generator spec (for shipping generated circuits by their
-/// generator parameters) and the standard library.
+/// evaluator's synthesized network travels once per job with its
+/// probabilities (dist/workunit.hpp).  Kept dependency-light so FlowOptions
+/// can embed them: this header pulls in only the standard library.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "benchgen/benchgen.hpp"
 
 namespace dominosyn::dist {
 
@@ -34,30 +31,15 @@ struct CircuitKey {
   bool operator==(const CircuitKey&) const = default;
 };
 
-/// The circuit a fabric job searches, as dist/search.cpp ships it once per
-/// job together with its evaluator's probabilities.  A worker rebuilds
-/// the network from exactly one of three variants, in precedence order:
-/// explicit generator parameters (`has_bench`), verbatim BLIF text,
-/// paper-corpus name.  It normalizes it in a FlowSession and verifies the
-/// synthesized network's structural fingerprint, so a divergent
-/// reconstruction fails the unit instead of merging wrong numbers.
+/// The circuit of a fabric job.  dist/search.cpp ships the evaluator's own
+/// synthesized network and probabilities, so callers describe nothing.
 struct CircuitSpec {
-  /// paper_suite() name ("apex7", "frg1", ...); the worker copies the
-  /// process-wide paper_network(corpus), built once on first use.
-  std::string corpus;
-  /// Explicit generator parameters — covers circuits outside the paper
-  /// corpus without relying on a BLIF round trip.
-  bool has_bench = false;
-  BenchSpec bench;
-  /// Verbatim BLIF text (what the daemon captured from `submit blif=inline`).
-  std::string blif_text;
-  /// pi_prob and load_aware come with the request; dist/search.cpp fills
-  /// the fingerprint.
+  /// pi_prob and load_aware: the flow's assign stage stamps them from its
+  /// options; dist/search.cpp fills the fingerprint.
   CircuitKey key;
-
-  [[nodiscard]] bool valid() const noexcept {
-    return has_bench || !blif_text.empty() || !corpus.empty();
-  }
+  /// Read by nothing: kept only because perfbench/exact_fabric.cpp still
+  /// assigns it.
+  std::string blif_text;
 };
 
 /// Deepest branch-and-bound frontier a search may split at: 2^16 = 65,536

@@ -9,9 +9,11 @@
 #include <utility>
 #include <vector>
 
+#include "blif/blif.hpp"
 #include "network/network.hpp"
 #include "obs/trace.hpp"
 #include "phase/eval.hpp"
+#include "util/codec.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dominosyn::dist {
@@ -111,20 +113,6 @@ JobResult run_and_wait(const AssignmentEvaluator& evaluator,
   return result;
 }
 
-/// The circuit a job ships: the caller's description plus the synthesized
-/// network's fingerprint so workers verify reconstruction.  Every unit names
-/// it by key; workers fetch it once, with this evaluator's probabilities
-/// (format_circuit_payload), so they score units on exactly its numbers.
-CircuitSpec stamped_circuit(const AssignmentEvaluator& evaluator,
-                            const DistSearchOptions& dist) {
-  if (!dist.circuit.valid())
-    throw DistSearchError(
-        "distributed search needs a circuit spec workers can reconstruct");
-  CircuitSpec circuit = dist.circuit;
-  circuit.key.fingerprint = network_fingerprint(evaluator.network());
-  return circuit;
-}
-
 SearchResult local_exhaustive(const AssignmentEvaluator& evaluator,
                               bool by_power, const ExhaustiveOptions& options) {
   return by_power ? exhaustive_min_power(evaluator, options)
@@ -195,7 +183,19 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
     return local_exhaustive(evaluator, by_power, options);
 
   const BnbSeed seed = plan_bnb_seed(evaluator, by_power);
-  const CircuitSpec circuit = stamped_circuit(evaluator, dist);
+  // Every unit names the circuit by key; a worker fetches the evaluator's
+  // own inputs once, its synthesized network and probabilities, so it
+  // scores units on exactly this evaluator's numbers.  A payload over the
+  // protocol's line cap could never be fetched, so such a job never opens.
+  CircuitKey key = dist.circuit.key;
+  key.fingerprint = network_fingerprint(evaluator.network());
+  std::string payload = format_circuit_payload(
+      key, blif::write_string(evaluator.network()), evaluator.probs());
+  if (payload.size() >= codec::kMaxLineLength)
+    throw DistSearchError("circuit payload of " +
+                          std::to_string(payload.size()) +
+                          " bytes exceeds the protocol line limit of " +
+                          std::to_string(codec::kMaxLineLength));
 
   const std::size_t frontier = std::min(dist.frontier_depth, num_pos);
   const std::uint64_t num_units = 1ULL << frontier;
@@ -211,12 +211,11 @@ SearchResult dist_exhaustive_search(const AssignmentEvaluator& evaluator,
     unit.node_budget = options.node_budget;
     unit.shared_bounds = dist.shared_bounds;
     unit.trace_id = obs::current_trace_id();
-    unit.circuit = circuit.key;
+    unit.circuit = key;
   }
 
   DistCoordinator::OpenedJob job = dist.coordinator->open_job(
-      std::move(units), dist.lease_timeout_ms, dist.rid,
-      format_circuit_payload(circuit, evaluator.probs()));
+      std::move(units), dist.lease_timeout_ms, dist.rid, std::move(payload));
   const JobResult outcome = run_and_wait(evaluator, *dist.coordinator, job,
                                          dist, options.num_threads);
 

@@ -17,8 +17,9 @@
 /// reproducible across every topology.
 ///
 /// Any fabric-level failure (no coordinator, cancelled job, failed unit)
-/// throws DistSearchError; FlowSession catches it and falls back to the
-/// local search, so distribution never turns a working flow into an error.
+/// throws DistSearchError; the flow's assign stage catches it and falls back
+/// to the local search, so distribution never turns a working flow into an
+/// error.
 
 #pragma once
 
@@ -32,9 +33,9 @@
 
 namespace dominosyn::dist {
 
-/// Fabric-level failure: no usable coordinator/circuit spec, a frontier
-/// deeper than kMaxFrontierDepth, job cancelled by shutdown, or a unit
-/// failed remotely.  Callers fall back locally.
+/// Fabric-level failure: no usable coordinator, a frontier deeper than
+/// kMaxFrontierDepth, a circuit payload too large to fetch, job cancelled by
+/// shutdown, or a unit failed remotely.  Callers fall back locally.
 class DistSearchError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -50,8 +51,12 @@ class DistSearchError : public std::runtime_error {
 
 /// Distributed exhaustive_min_power / exhaustive_min_area (by_power selects).
 /// Splits the branch-and-bound enumeration at dist.frontier_depth (clamped
-/// to the output count) into 2^depth subtree units; a depth above
-/// kMaxFrontierDepth throws DistSearchError before any job opens.
+/// to the output count) into 2^depth subtree units, named by
+/// dist.circuit.key with the evaluator network's fingerprint stamped in;
+/// workers fetch the evaluator's network and probabilities once per job.  A
+/// depth above kMaxFrontierDepth, or a circuit payload at or above the
+/// protocol line cap (codec::kMaxLineLength), throws DistSearchError before
+/// any job opens.
 /// Degenerate cases (no outputs, non-admissible bounds) run the local search
 /// directly.  Throws the same ExhaustiveLimitError / ExhaustiveBudgetError
 /// contracts as the local search, plus DistSearchError on fabric failures.

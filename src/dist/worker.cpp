@@ -9,10 +9,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "benchgen/benchgen.hpp"
 #include "blif/blif.hpp"
 #include "dist/search.hpp"
-#include "flow/session.hpp"
+#include "network/network.hpp"
 #include "obs/trace.hpp"
 #include "server/client.hpp"
 #include "util/codec.hpp"
@@ -24,18 +23,7 @@ namespace dominosyn::dist {
 
 namespace {
 
-/// A job's circuit, rebuilt from its spec (precedence: generator
-/// parameters, verbatim BLIF, paper-corpus name).  A corpus circuit is copied
-/// from the process-wide paper_network.
-Network reconstruct_network(const CircuitSpec& circuit) {
-  if (circuit.has_bench) return generate_benchmark(circuit.bench);
-  if (!circuit.blif_text.empty()) return blif::read_string(circuit.blif_text);
-  if (!circuit.corpus.empty()) return *paper_network(circuit.corpus);
-  throw std::runtime_error("circuit payload carries no circuit spec");
-}
-
-/// A circuit key as text: the worker's cache key (everything a prepared
-/// evaluator depends on) and how errors name a circuit.
+/// A circuit key as text, how errors name a circuit.
 std::string describe(const CircuitKey& key) {
   return "fingerprint " + std::to_string(key.fingerprint) + " pi_prob " +
          codec::encode_double(key.pi_prob) + " load_aware " +
@@ -79,40 +67,35 @@ class ClientChannel final : public IncumbentChannel {
 
 }  // namespace
 
-/// One prepared circuit: the FlowSession owns the synthesized network the
-/// evaluator references.
+/// One prepared circuit: the coordinator's synthesized network and the
+/// evaluator built on it, which references it (so an entry never moves).
 struct DistWorker::CachedEvaluator {
-  CachedEvaluator(Network net, const FlowOptions& options)
-      : session(std::move(net), options) {}
+  CachedEvaluator(Network network, std::vector<double> probs,
+                  const PowerModelConfig& model)
+      : net(std::move(network)), evaluator(net, std::move(probs), model) {}
 
-  /// Rebuilds the payload's circuit and builds its evaluator on the
+  /// Reads the payload's network and builds its evaluator on the
   /// coordinator's probabilities once they are shown to fit: the payload is
-  /// the unit's circuit, the rebuilt network has the coordinator's
-  /// fingerprint, and there is one probability in [0, 1] per node.  Throws,
-  /// naming the first misfit.
+  /// the unit's circuit, the network has the coordinator's fingerprint, and
+  /// there is one probability in [0, 1] per node.  Throws, naming the first
+  /// misfit.
   static std::shared_ptr<CachedEvaluator> prepare(const CircuitKey& key,
                                                   CircuitPayload payload);
 
-  FlowSession session;
-  std::optional<AssignmentEvaluator> evaluator;
+  Network net;
+  AssignmentEvaluator evaluator;
 };
 
 std::shared_ptr<DistWorker::CachedEvaluator>
 DistWorker::CachedEvaluator::prepare(const CircuitKey& key,
                                      CircuitPayload payload) {
-  if (payload.circuit.key != key)
+  if (payload.key != key)
     throw std::runtime_error("circuit payload for another circuit: unit " +
                              describe(key) + ", payload " +
-                             describe(payload.circuit.key));
-  // The model FlowSession::evaluator() would use.  Sessions with other
-  // probability or model options never use the fabric (fabric_replays in
-  // flow/session.cpp), so defaults plus the key are all it needs.
-  FlowOptions options;
-  options.pi_prob = key.pi_prob;
-  options.model.load_aware = key.load_aware;
-  auto entry = std::make_shared<CachedEvaluator>(
-      reconstruct_network(payload.circuit), options);
-  const Network& net = entry->session.synthesized();
+                             describe(payload.key));
+  // The reader numbers nodes in its own order; compacting renumbers them
+  // the way the coordinator's synthesis left them.
+  Network net = compact_copy(blif::read_string(payload.blif));
   const std::uint64_t fingerprint = network_fingerprint(net);
   if (fingerprint != key.fingerprint)
     throw std::runtime_error("circuit fingerprint mismatch: coordinator " +
@@ -129,8 +112,13 @@ DistWorker::CachedEvaluator::prepare(const CircuitKey& key,
                                codec::encode_double(probs[id]) + " of node " +
                                std::to_string(id) + " is not in [0, 1]");
   }
-  entry->evaluator.emplace(net, std::move(payload.probs), options.model);
-  return entry;
+  // The flow's default model with the key's load-awareness, the model the
+  // coordinator's evaluator used: sessions with other model options never
+  // use the fabric (fabric_replays in flow/session.cpp).
+  PowerModelConfig model;
+  model.load_aware = key.load_aware;
+  return std::make_shared<CachedEvaluator>(std::move(net),
+                                           std::move(payload.probs), model);
 }
 
 DistWorker::DistWorker(WorkerConfig config) : config_(std::move(config)) {}
@@ -157,11 +145,10 @@ void DistWorker::stop() {
 
 std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::find_cached(
     const CircuitKey& key) {
-  const std::string wanted = describe(key);
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it =
       std::find_if(cache_.begin(), cache_.end(),
-                   [&](const auto& entry) { return entry.first == wanted; });
+                   [&](const auto& entry) { return entry.first == key; });
   if (it == cache_.end()) return nullptr;
   cache_.splice(cache_.begin(), cache_, it);  // most recently used first
   return it->second;
@@ -169,14 +156,13 @@ std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::find_cached(
 
 std::shared_ptr<DistWorker::CachedEvaluator> DistWorker::add_cached(
     const CircuitKey& key, std::shared_ptr<CachedEvaluator> entry) {
-  std::string wanted = describe(key);
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   // Two threads may prepare one circuit at once; the first to finish wins.
   const auto it =
       std::find_if(cache_.begin(), cache_.end(),
-                   [&](const auto& cached) { return cached.first == wanted; });
+                   [&](const auto& cached) { return cached.first == key; });
   if (it != cache_.end()) return it->second;
-  cache_.emplace_front(std::move(wanted), entry);
+  cache_.emplace_front(key, entry);
   // Units still running on an evicted circuit keep it alive by shared_ptr.
   if (cache_.size() > kCacheCapacity) cache_.pop_back();
   cache_entries_.store(cache_.size(), std::memory_order_relaxed);
@@ -233,15 +219,18 @@ void DistWorker::thread_main(unsigned index) {
       // so the coordinator's trace shows the remote execution inline.
       const std::uint64_t span_mark = obs::thread_mark();
       try {
-        // The preparation's flow.synth span belongs to the unit's trace.
+        // The preparation's span belongs to the unit's trace, so a trace
+        // shows what a cold worker paid.
         const obs::TraceContext trace_context(unit.trace_id);
-        if (!cached)
+        if (!cached) {
+          const obs::TraceSpan span("dist.prepare", obs::SpanCat::kDist);
           cached = add_cached(
               unit.circuit,
               CachedEvaluator::prepare(unit.circuit,
                                        parse_circuit_payload(fetched)));
+        }
         ClientChannel channel(*client, id, unit.job_id, grant->incumbent);
-        result = run_work_unit(*cached->evaluator, unit,
+        result = run_work_unit(cached->evaluator, unit,
                                unit.shared_bounds ? &channel : nullptr);
       } catch (const std::exception& error) {
         result.job_id = unit.job_id;

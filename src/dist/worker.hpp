@@ -10,17 +10,17 @@
 ///
 /// A grant names its circuit by CircuitKey only.  A worker that does not
 /// hold that circuit fetches the job's payload once (`fetch_circuit`): the
-/// spec plus the coordinator evaluator's per-node probabilities.  It rebuilds
-/// and normalizes the network in a FlowSession (the flow's own synthesis),
-/// verifies the synthesized network's structural fingerprint and the
-/// probabilities against it, and builds its evaluator on those
-/// probabilities — no worker builds a BDD, and every unit is scored on the
-/// coordinator's numbers.  A payload that does not fit fails the unit (the
-/// coordinator fails the job, the submitting flow reruns the search
-/// locally) rather than merging wrong numbers.  Prepared circuits are
-/// cached, least recently used out past kCacheCapacity, so the per-unit cost
-/// is one lease round trip; the cache lock is never held while a circuit is
-/// fetched or prepared.
+/// coordinator evaluator's synthesized network as BLIF plus its per-node
+/// probabilities.  It reads and compacts the network, verifies its
+/// structural fingerprint and the probabilities against the key, and builds
+/// its evaluator on those probabilities (one `dist.prepare` span) — no
+/// worker synthesizes a network or builds a BDD, and every unit is scored on
+/// the coordinator's numbers.  A payload that does not fit, BLIF that does
+/// not parse included, fails the unit (the coordinator fails the job, the
+/// submitting flow reruns the search locally) rather than merging wrong
+/// numbers.  Prepared circuits are cached by key, least recently used out
+/// past kCacheCapacity, so the per-unit cost is one lease round trip; the
+/// cache lock is never held while a circuit is fetched or prepared.
 
 #pragma once
 
@@ -106,7 +106,7 @@ class DistWorker {
 
   std::mutex cache_mutex_;
   /// Most recently used first.
-  std::list<std::pair<std::string, std::shared_ptr<CachedEvaluator>>> cache_;
+  std::list<std::pair<CircuitKey, std::shared_ptr<CachedEvaluator>>> cache_;
   std::atomic<std::size_t> cache_entries_{0};
 
   std::atomic<std::uint64_t> units_completed_{0};

@@ -202,32 +202,12 @@ double parse_incumbent(const std::string& json) {
       .value_or(std::numeric_limits<double>::infinity());
 }
 
-std::string format_circuit_payload(const CircuitSpec& circuit,
+std::string format_circuit_payload(const CircuitKey& key, std::string_view blif,
                                    const std::vector<double>& probs) {
   std::string out = "{";
   append_field(out, "ok", true);
-  append_circuit_key(out, circuit.key);
-  if (!circuit.corpus.empty())
-    append_field(out, "corpus", std::string_view(circuit.corpus));
-  if (!circuit.blif_text.empty())
-    append_field(out, "blif", std::string_view(circuit.blif_text));
-  append_field(out, "bench", circuit.has_bench);
-  if (circuit.has_bench) {
-    const BenchSpec& bench = circuit.bench;
-    append_field(out, "bench_name", std::string_view(bench.name));
-    append_field(out, "bench_desc", std::string_view(bench.description));
-    append_field(out, "bench_pis", bench.num_pis);
-    append_field(out, "bench_pos", bench.num_pos);
-    append_field(out, "bench_latches", bench.num_latches);
-    append_field(out, "bench_gates", bench.gate_target);
-    append_field(out, "bench_seed", bench.seed);
-    append_field(out, "bench_not", bench.not_prob);
-    append_field(out, "bench_and", bench.and_bias);
-    append_field(out, "bench_loc", bench.locality);
-    append_field(out, "bench_dnf", bench.dnf_width);
-    append_field(out, "bench_cnf", bench.cnf_width);
-    append_field(out, "bench_sup", bench.support_lo);
-  }
+  append_circuit_key(out, key);
+  append_field(out, "blif", blif);
   std::string list;
   list.reserve(probs.size() * 20);
   for (std::size_t i = 0; i < probs.size(); ++i) {
@@ -254,27 +234,10 @@ CircuitPayload parse_circuit_payload(const std::string& json) {
   if (!codec::find_bool(json, "ok").value_or(false))
     throw codec::Error("circuit fetch refused: " + json);
   CircuitPayload payload;
-  CircuitSpec& circuit = payload.circuit;
-  circuit.key = parse_circuit_key(json);
-  circuit.corpus = codec::find_string(json, "corpus").value_or("");
-  circuit.blif_text = codec::find_string(json, "blif").value_or("");
-  circuit.has_bench = codec::find_bool(json, "bench").value_or(false);
-  if (circuit.has_bench) {
-    BenchSpec& bench = circuit.bench;
-    bench.name = codec::find_string(json, "bench_name").value_or("");
-    bench.description = codec::find_string(json, "bench_desc").value_or("");
-    bench.num_pis = require_u64(json, "bench_pis");
-    bench.num_pos = require_u64(json, "bench_pos");
-    bench.num_latches = require_u64(json, "bench_latches");
-    bench.gate_target = require_u64(json, "bench_gates");
-    bench.seed = require_u64(json, "bench_seed");
-    bench.not_prob = require_double(json, "bench_not");
-    bench.and_bias = require_double(json, "bench_and");
-    bench.locality = require_double(json, "bench_loc");
-    bench.dnf_width = require_u64(json, "bench_dnf");
-    bench.cnf_width = require_u64(json, "bench_cnf");
-    bench.support_lo = require_u64(json, "bench_sup");
-  }
+  payload.key = parse_circuit_key(json);
+  auto blif = codec::find_string(json, "blif");
+  if (!blif) throw codec::Error("circuit payload is missing 'blif'");
+  payload.blif = std::move(*blif);
   const auto list = codec::find_string(json, "probs");
   if (!list) throw codec::Error("circuit payload is missing 'probs'");
   if (!list->empty()) {

@@ -11,10 +11,11 @@
 /// (metric, code) pair plus telemetry; the coordinator merges them in unit
 /// order with the exact single-process tie-break.
 ///
-/// A grant names its circuit only by CircuitKey.  The circuit itself — its
-/// spec plus the coordinator evaluator's per-node probabilities — travels
-/// once per job and worker, as the reply to `fetch_circuit`, so workers
-/// score units on the coordinator's numbers without building BDDs.
+/// A grant names its circuit only by CircuitKey.  The circuit itself — the
+/// coordinator evaluator's synthesized network as BLIF and its per-node
+/// probabilities — travels once per job and worker, as the reply to
+/// `fetch_circuit`, so workers score units on the coordinator's numbers
+/// without synthesis or BDDs.
 ///
 /// Wire encoding (util/codec.hpp; docs/protocol.md, "Encodings"):
 /// worker->coordinator messages are single-line `key=value` commands
@@ -132,24 +133,30 @@ struct ParsedGrant {
 /// Extracts `"incumbent"` from an acknowledgement (+inf when absent/"inf").
 [[nodiscard]] double parse_incumbent(const std::string& json);
 
-/// A job's circuit as `fetch_circuit` serves it: the spec, fingerprint
-/// included, and the per-node signal probabilities of the coordinator's
-/// evaluator (AssignmentEvaluator::probs()).
+/// A job's circuit as `fetch_circuit` serves it: exactly the inputs of the
+/// coordinator's evaluator — its key, fingerprint included, the synthesized
+/// network it holds (AssignmentEvaluator::network(), as blif::write_string
+/// writes it) and its per-node signal probabilities
+/// (AssignmentEvaluator::probs()).
 struct CircuitPayload {
-  CircuitSpec circuit;
+  CircuitKey key;
+  std::string blif;
   std::vector<double> probs;
 };
 
-/// `{"ok":true,...spec fields...,"probs":"p0,p1,..."}`, the probabilities
-/// shortest-round-trip so they decode bit-exact.  dist/search.cpp formats it
-/// once per job; the coordinator serves the bytes as they are.
+/// `{"ok":true,...key fields...,"blif":"...","probs":"p0,p1,..."}`, the
+/// probabilities shortest-round-trip so they decode bit-exact.
+/// dist/search.cpp formats it once per job; the coordinator serves the
+/// bytes as they are.
 [[nodiscard]] std::string format_circuit_payload(
-    const CircuitSpec& circuit, const std::vector<double>& probs);
+    const CircuitKey& key, std::string_view blif,
+    const std::vector<double>& probs);
 /// `{"ok":false,"error":...}` naming a job that is unknown or finished.
 [[nodiscard]] std::string format_no_circuit(std::uint64_t job_id);
 /// Parses a fetch_circuit reply.  Throws codec::Error on a refusal (with
-/// the coordinator's answer) or a malformed payload.  Only decodes: the
-/// worker checks the probabilities against the network it rebuilds.
+/// the coordinator's answer) or a malformed payload, and names a missing
+/// `blif` or `probs`.  Only decodes: the worker checks the network and the
+/// probabilities against the unit's key.
 [[nodiscard]] CircuitPayload parse_circuit_payload(const std::string& json);
 
 }  // namespace dominosyn::dist

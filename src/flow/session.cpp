@@ -73,14 +73,16 @@ bool context_inputs_equal(const FlowOptions& a, const FlowOptions& b) {
 }
 
 /// Whether the fabric's workers score units on this session's numbers.  A
-/// worker prepares the spec's circuit in a FlowSession with default options
-/// plus the spec's pi_prob and load_aware (DistWorker::evaluator_for).  A
-/// session whose probabilities or model differ from that searches locally,
-/// or the merge would mix units scored on different numbers.
+/// worker builds its evaluator on the shipped probabilities with the flow's
+/// default model plus the key's load_aware (DistWorker::CachedEvaluator),
+/// and caches it under the key, which names only pi_prob, load_aware and the
+/// network.  A session whose SeqProbOptions or other model fields differ
+/// searches locally, or workers would score its units on another session's
+/// numbers.
 bool fabric_replays(const FlowOptions& options) {
   FlowOptions replayed;
-  replayed.pi_prob = options.dist.circuit.key.pi_prob;
-  replayed.model.load_aware = options.dist.circuit.key.load_aware;
+  replayed.pi_prob = options.pi_prob;
+  replayed.model.load_aware = options.model.load_aware;
   return probs_inputs_equal(options, replayed) &&
          context_inputs_equal(options, replayed);
 }
@@ -200,11 +202,15 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
   const std::size_t num_pos = eval.network().num_pos();
 
   // The mode's search, its exact power searches on the fabric or here; the
-  // min-area search always runs here.
+  // min-area search always runs here.  The fabric's units name the circuit
+  // by this session's probability and model inputs.
+  dist::DistSearchOptions dist = options_.dist;
+  dist.circuit.key.pi_prob = options_.pi_prob;
+  dist.circuit.key.load_aware = options_.model.load_aware;
   const auto search = [&](bool on_fabric) {
     const auto exact_min_power = [&](const ExhaustiveOptions& exhaustive) {
       return on_fabric ? dist::dist_exhaustive_search(eval, /*by_power=*/true,
-                                                      exhaustive, options_.dist)
+                                                      exhaustive, dist)
                        : exhaustive_min_power(eval, exhaustive);
     };
     ExhaustiveOptions exhaustive;
@@ -257,9 +263,9 @@ const FlowSession::AssignStage& FlowSession::assign(PhaseMode mode) {
   };
 
   // Decided once: the fabric runs the search only when its workers replay
-  // this session's numbers.  A fabric failure (no workers, cancelled by
-  // shutdown, failed unit) reruns the identical-result local search instead
-  // of failing the flow.
+  // this session's numbers.  A fabric failure (no workers, a circuit too
+  // large to ship, cancelled by shutdown, failed unit) reruns the
+  // identical-result local search instead of failing the flow.
   const bool on_fabric = options_.dist.enabled &&
                          options_.dist.coordinator != nullptr &&
                          fabric_replays(options_);

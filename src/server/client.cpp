@@ -210,7 +210,7 @@ std::optional<std::string> Client::read_line() {
     }
     // Same per-line bound the server enforces: a peer that streams a
     // newline-less response is broken, not a reason to grow without limit.
-    if (buffer_.size() > protocol::kMaxLineLength)
+    if (buffer_.size() > codec::kMaxLineLength)
       throw std::runtime_error("response line exceeds protocol maximum");
     char chunk[4096];
     const std::size_t want =

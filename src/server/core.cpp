@@ -342,19 +342,11 @@ ServerResponse ServerCore::execute(Pending& pending) {
       response.telemetry.degraded = true;
     }
     if (options.dist.enabled) {
-      // Wire the request to this core's coordinator and make sure workers
-      // can reconstruct the circuit; otherwise the request runs locally.
+      // Wire the request to this core's coordinator.  The request
+      // fingerprint keys checkpoint journaling and crash-recovery adoption
+      // (docs/robustness.md).
       options.dist.coordinator = &coordinator_;
-      // The request fingerprint keys checkpoint journaling and crash-
-      // recovery adoption (docs/robustness.md).
       options.dist.rid = pending.request.request_id;
-      if (!options.dist.circuit.valid()) {
-        options.dist.circuit.corpus = pending.request.corpus;
-        options.dist.circuit.blif_text = pending.request.blif_text;
-        options.dist.circuit.key.pi_prob = options.pi_prob;
-        options.dist.circuit.key.load_aware = options.model.load_aware;
-      }
-      if (!options.dist.circuit.valid()) options.dist.enabled = false;
     }
     SessionCache::Lease lease =
         cache_->lease(key, *pending.request.network, pending.request.options);

@@ -59,16 +59,12 @@ struct ServerRequest {
   std::string circuit;
   /// The circuit to serve.  May be owning (daemon-parsed BLIF / generated
   /// corpus) or a non-owning alias of caller-kept storage (run_flow_batch).
+  /// A dist-enabled request needs nothing more: its fabric jobs ship the
+  /// session's synthesized network to workers.
   std::shared_ptr<const Network> network;
   FlowOptions options;
   /// Reject instead of running when this point passed while queued.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// How the circuit was described on the wire, kept so dist-enabled requests
-  /// can ship a reconstructible spec to workers: the corpus name or the
-  /// verbatim inline-BLIF text (at most one non-empty).  In-process callers
-  /// may leave both empty and fill options.dist.circuit themselves.
-  std::string corpus;
-  std::string blif_text;
   /// Client-assigned idempotency fingerprint (`rid=` on the wire).  Serving
   /// is deterministic, so a re-submitted fingerprint returns the same bytes;
   /// the id exists for log/trace correlation across retries.

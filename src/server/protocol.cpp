@@ -182,15 +182,12 @@ Command parse_submit(const std::vector<std::string_view>& tokens,
     } catch (const std::exception& e) {
       throw ProtocolError(std::string("BLIF parse failed: ") + e.what());
     }
-    // Keep the verbatim text: a dist-enabled request ships it to workers.
-    command.request.blif_text = text;
   } else {
     try {
       command.request.network = paper_network(corpus);
     } catch (const std::exception& e) {
       throw ProtocolError(std::string("corpus lookup failed: ") + e.what());
     }
-    command.request.corpus = corpus;
   }
   return command;
 }

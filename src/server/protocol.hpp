@@ -46,7 +46,7 @@
 ///     terminated by a line that is exactly `# EOF`;
 ///   * `trace` answers with one JSON line `{"ok":true,"traceEvents":[...]}`
 ///     holding the ring-buffered span collector as Chrome trace_event
-///     objects, size-capped to stay under kMaxLineLength.
+///     objects, size-capped to stay under codec::kMaxLineLength.
 
 #pragma once
 
@@ -66,19 +66,14 @@ namespace dominosyn::protocol {
 /// the codec's one error type, so a decoder's throw is a protocol error.
 using ProtocolError = codec::Error;
 
-/// Hard ceiling on one protocol line (1 MiB) — far above any legitimate
-/// command or BLIF line, and a bound on per-connection buffering so a peer
-/// streaming garbage without newlines cannot grow server memory unboundedly.
-inline constexpr std::size_t kMaxLineLength = std::size_t{1} << 20;
-
-/// A line exceeded kMaxLineLength.  Typed (vs a generic ProtocolError) so
-/// transports can discard input up to the next newline and keep the
-/// connection alive in a recoverable state.
+/// A line exceeded codec::kMaxLineLength (1 MiB).  Typed (vs a generic
+/// ProtocolError) so transports can discard input up to the next newline and
+/// keep the connection alive in a recoverable state.
 class LineTooLongError : public ProtocolError {
  public:
   LineTooLongError()
       : ProtocolError("line exceeds the protocol maximum of " +
-                      std::to_string(kMaxLineLength) + " bytes") {}
+                      std::to_string(codec::kMaxLineLength) + " bytes") {}
 };
 
 /// Pulls the next input line (without terminator); std::nullopt = end of

@@ -25,7 +25,7 @@ namespace {
 }
 
 /// Buffered line reader over a socket fd ('\n'-terminated, '\r' stripped).
-/// Per-connection buffering is bounded by protocol::kMaxLineLength: an
+/// Per-connection buffering is bounded by codec::kMaxLineLength: an
 /// over-long line throws LineTooLongError once, and the reader then discards
 /// input until the next newline so the connection recovers at the following
 /// command instead of feeding the tail of the junk to the parser.
@@ -49,7 +49,7 @@ class FdLineReader {
       }
       if (skipping_) {
         buffer_.clear();  // still mid-junk: nothing here is a line prefix
-      } else if (buffer_.size() > protocol::kMaxLineLength) {
+      } else if (buffer_.size() > codec::kMaxLineLength) {
         buffer_.clear();
         skipping_ = true;
         throw protocol::LineTooLongError();

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -24,6 +25,13 @@ class Error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Hard ceiling on one protocol line (1 MiB): far above any legitimate
+/// command, reply or BLIF line, and a bound on per-connection buffering, so
+/// a peer streaming garbage without newlines cannot grow memory without
+/// limit.  Servers and clients refuse longer lines, so no writer may send
+/// one.
+inline constexpr std::size_t kMaxLineLength = std::size_t{1} << 20;
 
 // -- scalars ------------------------------------------------------------------
 

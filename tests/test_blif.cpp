@@ -5,6 +5,7 @@
 #include "blif/blif.hpp"
 #include "benchgen/benchgen.hpp"
 #include "flow/flow.hpp"
+#include "flow/session.hpp"
 #include "network/sop.hpp"
 
 namespace dominosyn {
@@ -211,6 +212,115 @@ TEST(BlifWriter, RoundTripXorAndConstants) {
   net.add_po("k0", Network::const0());
   const Network back = blif::read_string(blif::write_string(net));
   EXPECT_TRUE(random_equivalent(net, back));
+}
+
+/// Models named the way ABC names internal signals, n<k>: the k of a named
+/// signal is often the id of a gate the reader leaves unnamed.
+std::vector<std::string> abc_named_models() {
+  return {
+      // Covers with complemented literals: the reader's unnamed NOTs take
+      // ids that named gates carry as names (n7).
+      ".model abc1\n.inputs a b c d\n.outputs f\n"
+      ".names a b n5\n11 1\n.names c d n6\n00 1\n"
+      ".names n5 n6 n7\n1- 1\n-1 1\n.names n7 d f\n10 1\n.end\n",
+      // Inputs named n6..n9 and an output named n10 driven by an input.
+      ".model abc2\n.inputs n6 n7 n8 n9\n.outputs f n10\n"
+      ".names n6 n7 t\n01 1\n.names t n8 n9 f\n1-0 1\n-10 1\n"
+      ".names n9 n10\n1 1\n.end\n",
+      // An off-set cover and a latch whose state is named n<k>.
+      ".model abc3\n.inputs a b c d\n.outputs f n12\n.latch n11 n12 1\n"
+      ".names a b n9\n11 0\n.names n9 c n10\n10 1\n01 1\n"
+      ".names n10 n12 d n11\n1-1 1\n-1- 1\n.names n11 a f\n0- 1\n-0 1\n"
+      ".end\n",
+  };
+}
+
+TEST(BlifWriter, GeneratedNamesSkipNamesTheNetworkHolds) {
+  // A node without a name is written as n<id>; when another node or output
+  // already holds that name, the reader would see one signal defined twice.
+  for (const std::string& text : abc_named_models()) {
+    const Network net = blif::read_string(text);
+    const Network back = blif::read_string(blif::write_string(net));
+    EXPECT_TRUE(random_equivalent(net, back)) << text;
+  }
+  // Where n<id> is free, it stays the name.
+  Network net;
+  const NodeId a = net.add_pi("a");
+  const NodeId b = net.add_pi("b");
+  net.add_po("f", net.add_not(net.add_and(a, b)));
+  const std::string text = blif::write_string(net);
+  EXPECT_NE(text.find(".names a b n4\n11 1\n.names n4 n5\n0 1\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(BlifWriter, SynthesizedNetworksRoundTripStructurally) {
+  // The fabric ships a job's synthesized network as BLIF: the reader's
+  // network, compacted, must be that network node for node.
+  std::vector<Network> inputs;
+  for (const BenchSpec& spec : paper_suite())
+    inputs.push_back(*paper_network(spec.name));
+  for (const std::size_t latches : {0u, 4u}) {
+    for (const std::uint64_t seed : {47u, 48u}) {
+      BenchSpec spec;
+      spec.name = 'g' + std::to_string(seed);
+      spec.num_pis = 9;
+      spec.num_pos = 8;
+      spec.num_latches = latches;
+      spec.gate_target = 120;
+      spec.seed = seed;
+      inputs.push_back(generate_benchmark(spec));
+    }
+  }
+  {
+    // Outputs on both constants, on one input twice, on one gate twice, on
+    // a NOT.
+    Network net;
+    net.set_name("corners");
+    const NodeId a = net.add_pi("a");
+    const NodeId b = net.add_pi("b");
+    const NodeId c = net.add_pi("c");
+    const NodeId g = net.add_or(net.add_and(a, b), c);
+    net.add_po("k0", Network::const0());
+    net.add_po("k1", Network::const1());
+    net.add_po("a1", a);
+    net.add_po("a2", a);
+    net.add_po("g1", g);
+    net.add_po("g2", g);
+    net.add_po("nb", net.add_not(b));
+    inputs.push_back(std::move(net));
+  }
+  {
+    // Outputs on latch outputs; kOne and kDontCare latches.
+    Network net;
+    net.set_name("latched");
+    const NodeId a = net.add_pi("a");
+    const NodeId q = net.add_latch("q", LatchInit::kOne);
+    const NodeId r = net.add_latch("r", LatchInit::kDontCare);
+    net.set_latch_input(q, net.add_and(a, r));
+    net.set_latch_input(r, net.add_or(net.add_not(q), a));
+    net.add_po("q", q);
+    net.add_po("r_out", r);
+    inputs.push_back(std::move(net));
+  }
+  // A sum-of-products model.
+  inputs.push_back(blif::read_string(
+      ".model sop\n.inputs a b c d\n.outputs f g\n"
+      ".names a b c d f\n1-0- 1\n-11- 1\n0--1 1\n"
+      ".names a c d g\n11- 0\n--0 0\n.end\n"));
+  for (const std::string& text : abc_named_models())
+    inputs.push_back(blif::read_string(text));
+
+  for (Network& input : inputs) {
+    const std::string name = input.name();
+    FlowSession session(std::move(input), FlowOptions{});
+    const Network& synthesized = session.synthesized();
+    const Network back =
+        compact_copy(blif::read_string(blif::write_string(synthesized)));
+    EXPECT_EQ(network_fingerprint(back), network_fingerprint(synthesized))
+        << name;
+    EXPECT_EQ(back.num_nodes(), synthesized.num_nodes()) << name;
+  }
 }
 
 TEST(BlifFile, MissingFileThrows) {

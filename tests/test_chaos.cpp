@@ -57,7 +57,7 @@ BenchSpec chaos_spec(std::uint64_t seed) {
   return spec;
 }
 
-FlowOptions fabric_options(const BenchSpec& spec) {
+FlowOptions fabric_options() {
   FlowOptions options;
   options.mode = PhaseMode::kExhaustivePower;
   options.sim.steps = 400;
@@ -67,8 +67,6 @@ FlowOptions fabric_options(const BenchSpec& spec) {
   options.dist.participate = false;  // remote workers do all the work
   options.dist.stall_takeover_ms = 60'000;
   options.dist.lease_timeout_ms = 1'000;
-  options.dist.circuit.has_bench = true;
-  options.dist.circuit.bench = spec;
   return options;
 }
 
@@ -91,7 +89,7 @@ void expect_reports_identical(const FlowReport& a, const FlowReport& b) {
 TEST_F(ChaosTest, FabricServesBitIdenticalReportsUnderInjectedFaults) {
   const BenchSpec spec = chaos_spec(97);
   const Network net = generate_benchmark(spec);
-  FlowOptions local = fabric_options(spec);
+  FlowOptions local = fabric_options();
   local.dist = {};  // fault-free single-process reference
   const FlowReport reference = run_flow(net, local);
 
@@ -124,7 +122,7 @@ TEST_F(ChaosTest, FabricServesBitIdenticalReportsUnderInjectedFaults) {
   }
 
   const ServerResponse response =
-      core.submit(fabric_request(net, fabric_options(spec))).get();
+      core.submit(fabric_request(net, fabric_options())).get();
   ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
   expect_reports_identical(response.report, reference);
 

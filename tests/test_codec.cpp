@@ -48,40 +48,32 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // -- fixed inputs -------------------------------------------------------------
 
-dist::CircuitSpec bench_circuit() {
-  dist::CircuitSpec circuit;
-  circuit.has_bench = true;
-  circuit.bench.name = "Industry 1";
-  circuit.bench.description = "Control \"Logic\"";
-  circuit.bench.num_pis = 24;
-  circuit.bench.num_pos = 28;
-  circuit.bench.gate_target = 12000;
-  circuit.bench.seed = 77;
-  circuit.bench.not_prob = 0.1;
-  circuit.bench.and_bias = 1.0 / 3.0;
-  circuit.bench.locality = 0.7;
-  circuit.key.pi_prob = 0.375;
-  circuit.key.load_aware = false;
-  circuit.key.fingerprint = (1ULL << 63) + 99;
-  return circuit;
+/// The circuit keys of the bench, blif and corpus units (named for the
+/// circuit specs grants once carried).
+dist::CircuitKey bench_key() {
+  dist::CircuitKey key;
+  key.pi_prob = 0.375;
+  key.load_aware = false;
+  key.fingerprint = (1ULL << 63) + 99;
+  return key;
+}
+
+dist::CircuitKey blif_key() {
+  dist::CircuitKey key;
+  key.fingerprint = 5;
+  return key;
+}
+
+dist::CircuitKey corpus_key() {
+  dist::CircuitKey key;
+  key.fingerprint = 0xfeedfacecafeULL;
+  return key;
 }
 
 /// Inline BLIF with quotes, a backslash and control bytes.
-dist::CircuitSpec blif_circuit() {
-  dist::CircuitSpec circuit;
-  circuit.blif_text =
-      ".model \"q\\\"\n.inputs a b\n.outputs f\n.names a b f\n"
-      "11 1\x01\x1f\t\r\n.end\n";
-  circuit.key.fingerprint = 5;
-  return circuit;
-}
-
-dist::CircuitSpec corpus_circuit() {
-  dist::CircuitSpec circuit;
-  circuit.corpus = "apex7";
-  circuit.key.fingerprint = 0xfeedfacecafeULL;
-  return circuit;
-}
+constexpr std::string_view kBlif =
+    ".model \"q\\\"\n.inputs a b\n.outputs f\n.names a b f\n"
+    "11 1\x01\x1f\t\r\n.end\n";
 
 /// Probabilities whose shortest round trip is long, short and subnormal.
 const std::vector<double> kProbs = {0.0, 1.0, 0.1 + 0.2, 1.0 / 3.0, 5e-324};
@@ -97,7 +89,7 @@ dist::WorkUnit bench_unit() {
   unit.node_budget = 1ULL << 21;
   unit.shared_bounds = true;
   unit.trace_id = (1ULL << 53) + 9;
-  unit.circuit = bench_circuit().key;
+  unit.circuit = bench_key();
   return unit;
 }
 
@@ -106,7 +98,7 @@ dist::WorkUnit blif_unit() {
   dist::WorkUnit unit;
   unit.job_id = 2;
   unit.bound_snapshot = -kInf;
-  unit.circuit = blif_circuit().key;
+  unit.circuit = blif_key();
   return unit;
 }
 
@@ -117,7 +109,7 @@ dist::WorkUnit corpus_unit() {
   unit.task = 13;
   unit.frontier_depth = 4;
   unit.bound_snapshot = std::numeric_limits<double>::quiet_NaN();
-  unit.circuit = corpus_circuit().key;
+  unit.circuit = corpus_key();
   return unit;
 }
 
@@ -226,25 +218,13 @@ constexpr std::string_view kLegacyGrantAnneal =
     "\"shared\":false,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
     "\"incumbent\":\"inf\"}";
 constexpr std::string_view kFetch = "fetch_circuit worker=w%201%3d%25 job=9";
-// The circuit payloads keep the spec encoding grants used to carry.
-constexpr std::string_view kCircuitBench =
-    "{\"ok\":true,\"pi_prob\":0.375,\"load_aware\":false,"
-    "\"fingerprint\":9223372036854775907,\"bench\":true,"
-    "\"bench_name\":\"Industry 1\",\"bench_desc\":\"Control \\\"Logic\\\"\","
-    "\"bench_pis\":24,\"bench_pos\":28,\"bench_latches\":0,"
-    "\"bench_gates\":12000,\"bench_seed\":77,\"bench_not\":0.1,"
-    "\"bench_and\":0.3333333333333333,\"bench_loc\":0.7,\"bench_dnf\":2,"
-    "\"bench_cnf\":4,\"bench_sup\":4,"
-    "\"probs\":\"0,1,0.30000000000000004,0.3333333333333333,5e-324\"}";
+// Changed on purpose: the payload carries the evaluator's network as BLIF
+// and no `corpus`, `bench` or `bench_*` fields.
 constexpr std::string_view kCircuitBlif =
     "{\"ok\":true,\"pi_prob\":0.5,\"load_aware\":true,\"fingerprint\":5,"
     "\"blif\":\".model \\\"q\\\\\\\"\\n.inputs a b\\n.outputs f\\n.names a b "
-    "f\\n11 1\\u0001\\u001f\\t\\r\\n.end\\n\",\"bench\":false,"
+    "f\\n11 1\\u0001\\u001f\\t\\r\\n.end\\n\","
     "\"probs\":\"0,1,0.30000000000000004,0.3333333333333333,5e-324\"}";
-constexpr std::string_view kCircuitCorpus =
-    "{\"ok\":true,\"pi_prob\":0.5,\"load_aware\":true,"
-    "\"fingerprint\":280298068560638,\"corpus\":\"apex7\",\"bench\":false,"
-    "\"probs\":\"0.5\"}";
 constexpr std::string_view kNoCircuit =
     "{\"ok\":false,\"error\":\"no circuit for job 12: unknown or finished\"}";
 // Changed on purpose: no `evals=` and no `assignment=`, the annealing
@@ -380,32 +360,24 @@ TEST(CodecGolden, WorkGrantsKeepTheirBytes) {
 
 TEST(CodecGolden, FetchCircuitKeepsItsBytes) {
   EXPECT_EQ(dist::format_fetch_command("w 1=%", 9), kFetch);
-  EXPECT_EQ(dist::format_circuit_payload(bench_circuit(), kProbs),
-            kCircuitBench);
-  EXPECT_EQ(dist::format_circuit_payload(blif_circuit(), kProbs),
+  EXPECT_EQ(dist::format_circuit_payload(blif_key(), kBlif, kProbs),
             kCircuitBlif);
-  EXPECT_EQ(dist::format_circuit_payload(corpus_circuit(), {0.5}),
-            kCircuitCorpus);
   EXPECT_EQ(dist::format_no_circuit(12), kNoCircuit);
-  // Each payload decodes to a spec and probabilities that encode back to
-  // the same bytes.
-  for (const std::string_view golden :
-       {kCircuitBench, kCircuitBlif, kCircuitCorpus}) {
-    const dist::CircuitPayload payload =
-        dist::parse_circuit_payload(std::string(golden));
-    EXPECT_EQ(dist::format_circuit_payload(payload.circuit, payload.probs),
-              golden);
-  }
-  EXPECT_EQ(dist::parse_circuit_payload(std::string(kCircuitBlif))
-                .circuit.blif_text,
-            blif_circuit().blif_text);
+  // The payload decodes to a key, BLIF and probabilities that encode back
+  // to the same bytes.
+  const dist::CircuitPayload payload =
+      dist::parse_circuit_payload(std::string(kCircuitBlif));
+  EXPECT_EQ(payload.key, blif_key());
+  EXPECT_EQ(payload.blif, kBlif);
+  EXPECT_EQ(
+      dist::format_circuit_payload(payload.key, payload.blif, payload.probs),
+      kCircuitBlif);
   EXPECT_THROW((void)dist::parse_circuit_payload(std::string(kNoCircuit)),
                codec::Error);
   // A payload with a flipped byte decodes or is rejected; it never crashes.
   std::mt19937_64 rng(0xfe7c);
   for (int i = 0; i < 3000; ++i) {
-    std::string mutated(
-        std::array{kCircuitBench, kCircuitBlif, kCircuitCorpus}[i % 3]);
+    std::string mutated(kCircuitBlif);
     mutated[rng() % mutated.size()] = static_cast<char>(rng());
     try {
       (void)dist::parse_circuit_payload(mutated);
@@ -546,7 +518,7 @@ TEST(CodecJournal, EarlierFormatReplaysAndCompactsToTheCurrentRecords) {
   ASSERT_EQ(live.units.size(), 2u);
   EXPECT_EQ(live.units[1].task, 13u);
   EXPECT_EQ(live.units[1].bound_snapshot, 98.5);
-  EXPECT_EQ(live.units[1].circuit, corpus_circuit().key);
+  EXPECT_EQ(live.units[1].circuit, corpus_key());
   EXPECT_EQ(live.completed(), 0u);
   EXPECT_EQ(live.incumbent, 42.5);
   EXPECT_FALSE(live.finished);

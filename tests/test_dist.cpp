@@ -1,7 +1,7 @@
 /// Tests for the distributed search fabric (src/dist/, docs/distributed.md):
 ///  * wire round-trips of every fabric message — exact uint64 codes past
 ///    2^53, infinite metrics, percent-encoded error text, slim grants, and
-///    generator specs, multi-line BLIF and bit-exact probabilities inside
+///    circuit keys, multi-line BLIF and bit-exact probabilities inside
 ///    one-line JSON circuit payloads,
 ///  * coordinator bookkeeping: lease/complete/merge order, steal only when
 ///    the queue is dry, keep-first duplicate resolution, deadline expiry and
@@ -18,13 +18,16 @@
 ///    dying mid-lease (re-issue + identical report), reports of a
 ///    participating core and of remote workers pinned byte for byte and
 ///    equal to dist=0 reports (min-area searches issuing no units, the
-///    workers shipping no probability stage), a two-thread worker serving
-///    two jobs while one of its fetches is held, circuit payloads that do
-///    not fit failing the unit by name while the submit serves the local
-///    report, fetch_circuit refusing unknown and finished jobs, a worker's
-///    bounded circuit cache, a session whose options workers cannot replay
-///    searching locally, and non-drain shutdown resolving a dist-waiting
-///    submit.
+///    workers shipping one preparation per circuit and no flow stage), a
+///    two-thread worker serving two jobs while one of its fetches is held,
+///    circuit payloads that do not fit — BLIF that does not parse or is not
+///    the coordinator's network included — failing the unit by name while
+///    the submit serves the local report, a payload over the protocol line
+///    cap opening no job, fetch_circuit refusing unknown and finished jobs,
+///    a worker's bounded circuit cache, a session whose options workers
+///    cannot replay searching locally while one with other pi_prob and
+///    load_aware still uses the fabric, and non-drain shutdown resolving a
+///    dist-waiting submit.
 
 #include <gtest/gtest.h>
 
@@ -82,9 +85,8 @@ BenchSpec dist_spec(std::uint64_t seed, std::size_t pos = 8,
   return spec;
 }
 
-/// The synthesized network + evaluator a worker would rebuild for the spec
-/// (FlowSession's own preparation), owning the network the evaluator
-/// references.
+/// The synthesized network + evaluator a FlowSession builds for the spec,
+/// owning the network the evaluator references.
 struct Prepared {
   Network net;
   std::unique_ptr<AssignmentEvaluator> evaluator;
@@ -108,7 +110,6 @@ std::unique_ptr<Prepared> prepare(const BenchSpec& spec, double pi_prob = 0.5) {
 }
 
 DistSearchOptions fabric_options(DistCoordinator& coordinator,
-                                 const BenchSpec& spec,
                                  std::size_t frontier_depth,
                                  bool shared_bounds = false) {
   DistSearchOptions dist;
@@ -116,8 +117,6 @@ DistSearchOptions fabric_options(DistCoordinator& coordinator,
   dist.coordinator = &coordinator;
   dist.frontier_depth = frontier_depth;
   dist.shared_bounds = shared_bounds;
-  dist.circuit.has_bench = true;
-  dist.circuit.bench = spec;
   return dist;
 }
 
@@ -242,48 +241,45 @@ TEST(DistWire, WorkGrantRoundTripsUnitFieldsAndCircuitKey) {
   EXPECT_THROW((void)parse_work_grant("{\"ok\":false}"), std::runtime_error);
 }
 
-TEST(DistWire, CircuitPayloadRoundTripsGeneratorSpecBlifAndProbabilities) {
-  CircuitSpec bench;
-  bench.has_bench = true;
-  bench.bench = dist_spec(5, 10, 120);
-  bench.bench.name = "Industry 1";  // corpus names contain spaces
-  bench.key.pi_prob = 0.375;
-  bench.key.load_aware = false;
-  bench.key.fingerprint = (1ULL << 63) + 99;
+TEST(DistWire, CircuitPayloadRoundTripsKeyBlifAndProbabilities) {
+  CircuitKey key;
+  key.pi_prob = 0.375;
+  key.load_aware = false;
+  key.fingerprint = (1ULL << 63) + 99;
+  // BLIF with quotes and newlines inside the one-line JSON reply.
+  const std::string blif =
+      ".model \"q\"\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
   // Shortest-round-trip decimals: every probability decodes bit-exact.
   const std::vector<double> probs = {0.0, 1.0, 0.1 + 0.2, 1.0 / 3.0,
                                      std::nextafter(1.0, 0.0), 5e-324};
-  const CircuitPayload got =
-      parse_circuit_payload(format_circuit_payload(bench, probs));
-  ASSERT_TRUE(got.circuit.has_bench);
-  EXPECT_EQ(got.circuit.bench.name, bench.bench.name);
-  EXPECT_EQ(got.circuit.bench.num_pis, bench.bench.num_pis);
-  EXPECT_EQ(got.circuit.bench.num_pos, bench.bench.num_pos);
-  EXPECT_EQ(got.circuit.bench.gate_target, bench.bench.gate_target);
-  EXPECT_EQ(got.circuit.bench.seed, bench.bench.seed);
-  EXPECT_EQ(got.circuit.key, bench.key);
+  const std::string payload = format_circuit_payload(key, blif, probs);
+  EXPECT_EQ(payload.find('\n'), std::string::npos) << payload;
+  const CircuitPayload got = parse_circuit_payload(payload);
+  EXPECT_EQ(got.key, key);
+  EXPECT_EQ(got.blif, blif);
   ASSERT_EQ(got.probs.size(), probs.size());
   EXPECT_EQ(std::memcmp(got.probs.data(), probs.data(),
                         probs.size() * sizeof(double)),
             0);
 
-  // Verbatim BLIF (quotes, newlines) inside the one-line JSON reply.
-  CircuitSpec blif;
-  blif.blif_text =
-      ".model \"q\"\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
-  const CircuitPayload reblif =
-      parse_circuit_payload(format_circuit_payload(blif, {0.5}));
-  EXPECT_EQ(reblif.circuit.blif_text, blif.blif_text);
-  EXPECT_FALSE(reblif.circuit.has_bench);
-  EXPECT_EQ(reblif.probs, std::vector<double>{0.5});
-
-  // A refusal names the job; a probability no encoder writes is no payload.
+  // A refusal names the job; a probability no encoder writes is no payload,
+  // and neither is one without a network.
   const std::string refusal = format_no_circuit(12);
   EXPECT_NE(refusal.find("job 12"), std::string::npos) << refusal;
   EXPECT_THROW((void)parse_circuit_payload(refusal), codec::Error);
-  std::string junk = format_circuit_payload(blif, {0.5, 0.25});
+  std::string junk = format_circuit_payload(key, blif, {0.5, 0.25});
   junk.replace(junk.find("0.25"), 4, "0.2x");
   EXPECT_THROW((void)parse_circuit_payload(junk), codec::Error);
+  std::string no_blif = format_circuit_payload(key, blif, {0.5});
+  no_blif.erase(no_blif.find("\"blif\":"),
+                no_blif.find("\"probs\":") - no_blif.find("\"blif\":"));
+  try {
+    (void)parse_circuit_payload(no_blif);
+    FAIL() << no_blif;
+  } catch (const codec::Error& error) {
+    EXPECT_NE(std::string(error.what()).find("'blif'"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(DistWire, CompleteCommandRejectsTextNoEncoderWrites) {
@@ -663,7 +659,7 @@ TEST(DistSearchTest, ExhaustiveBitIdenticalAcrossEveryTopology) {
       for (const unsigned threads : {1u, 2u}) {
         DistCoordinator coordinator;
         const DistSearchOptions dist =
-            fabric_options(coordinator, spec, frontier, shared);
+            fabric_options(coordinator, frontier, shared);
         ExhaustiveOptions options;
         options.num_threads = threads;
         const SearchResult got = dist_exhaustive_search(
@@ -697,7 +693,7 @@ TEST(DistSearchTest, ExhaustiveBitIdenticalAcrossEveryTopology) {
   options.num_threads = 2;
   const SearchResult area = dist_exhaustive_search(
       *prepared->evaluator, /*by_power=*/false, options,
-      fabric_options(coordinator, spec, /*frontier=*/3));
+      fabric_options(coordinator, /*frontier=*/3));
   EXPECT_EQ(area.assignment, area_reference.assignment);
   expect_cost_identical(area.cost, area_reference.cost);
 }
@@ -706,7 +702,7 @@ TEST(DistSearchTest, ExhaustiveKeepsTheLocalErrorContracts) {
   const BenchSpec spec = dist_spec(32, /*pos=*/8);
   const auto prepared = prepare(spec);
   DistCoordinator coordinator;
-  const DistSearchOptions dist = fabric_options(coordinator, spec, 4);
+  const DistSearchOptions dist = fabric_options(coordinator, 4);
 
   ExhaustiveOptions too_small;
   too_small.max_outputs = 5;
@@ -735,7 +731,7 @@ TEST(DistSearchTest, FrontierDeeperThanTheLimitOpensNoJob) {
   DistCoordinator coordinator;
   EXPECT_THROW((void)dist_exhaustive_search(
                    *prepared->evaluator, true, ExhaustiveOptions{},
-                   fabric_options(coordinator, spec, kMaxFrontierDepth + 1)),
+                   fabric_options(coordinator, kMaxFrontierDepth + 1)),
                DistSearchError);
   EXPECT_EQ(coordinator.counters().units_issued, 0u);
   // The next job the coordinator opens is its first.
@@ -744,7 +740,7 @@ TEST(DistSearchTest, FrontierDeeperThanTheLimitOpensNoJob) {
 
 // -- the fabric end to end ----------------------------------------------------
 
-FlowOptions dist_flow_options(const BenchSpec& spec, bool participate,
+FlowOptions dist_flow_options(bool participate,
                               std::uint32_t stall_takeover_ms,
                               bool shared = false) {
   FlowOptions options;
@@ -756,8 +752,6 @@ FlowOptions dist_flow_options(const BenchSpec& spec, bool participate,
   options.dist.shared_bounds = shared;
   options.dist.participate = participate;
   options.dist.stall_takeover_ms = stall_takeover_ms;
-  options.dist.circuit.has_bench = true;
-  options.dist.circuit.bench = spec;
   return options;
 }
 
@@ -786,7 +780,7 @@ void expect_reports_identical(const FlowReport& a, const FlowReport& b,
 TEST(DistFabric, TcpWorkersServeSubmitsBitIdenticallyToLocal) {
   const BenchSpec spec = dist_spec(41, /*pos=*/8);
   const Network net = generate_benchmark(spec);
-  FlowOptions local_options = dist_flow_options(spec, false, 0);
+  FlowOptions local_options = dist_flow_options(false, 0);
   local_options.dist = {};  // plain single-process reference
   const FlowReport reference = run_flow(net, local_options);
 
@@ -811,7 +805,7 @@ TEST(DistFabric, TcpWorkersServeSubmitsBitIdenticallyToLocal) {
     // after 20 s — long enough that the workers always do the work.
     const ServerResponse response =
         core.submit(
-                dist_request(net, dist_flow_options(spec, false, 20'000)))
+                dist_request(net, dist_flow_options(false, 20'000)))
             .get();
     ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
     // The served (assignment, cost) is the local flow's, bit for bit.  The
@@ -869,7 +863,7 @@ TEST(DistFabric, WorkerSpansMergeIntoOneCrossProcessTrace) {
   // The driver waits (no inline participation): every unit runs on the
   // remote worker, whose spans ship back on complete_work.
   const ServerResponse response =
-      core.submit(dist_request(net, dist_flow_options(spec, false, 20'000)))
+      core.submit(dist_request(net, dist_flow_options(false, 20'000)))
           .get();
   ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
 
@@ -906,7 +900,7 @@ TEST(DistFabric, WorkerSpansMergeIntoOneCrossProcessTrace) {
 TEST(DistFabric, DeadWorkerMidLeaseIsReissuedWithIdenticalReport) {
   const BenchSpec spec = dist_spec(42, /*pos=*/8);
   const Network net = generate_benchmark(spec);
-  FlowOptions local_options = dist_flow_options(spec, false, 0);
+  FlowOptions local_options = dist_flow_options(false, 0);
   local_options.dist = {};
   const FlowReport reference = run_flow(net, local_options);
 
@@ -919,7 +913,7 @@ TEST(DistFabric, DeadWorkerMidLeaseIsReissuedWithIdenticalReport) {
   // window the driver takes the whole job over inline — the report must not
   // show a trace of the dead worker.
   auto future =
-      core.submit(dist_request(net, dist_flow_options(spec, false, 3'000)));
+      core.submit(dist_request(net, dist_flow_options(false, 3'000)));
   {
     Client ghost = Client::connect_tcp("127.0.0.1", server.port());
     std::string grant;
@@ -999,8 +993,6 @@ TEST(DistFabric, ParticipatingCoreServesPinnedReports) {
     options.sim.steps = 400;
     options.sim.warmup = 8;
     options.dist.enabled = true;
-    options.dist.circuit.has_bench = true;
-    options.dist.circuit.bench = c.spec;
     const std::uint64_t issued_before = core.stats().units_issued;
     const ServerResponse response =
         core.submit(dist_request(generate_benchmark(c.spec), options)).get();
@@ -1221,8 +1213,6 @@ TEST(DistFabric, RemoteWorkersServePinnedReports) {
     options.dist.enabled = true;
     options.dist.participate = false;
     options.dist.stall_takeover_ms = 20'000;
-    options.dist.circuit.has_bench = true;
-    options.dist.circuit.bench = c.spec;
     const std::uint64_t issued_before = core.stats().units_issued;
     const ServerResponse response =
         core.submit(dist_request(generate_benchmark(c.spec), options)).get();
@@ -1240,13 +1230,20 @@ TEST(DistFabric, RemoteWorkersServePinnedReports) {
   for (const auto& worker : fleet)
     EXPECT_EQ(worker->telemetry().units_failed, 0u);
 
-  // The workers score units on the coordinator's probabilities: their
-  // shipped spans show units, never a probability stage.
+  // The workers run the coordinator's prepared circuit: their shipped spans
+  // show units and one preparation per circuit a worker prepared, never a
+  // flow stage.
   if (!obs::kTracingCompiledOut) {
     const std::multiset<std::string> remote =
         remote_span_names(obs::chrome_trace_json());
     EXPECT_GT(remote.count("dist.unit"), 0u);
-    EXPECT_EQ(remote.count("flow.probs"), 0u);
+    std::uint64_t prepared = 0;
+    for (const auto& worker : fleet)
+      prepared += worker->telemetry().cached_circuits;
+    EXPECT_GT(prepared, 0u);
+    EXPECT_EQ(remote.count("dist.prepare"), prepared);
+    for (const std::string& name : remote)
+      EXPECT_FALSE(name.starts_with("flow.")) << name;
   }
 
   for (auto& worker : fleet) worker->stop();
@@ -1262,7 +1259,7 @@ TEST(DistFabric, ThreadedWorkerServesConcurrentJobsOnDifferentCircuits) {
                              dist_spec(52, /*pos=*/8)};
   std::vector<FlowReport> references;
   for (const BenchSpec& spec : specs) {
-    FlowOptions local_options = dist_flow_options(spec, false, 0);
+    FlowOptions local_options = dist_flow_options(false, 0);
     local_options.dist = {};
     references.push_back(run_flow(generate_benchmark(spec), local_options));
   }
@@ -1280,7 +1277,7 @@ TEST(DistFabric, ThreadedWorkerServesConcurrentJobsOnDifferentCircuits) {
   std::vector<std::future<ServerResponse>> futures;
   for (const BenchSpec& spec : specs)
     futures.push_back(core.submit(dist_request(
-        generate_benchmark(spec), dist_flow_options(spec, false, 20'000))));
+        generate_benchmark(spec), dist_flow_options(false, 20'000))));
   bool served = true;
   for (auto& future : futures)
     served = served && future.wait_for(std::chrono::seconds(15)) ==
@@ -1322,13 +1319,38 @@ std::string with_field(std::string payload, const std::string& key,
   return payload;
 }
 
+/// The payload's BLIF with its first two output names swapped: a network
+/// that parses but is not the coordinator's.
+std::string with_outputs_swapped(std::string payload) {
+  const std::size_t begin = payload.find(".outputs ") + 9;
+  const std::size_t end = payload.find("\\n", begin);
+  std::vector<std::string_view> names =
+      split_tokens(std::string_view(payload).substr(begin, end - begin));
+  std::swap(names[0], names[1]);
+  std::string swapped;
+  for (const std::string_view name : names) {
+    if (!swapped.empty()) swapped += ' ';
+    swapped += name;
+  }
+  payload.replace(begin, end - begin, swapped);
+  return payload;
+}
+
+/// An older daemon's corpus payload: the key and probabilities, no BLIF.
+std::string without_blif(std::string payload) {
+  const std::size_t begin = payload.find("\"blif\":");
+  payload.erase(begin, payload.find("\"probs\":") - begin);
+  return payload;
+}
+
 TEST(DistFabric, WorkerRejectsPayloadsThatDoNotFitAndTheSubmitServesLocally) {
-  // A payload that does not fit the unit or the rebuilt network fails the
-  // unit with an error that names the problem; the job fails and the submit
-  // reruns locally, so it still serves the local report.
+  // A payload that does not fit the unit, or whose network does not parse
+  // or is not the coordinator's, fails the unit with an error that names
+  // the problem; the job fails and the submit reruns locally, so it still
+  // serves the local report.
   const BenchSpec spec = dist_spec(49, /*pos=*/8);
   const Network net = generate_benchmark(spec);
-  FlowOptions local_options = dist_flow_options(spec, false, 0);
+  FlowOptions local_options = dist_flow_options(false, 0);
   local_options.dist = {};
   const FlowReport reference = run_flow(net, local_options);
 
@@ -1345,8 +1367,15 @@ TEST(DistFabric, WorkerRejectsPayloadsThatDoNotFitAndTheSubmitServesLocally) {
        "probability 1.5 of node 0 is not in [0, 1]"},
       {[](std::string p) { return with_field(std::move(p), "fingerprint", "7"); },
        "circuit payload for another circuit: unit fingerprint"},
-      {[](std::string p) { return with_field(std::move(p), "bench_seed", "50"); },
+      {[](std::string p) { return with_outputs_swapped(std::move(p)); },
        "circuit fingerprint mismatch: coordinator"},
+      {[](std::string p) {
+         p.replace(p.find(".outputs "), 9, ".outputz ");
+         return p;
+       },
+       "blif:3: unsupported directive '.outputz'"},
+      {[](std::string p) { return without_blif(std::move(p)); },
+       "circuit payload is missing 'blif'"},
   };
   for (const Case& c : cases) {
     ServerCore core(ServerConfig{});
@@ -1357,7 +1386,7 @@ TEST(DistFabric, WorkerRejectsPayloadsThatDoNotFitAndTheSubmitServesLocally) {
     worker.start();
 
     const ServerResponse response =
-        core.submit(dist_request(net, dist_flow_options(spec, false, 20'000)))
+        core.submit(dist_request(net, dist_flow_options(false, 20'000)))
             .get();
     ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
     expect_reports_identical(response.report, reference);
@@ -1372,6 +1401,37 @@ TEST(DistFabric, WorkerRejectsPayloadsThatDoNotFitAndTheSubmitServesLocally) {
   }
 }
 
+TEST(DistFabric, PayloadOverTheLineCapServesLocallyWithoutUnits) {
+  // A worker refuses a reply line over the protocol cap, so a job whose
+  // circuit payload reaches it could never be fetched: the driver opens no
+  // job and the submit searches locally.  Long gate names make such a
+  // circuit cheap to build.
+  Network net = generate_benchmark(dist_spec(53, /*pos=*/8));
+  const std::string padding(16 * 1024, 'x');
+  for (NodeId id = 0; id < net.num_nodes(); ++id)
+    if (is_gate_kind(net.kind(id)))
+      net.set_node_name(id, 'g' + std::to_string(id) + padding);
+  FlowOptions local_options = dist_flow_options(false, 0);
+  local_options.dist = {};
+  const FlowReport reference = run_flow(net, local_options);
+
+  ServerCore core(ServerConfig{});
+  TransportConfig transport;
+  SocketServer server(core, transport);
+  DistWorker worker(worker_config_for(server.port(), "capped"));
+  worker.start();
+  const ServerResponse response =
+      core.submit(dist_request(net, dist_flow_options(false, 20'000))).get();
+  ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+  expect_reports_identical(response.report, reference);
+  EXPECT_EQ(core.stats().units_issued, 0u);
+  worker.stop();
+  EXPECT_EQ(worker.telemetry().reconnects, 0u);
+  EXPECT_EQ(worker.telemetry().units_failed, 0u);
+  server.stop();
+  core.shutdown();
+}
+
 TEST(DistFabric, FetchCircuitRefusesUnknownAndFinishedJobs) {
   const BenchSpec spec = dist_spec(50, /*pos=*/8);
   ServerCore core(ServerConfig{});
@@ -1382,7 +1442,7 @@ TEST(DistFabric, FetchCircuitRefusesUnknownAndFinishedJobs) {
   // The core's first job is job 1; once the submit is answered it is done.
   const ServerResponse response =
       core.submit(dist_request(generate_benchmark(spec),
-                               dist_flow_options(spec, false, 20'000)))
+                               dist_flow_options(false, 20'000)))
           .get();
   ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
   ASSERT_GT(core.stats().units_issued, 0u);
@@ -1417,7 +1477,7 @@ TEST(DistFabric, WorkerKeepsOnlyItsRecentCircuits) {
   for (std::uint64_t seed = 60; seed < 60 + DistWorker::kCacheCapacity + 1;
        ++seed) {
     const BenchSpec spec = dist_spec(seed, /*pos=*/4, /*gates=*/40);
-    FlowOptions options = dist_flow_options(spec, false, 20'000);
+    FlowOptions options = dist_flow_options(false, 20'000);
     options.dist.frontier_depth = 1;
     const ServerResponse response =
         core.submit(dist_request(generate_benchmark(spec), options)).get();
@@ -1431,6 +1491,36 @@ TEST(DistFabric, WorkerKeepsOnlyItsRecentCircuits) {
   core.shutdown();
 }
 
+TEST(DistFabric, SessionProbabilityAndModelInputsNameTheCircuit) {
+  // The key carries the session's own pi_prob and load_aware, so a session
+  // with other values than the defaults still searches on the fabric, and
+  // its workers score units on its probabilities and model.
+  const BenchSpec spec = dist_spec(45, /*pos=*/8);
+  const Network net = generate_benchmark(spec);
+  FlowOptions options = dist_flow_options(false, 20'000);
+  options.pi_prob = 0.3;
+  options.model.load_aware = false;
+  FlowOptions local_options = options;
+  local_options.dist = {};
+  const FlowReport reference = run_flow(net, local_options);
+
+  ServerCore core(ServerConfig{});
+  TransportConfig transport;
+  SocketServer server(core, transport);
+  DistWorker worker(worker_config_for(server.port(), "keyed"));
+  worker.start();
+  const ServerResponse response =
+      core.submit(dist_request(net, options)).get();
+  ASSERT_EQ(response.status, ServerStatus::kOk) << response.error_message;
+  expect_reports_identical(response.report, reference, /*counters=*/false);
+  EXPECT_GT(core.stats().units_issued, 0u);
+  worker.stop();
+  EXPECT_EQ(worker.telemetry().units_failed, 0u);
+  EXPECT_GT(worker.telemetry().units_completed, 0u);
+  server.stop();
+  core.shutdown();
+}
+
 TEST(DistFabric, OptionsWorkersCannotReplaySearchLocally) {
   // Workers rebuild evaluators with default SeqProbOptions.  A session whose
   // fixpoint sweeps change its probabilities must not merge units scored on
@@ -1438,7 +1528,7 @@ TEST(DistFabric, OptionsWorkersCannotReplaySearchLocally) {
   BenchSpec spec = dist_spec(46, /*pos=*/8);
   spec.num_latches = 4;
   const Network net = generate_benchmark(spec);
-  FlowOptions options = dist_flow_options(spec, false, 20'000);
+  FlowOptions options = dist_flow_options(false, 20'000);
   options.seqprob.fixpoint_sweeps = 4;
 
   FlowOptions local_options = options;
@@ -1476,7 +1566,7 @@ TEST(DistFabric, OptionsWorkersCannotReplaySearchLocally) {
 TEST(DistFabric, NonDrainShutdownResolvesDistWaitingSubmits) {
   const BenchSpec spec = dist_spec(43, /*pos=*/8);
   const Network net = generate_benchmark(spec);
-  FlowOptions local_options = dist_flow_options(spec, false, 0);
+  FlowOptions local_options = dist_flow_options(false, 0);
   local_options.dist = {};
   const FlowReport reference = run_flow(net, local_options);
 
@@ -1485,7 +1575,7 @@ TEST(DistFabric, NonDrainShutdownResolvesDistWaitingSubmits) {
   // the flow would wait on the fabric forever.  Hold an outstanding lease so
   // shutdown exercises the cancel path with leased units in flight.
   auto future = core.submit(
-      dist_request(net, dist_flow_options(spec, false, 600'000)));
+      dist_request(net, dist_flow_options(false, 600'000)));
   std::optional<DistCoordinator::Grant> held;
   wait_until([&] {
     held = core.coordinator().lease("straggler");

@@ -398,8 +398,8 @@ BenchSpec recovery_spec(std::uint64_t seed) {
   return spec;
 }
 
-ServerRequest recovery_request(const Network& net, const BenchSpec& spec,
-                               const std::string& rid, unsigned retry) {
+ServerRequest recovery_request(const Network& net, const std::string& rid,
+                               unsigned retry) {
   ServerRequest request;
   request.network = std::make_shared<const Network>(net);
   request.options.mode = PhaseMode::kExhaustivePower;
@@ -407,8 +407,6 @@ ServerRequest recovery_request(const Network& net, const BenchSpec& spec,
   request.options.sim.warmup = 8;
   request.options.dist.enabled = true;
   request.options.dist.frontier_depth = 3;
-  request.options.dist.circuit.has_bench = true;
-  request.options.dist.circuit.bench = spec;
   request.request_id = rid;
   request.retry_attempt = retry;
   return request;
@@ -432,12 +430,12 @@ TEST(ServerRecovery, RetrySubmitReattachesInsteadOfReexecuting) {
 
   const std::string rid = "feedbeef00000001";
   const ServerResponse first =
-      core.submit(recovery_request(net, spec, rid, /*retry=*/0)).get();
+      core.submit(recovery_request(net, rid, /*retry=*/0)).get();
   ASSERT_EQ(first.status, ServerStatus::kOk);
 
   // The retry re-attaches to the finished job: same bytes, no re-execution.
   const ServerResponse again =
-      core.submit(recovery_request(net, spec, rid, /*retry=*/1)).get();
+      core.submit(recovery_request(net, rid, /*retry=*/1)).get();
   ASSERT_EQ(again.status, ServerStatus::kOk);
   expect_reports_identical(again.report, first.report);
 
@@ -469,7 +467,7 @@ TEST(ServerRecovery, RestartAdoptsJournaledJobBitIdentically) {
   {
     ServerCore core(config);
     const ServerResponse response =
-        core.submit(recovery_request(net, spec, rid, /*retry=*/0)).get();
+        core.submit(recovery_request(net, rid, /*retry=*/0)).get();
     ASSERT_EQ(response.status, ServerStatus::kOk);
     reference = response.report;
     core.shutdown();
@@ -485,7 +483,7 @@ TEST(ServerRecovery, RestartAdoptsJournaledJobBitIdentically) {
             ServerCore::JobStatusResult::State::kRecovered);
 
   const ServerResponse resumed =
-      core.submit(recovery_request(net, spec, rid, /*retry=*/1)).get();
+      core.submit(recovery_request(net, rid, /*retry=*/1)).get();
   ASSERT_EQ(resumed.status, ServerStatus::kOk);
   expect_reports_identical(resumed.report, reference);
 
@@ -514,7 +512,7 @@ TEST(ServerRecovery, ColdCacheWarmJournalBuildsSessionsOnce) {
   {
     ServerCore core(config);
     ASSERT_EQ(core
-                  .submit(recovery_request(net, spec, rid, /*retry=*/0))
+                  .submit(recovery_request(net, rid, /*retry=*/0))
                   .get()
                   .status,
               ServerStatus::kOk);
@@ -529,10 +527,10 @@ TEST(ServerRecovery, ColdCacheWarmJournalBuildsSessionsOnce) {
   const BenchSpec other_spec = recovery_spec(14);
   const Network other = generate_benchmark(other_spec);
   std::vector<std::future<ServerResponse>> attached;
-  auto anchor = core.submit(recovery_request(net, spec, rid, /*retry=*/1));
+  auto anchor = core.submit(recovery_request(net, rid, /*retry=*/1));
   for (unsigned retry = 2; retry <= 4; ++retry)
     attached.push_back(
-        core.submit(recovery_request(net, spec, rid, retry)));
+        core.submit(recovery_request(net, rid, retry)));
   std::vector<std::future<ServerResponse>> churn;
   for (int i = 0; i < 3; ++i) {
     ServerRequest request;

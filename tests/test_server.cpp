@@ -456,7 +456,6 @@ TEST(Protocol, ParsesPercentEncodedCorpusAndCircuitNames) {
   ASSERT_EQ(command->kind, protocol::CommandKind::kSubmit);
   ASSERT_NE(command->request.network, nullptr);
   EXPECT_EQ(command->request.network->name(), "Industry 1");
-  EXPECT_EQ(command->request.corpus, "Industry 1");
   EXPECT_EQ(command->request.circuit, "my key");
 }
 
@@ -1000,7 +999,7 @@ TEST(Transport, MetricsVerbServesPrometheusText) {
 }
 
 TEST(Transport, OversizedLineAnswersErrorAndKeepsTheConnection) {
-  // The reader is bounded (protocol::kMaxLineLength): a line that never ends
+  // The reader is bounded (codec::kMaxLineLength): a line that never ends
   // must produce a typed protocol error instead of buffering without limit —
   // and the connection must stay usable once the line finally terminates,
   // because the reader discards the oversized remainder instead of parsing
@@ -1010,7 +1009,7 @@ TEST(Transport, OversizedLineAnswersErrorAndKeepsTheConnection) {
   SocketServer server(core, transport);
   Client client = Client::connect_tcp("127.0.0.1", server.port());
 
-  const std::string junk(2 * protocol::kMaxLineLength, 'x');
+  const std::string junk(2 * codec::kMaxLineLength, 'x');
   const std::string answer = client.request(junk);
   EXPECT_EQ(protocol::find_bool(answer, "ok"), false);
   const auto error = protocol::find_string(answer, "error");
